@@ -1,41 +1,34 @@
-"""Network hop hot-path guard (slotted vs legacy scheduling).
+"""Network hop hot-path guards.
 
 The interconnect schedules every switch-to-switch hop of every coherence
 message, so its dispatch cost multiplies across the whole simulator the
-same way the kernel heap does.  The slotted scheme performs leave +
+same way the kernel heap does.  Slotted scheduling performs leave +
 arrive + depart in one kernel dispatch per hop (same-cycle completions
 are deliberately NOT batched into shared heap entries — that reordered
 hop processing against interleaved non-hop events; see the Network
-docstring); the legacy scheme (two scheduled closures per hop) is
-retained behind ``slotted=False`` purely so this guard can measure one
-against the other:
+docstring):
 
-* **throughput** — slotted must dispatch materially fewer kernel events
-  and be >= 20% faster on a steady hop stream (the structural
-  event-count check is noise-free; the wall-clock check is what the
-  speedup claim actually promises);
-* **equivalence** — a full default-4x4 machine run must produce
-  bit-identical ``RunResult`` fields in both modes.  The slotted path is
-  an optimisation, never a model change.
+* **one dispatch per hop** — on a steady 4x4 hop stream, the ``net.hop``
+  dispatch count must equal the number of links the messages cross,
+  exactly (a structural, noise-free check); the stream is also timed
+  and reported.
 
-*Express hops* (PR 7) layer on top of slotted scheduling: when a
-flight's remaining segment is idle, one ``net.express`` dispatch covers
-the whole segment.  Its guards live here too:
+*Express hops* layer on top: when a flight's remaining segment is
+idle, one ``net.express`` dispatch covers the whole segment.  Its guards
+live here too:
 
 * **reduction** — on an idle 8x8 stream the per-hop dispatch count
-  (``net.hop`` + ``net.express``) must drop >= 1.5x vs
-  slotted-without-express, with an identical delivery sequence in all
-  three modes;
+  (``net.hop`` + ``net.express``) must drop >= 1.5x vs hop-by-hop
+  scheduling, with an identical delivery sequence in both modes;
 * **equivalence** — full default-4x4 machine runs must produce
-  bit-identical ``RunResult`` fields across express, slotted-without-
-  express, and legacy;
+  bit-identical ``RunResult`` fields with express on and off;
 * **degradation** — on a contended stream express must fall back to
-  hop-by-hop (interrupts fire, dispatch counts stay near slotted's)
+  hop-by-hop (interrupts fire, dispatch counts stay near hop-by-hop's)
   rather than thrash.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the iteration counts for the CI smoke
-step (see .github/workflows/ci.yml) and relaxes the wall-clock floor,
-keeping the structural assertions intact.
+step (see .github/workflows/ci.yml), keeping the structural assertions
+intact.
 """
 
 import dataclasses
@@ -50,137 +43,13 @@ from repro.sim.kernel import Simulator
 from repro.system.machine import Machine
 from repro.workloads import by_name
 
-from benchmarks.conftest import record_bench, run_once, smoke_mode
+from benchmarks.conftest import run_once, smoke_mode
 
 SMOKE = smoke_mode()
 
 # Messages per timed run; each traverses several switch hops.
 MESSAGES = 2_000 if SMOKE else 20_000
-# Wall-clock floor for slotted vs legacy.  The full-size requirement is
-# the >=20% claim; the smoke floor only guards against gross regressions
-# (tiny runs are noisy).
-MIN_SPEEDUP = 1.05 if SMOKE else 1.20
-# Structural floor, independent of machine load: one event per hop must
-# remove essentially half of legacy's two-events-per-hop dispatches.
-MAX_EVENT_RATIO = 0.6
 TIMING_REPEATS = 3
-
-
-def _hop_stream(slotted: bool, n_messages: int, express: bool = False):
-    """A steady self-refuelling hop stream on a bare 4x4 network."""
-    sim = Simulator()
-    topo = TorusTopology(4, 4)
-    net = Network(sim, topo, RoutingTable(topo), slotted=slotted,
-                  express=express)
-    remaining = [n_messages]
-
-    def deliver(msg: Message) -> None:
-        if remaining[0] > 0:
-            remaining[0] -= 1
-            net.send(Message(MessageKind.GETS, src=msg.dst,
-                             dst=(msg.dst * 7 + 3) % 16))
-
-    for nid in range(16):
-        net.attach(nid, deliver)
-    for src in range(16):
-        net.send(Message(MessageKind.GETS, src=src, dst=(src + 5) % 16))
-    return sim, net
-
-
-def _time_stream(slotted: bool) -> tuple:
-    """(best wall seconds, kernel events) over TIMING_REPEATS runs."""
-    best = float("inf")
-    events = None
-    for _ in range(TIMING_REPEATS):
-        sim, _ = _hop_stream(slotted, MESSAGES)
-        started = time.perf_counter()
-        sim.run()
-        best = min(best, time.perf_counter() - started)
-        if events is None:
-            events = sim.events_dispatched
-        else:
-            assert events == sim.events_dispatched  # deterministic
-    return best, events
-
-
-def test_hop_dispatch_throughput(benchmark):
-    def experiment():
-        legacy_s, legacy_events = _time_stream(slotted=False)
-        slotted_s, slotted_events = _time_stream(slotted=True)
-        return legacy_s, legacy_events, slotted_s, slotted_events
-
-    legacy_s, legacy_events, slotted_s, slotted_events = \
-        run_once(experiment, benchmark)
-
-    speedup = legacy_s / slotted_s
-    event_ratio = slotted_events / legacy_events
-    print(f"\nnetwork hop dispatch ({MESSAGES} messages):"
-          f"\n  legacy : {legacy_s:.3f}s, {legacy_events:,} kernel events"
-          f"\n  slotted: {slotted_s:.3f}s, {slotted_events:,} kernel events"
-          f"\n  speedup: {speedup:.2f}x, event ratio {event_ratio:.2f}")
-    record_bench("network_hop_dispatch", speedup, slotted_events, slotted_s,
-                 event_ratio=round(event_ratio, 3))
-    assert event_ratio < MAX_EVENT_RATIO, (
-        f"slotted scheduling stopped batching: {slotted_events:,} events vs "
-        f"legacy {legacy_events:,} (ratio {event_ratio:.2f})"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"slotted hop dispatch only {speedup:.2f}x faster than legacy "
-        f"(floor {MIN_SPEEDUP:.2f}x)"
-    )
-
-
-def _machine_result(slotted: bool, workload: str, instructions: int,
-                    express: bool = False):
-    config = dataclasses.replace(SystemConfig.sim_scaled(16),
-                                 express_hops=express)  # default 4x4 machine
-    machine = Machine(
-        config,
-        by_name(workload, num_cpus=config.num_processors, scale=16, seed=1),
-        seed=1,
-        slotted_network=slotted,
-    )
-    result = machine.run(instructions, max_cycles=10_000_000)
-    # Precondition for mode equivalence: the release-cycle tie (see the
-    # Network class docstring) is only unobservable while no switch
-    # buffer ever saturates and no switch is killed.
-    assert machine.stats.counter("net.buffer_stalls").value == 0, (
-        "equivalence run hit backpressure; its slotted/legacy comparison "
-        "is no longer guaranteed bit-identical")
-    return (result.cycles, result.committed_instructions, result.recoveries,
-            result.completed, result.crashed,
-            machine.stats.counter("net.messages_delivered").value,
-            machine.stats.counter("net.bytes_sent").value)
-
-
-def test_slotted_results_bit_identical(benchmark):
-    instructions = 1_000 if SMOKE else 4_000
-
-    def experiment():
-        out = {}
-        for workload in ("apache", "jbb"):
-            out[workload] = (_machine_result(True, workload, instructions),
-                             _machine_result(False, workload, instructions))
-        return out
-
-    results = run_once(experiment, benchmark)
-    for workload, (slotted, legacy) in results.items():
-        assert slotted == legacy, (
-            f"{workload}: slotted run diverged from legacy\n"
-            f"  slotted: {slotted}\n  legacy : {legacy}"
-        )
-        cycles, committed, recoveries, completed, crashed, _, _ = slotted
-        assert completed and not crashed
-        assert committed >= instructions * 16
-
-
-# ----------------------------------------------------------------------
-# Express hops (PR 7)
-# ----------------------------------------------------------------------
-
-# An express segment must cut per-hop dispatches at least this much on a
-# stream whose switches are idle (one message in the network at a time).
-MIN_EXPRESS_DISPATCH_REDUCTION = 1.5
 
 
 class _HopCounter:
@@ -197,13 +66,87 @@ class _HopCounter:
                 + self.counts.get("net.express", 0))
 
 
-def _idle_stream(express: bool, slotted: bool, n_messages: int):
+def _hop_stream(n_messages: int, express: bool = False):
+    """A steady self-refuelling hop stream on a bare 4x4 network.
+    Returns (sim, net, links): ``links[0]`` counts the links the sent
+    messages will cross."""
+    sim = Simulator()
+    topo = TorusTopology(4, 4)
+    routing = RoutingTable(topo)
+    net = Network(sim, topo, routing, express=express)
+    remaining = [n_messages]
+    links = [0]
+
+    def send(src: int, dst: int) -> None:
+        links[0] += len(routing.route(src, dst)[1])
+        net.send(Message(MessageKind.GETS, src=src, dst=dst))
+
+    def deliver(msg: Message) -> None:
+        if remaining[0] > 0:
+            remaining[0] -= 1
+            send(msg.dst, (msg.dst * 7 + 3) % 16)
+
+    for nid in range(16):
+        net.attach(nid, deliver)
+    for src in range(16):
+        send(src, (src + 5) % 16)
+    return sim, net, links
+
+
+def test_hop_dispatch_throughput(benchmark):
+    def experiment():
+        sim, _, links = _hop_stream(MESSAGES)
+        tracer = _HopCounter()
+        sim.tracer = tracer
+        sim.run()
+        best = float("inf")
+        for _ in range(TIMING_REPEATS):
+            timed, _, _ = _hop_stream(MESSAGES)
+            started = time.perf_counter()
+            timed.run()
+            best = min(best, time.perf_counter() - started)
+            assert timed.events_dispatched == sim.events_dispatched
+        return best, sim.events_dispatched, tracer.counts["net.hop"], links[0]
+
+    wall_s, events, hops, links = run_once(experiment, benchmark)
+    print(f"\nnetwork hop dispatch ({MESSAGES} messages): {wall_s:.3f}s, "
+          f"{events:,} kernel events, {hops:,} hop dispatches for "
+          f"{links:,} link traversals")
+    assert hops == links, (
+        f"{hops:,} net.hop dispatches for {links:,} link traversals: "
+        f"a hop is no longer exactly one kernel dispatch")
+
+
+def _machine_result(workload: str, instructions: int, express: bool):
+    config = dataclasses.replace(SystemConfig.sim_scaled(16),
+                                 express_hops=express)  # default 4x4 machine
+    machine = Machine(
+        config,
+        by_name(workload, num_cpus=config.num_processors, scale=16, seed=1),
+        seed=1,
+    )
+    result = machine.run(instructions, max_cycles=10_000_000)
+    return (result.cycles, result.committed_instructions, result.recoveries,
+            result.completed, result.crashed,
+            machine.stats.counter("net.messages_delivered").value,
+            machine.stats.counter("net.bytes_sent").value)
+
+
+# ----------------------------------------------------------------------
+# Express hops (PR 7)
+# ----------------------------------------------------------------------
+
+# An express segment must cut per-hop dispatches at least this much on a
+# stream whose switches are idle (one message in the network at a time).
+MIN_EXPRESS_DISPATCH_REDUCTION = 1.5
+
+
+def _idle_stream(express: bool, n_messages: int):
     """One message at a time crossing an 8x8 torus: every switch on the
     path is idle, so every network-path send is express-eligible."""
     sim = Simulator()
     topo = TorusTopology(8, 8)
-    net = Network(sim, topo, RoutingTable(topo), slotted=slotted,
-                  express=express)
+    net = Network(sim, topo, RoutingTable(topo), express=express)
     tracer = _HopCounter()
     sim.tracer = tracer
     remaining = [n_messages]
@@ -230,25 +173,22 @@ def test_express_hop_dispatch_reduction(benchmark):
     n = 200 if SMOKE else 2_000
 
     def experiment():
-        return (_idle_stream(True, True, n),
-                _idle_stream(False, True, n),
-                _idle_stream(False, False, n))
+        return _idle_stream(True, n), _idle_stream(False, n)
 
-    (express, slotted, legacy) = run_once(experiment, benchmark)
+    (express, hop_by_hop) = run_once(experiment, benchmark)
     e_tracer, e_deliveries, e_net = express
-    s_tracer, s_deliveries, _ = slotted
-    l_tracer, l_deliveries, _ = legacy
+    h_tracer, h_deliveries, _ = hop_by_hop
 
-    assert e_deliveries == s_deliveries == l_deliveries, (
+    assert e_deliveries == h_deliveries, (
         "express changed the delivery sequence on an idle stream")
     e_hops = e_tracer.hop_dispatches()
-    s_hops = s_tracer.hop_dispatches()
-    reduction = s_hops / e_hops
+    h_hops = h_tracer.hop_dispatches()
+    reduction = h_hops / e_hops
     print(f"\nidle 8x8 express stream ({n} messages):"
-          f"\n  slotted: {s_hops:,} hop dispatches"
-          f"\n  express: {e_hops:,} hop dispatches"
+          f"\n  hop-by-hop: {h_hops:,} hop dispatches"
+          f"\n  express   : {e_hops:,} hop dispatches"
           f" ({e_tracer.counts.get('net.express', 0):,} segment events)"
-          f"\n  reduction: {reduction:.2f}x")
+          f"\n  reduction : {reduction:.2f}x")
     assert reduction >= MIN_EXPRESS_DISPATCH_REDUCTION, (
         f"express only cut hop dispatches {reduction:.2f}x on an idle "
         f"stream (floor {MIN_EXPRESS_DISPATCH_REDUCTION:.2f}x)")
@@ -263,47 +203,45 @@ def test_express_contended_stream_degrades(benchmark):
     n = 1_000 if SMOKE else 5_000
 
     def experiment():
-        sim_e, net_e = _hop_stream(True, n, express=True)
+        sim_e, net_e, _ = _hop_stream(n, express=True)
         sim_e.run()
-        sim_s, net_s = _hop_stream(True, n, express=False)
-        sim_s.run()
+        sim_h, net_h, _ = _hop_stream(n, express=False)
+        sim_h.run()
         return (sim_e.events_dispatched, net_e.c_express_interrupts.value,
-                net_e.c_messages_delivered.value, sim_s.events_dispatched,
-                net_s.c_messages_delivered.value)
+                net_e.c_messages_delivered.value, sim_h.events_dispatched,
+                net_h.c_messages_delivered.value)
 
-    e_events, e_interrupts, e_delivered, s_events, s_delivered = \
+    e_events, e_interrupts, e_delivered, h_events, h_delivered = \
         run_once(experiment, benchmark)
 
-    assert e_delivered == s_delivered
+    assert e_delivered == h_delivered
     # Express may not *add* meaningful dispatch load under contention:
     # the adaptive credit gate stops probing once interruptions dominate.
-    assert e_events <= s_events * 1.10, (
+    assert e_events <= h_events * 1.10, (
         f"express dispatched {e_events:,} events on a contended stream vs "
-        f"{s_events:,} without express — the fallback is not engaging")
+        f"{h_events:,} without express — the fallback is not engaging")
     print(f"\ncontended 4x4 stream ({n} messages): express {e_events:,} "
-          f"events ({e_interrupts:,} interrupts), slotted {s_events:,}")
+          f"events ({e_interrupts:,} interrupts), hop-by-hop {h_events:,}")
 
 
 def test_express_results_bit_identical(benchmark):
-    """Full-machine runs: express vs slotted-without-express vs legacy."""
+    """Full-machine runs: express vs hop-by-hop scheduling."""
     instructions = 1_000 if SMOKE else 4_000
 
     def experiment():
         out = {}
         for workload in ("apache", "jbb"):
             out[workload] = (
-                _machine_result(True, workload, instructions, express=True),
-                _machine_result(True, workload, instructions, express=False),
-                _machine_result(False, workload, instructions, express=False),
+                _machine_result(workload, instructions, express=True),
+                _machine_result(workload, instructions, express=False),
             )
         return out
 
     results = run_once(experiment, benchmark)
-    for workload, (express, slotted, legacy) in results.items():
-        assert express == slotted == legacy, (
+    for workload, (express, hop_by_hop) in results.items():
+        assert express == hop_by_hop, (
             f"{workload}: express run diverged\n"
-            f"  express: {express}\n  slotted: {slotted}\n"
-            f"  legacy : {legacy}")
+            f"  express   : {express}\n  hop-by-hop: {hop_by_hop}")
         cycles, committed, recoveries, completed, crashed, _, _ = express
         assert completed and not crashed
         assert committed >= instructions * 16

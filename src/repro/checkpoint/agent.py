@@ -189,10 +189,9 @@ class ValidationAgent:
         The send itself happens in a dedicated zero-delay event rather
         than inline: readiness triggers fire inside network-hop dispatches,
         and injecting new traffic mid-dispatch would make link-contention
-        order depend on how the hop scheduler batches same-cycle hops
-        (breaking the slotted-vs-legacy network guard).  A fresh event
-        sequences after every already-queued event of the current cycle in
-        either mode."""
+        order depend on how the hop scheduler batches same-cycle hops.
+        A fresh event sequences after every already-queued event of the
+        current cycle, however the hops were scheduled."""
         if not self._running:
             return
         k = self._raw_ready()

@@ -7,23 +7,25 @@ the paper puts them: a transient can drop one message inside a switch, and
 killing a half-switch loses every message buffered in it plus anything that
 later arrives there (until the routing tables are recomputed around it).
 
+All per-link and per-switch state lives in flat lists indexed by the
+topology's integer vertex and link ids (see
+:mod:`repro.interconnect.topology`); routes arrive from the routing table
+as id tuples.  Public vertices (``("sw", HalfSwitchId)``) appear only
+where a switch is named outside the network: drop hooks, loss reasons
+and arbiters.
+
 Hop scheduling is *slotted*: each hop is one kernel dispatch that performs
-leave + arrive + depart together.  The legacy two-events-per-hop scheme is
-retained behind ``slotted=False`` purely as the reference for the
-differential guard in ``benchmarks/test_network_hotpath.py``.
+leave + arrive + depart together.  Hops deliberately do NOT share heap
+entries: batching same-cycle hop completions into one dispatch would run
+a later-scheduled hop at the earliest hop's heap position, reordering its
+processing (and any traffic its delivery injects) against non-hop events
+of the same cycle — an order-dependent tie that changes results once
+checkpoint-validation traffic is completion-triggered.
 
-Hops deliberately do NOT share heap entries: batching same-cycle hop
-completions into one dispatch would run a later-scheduled hop at the
-earliest hop's heap position, reordering its processing (and any traffic
-its delivery injects) against non-hop events of the same cycle — an
-order-dependent tie that made slotted and legacy runs diverge once
-checkpoint-validation traffic became completion-triggered.  One event per
-hop keeps dispatch order identical to legacy by construction.
-
-*Express hops* (``express=True``, slotted only) recover multi-hop
-advancement without re-opening that wound: when every switch on a
-flight's remaining path segment is idle — no live serialisation entries
-(the per-switch next-free-cycle register answers that in O(1)), no link
+*Express hops* (``express=True``) recover multi-hop advancement without
+re-opening that wound: when every switch on a flight's remaining path
+segment is idle — no live serialisation entries (the per-switch
+next-free-cycle register answers that in O(1)), no link
 contention, no armed drop hooks — the whole segment's hop times are
 computed arithmetically and ONE ``net.express`` dispatch is scheduled at
 the arrival into the *last* switch, which then runs the ordinary
@@ -45,8 +47,7 @@ same deterministic-tie family as the release-cycle rule below.
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.interconnect.arbiter import (
     ArbiterPolicy,
@@ -68,7 +69,6 @@ LostFn = Callable[[Message, str], None]
 # (ROADMAP "event-label allocation").
 LABEL_HOP = sys.intern("net.hop")
 LABEL_EXPRESS = sys.intern("net.express")
-LABEL_LEAVE = sys.intern("net.leave")
 LABEL_LOCAL = sys.intern("net.local_deliver")
 LABEL_DELIVER = sys.intern("net.deliver")
 LABEL_RETRY = sys.intern("net.buffer_retry")
@@ -81,7 +81,8 @@ class _Flight:
     scheduler queues the flight object directly, avoiding a per-hop
     closure allocation on the hottest scheduling path.  ``ser`` is the
     link-serialisation time, computed once per message instead of once
-    per hop.
+    per hop.  ``path`` holds the route's vertex ids and ``links[k]`` the
+    id of the link from ``path[k]`` to ``path[k + 1]``.
 
     Express state (``exp_*``) is live only while the flight is advancing
     a segment arithmetically: ``exp_base`` is the path index the segment
@@ -92,17 +93,19 @@ class _Flight:
     ``no_express`` pins a materialised flight to hop-by-hop for good.
     """
 
-    __slots__ = ("msg", "mid", "path", "index", "dropped", "epoch", "net",
-                 "ser", "no_express", "exp_base", "exp_times", "exp_saved",
-                 "exp_event", "claim_cycle", "claim_link", "claim_start",
-                 "claim_base", "claim_next", "claim_event", "claim_leave")
+    __slots__ = ("msg", "mid", "path", "links", "index", "dropped", "epoch",
+                 "net", "ser", "no_express", "exp_base", "exp_times",
+                 "exp_saved", "exp_event", "claim_cycle", "claim_link",
+                 "claim_start", "claim_base", "claim_next", "claim_event")
 
-    def __init__(self, msg: Message, path: List[Vertex], epoch: int,
-                 net: "Network", ser: int) -> None:
+    def __init__(self, msg: Message, path: Tuple[int, ...],
+                 links: Tuple[int, ...], epoch: int, net: "Network",
+                 ser: int) -> None:
         self.msg = msg
         self.mid = msg.msg_id   # hop-path alias (skips the msg deref)
         self.path = path
-        self.index = 0          # vertex the message is currently at
+        self.links = links
+        self.index = 0          # path index the message is currently at
         self.dropped = False
         self.epoch = epoch
         self.net = net
@@ -110,19 +113,18 @@ class _Flight:
         self.no_express = False
         self.exp_base = 0
         self.exp_times: Optional[List[int]] = None
-        self.exp_saved: Optional[List[Optional[int]]] = None
+        self.exp_saved: Optional[List[int]] = None
         self.exp_event = None
-        # Claim-chain bookkeeping (see Network._claim_link): the cycle and
-        # start of this flight's latest link claim, the link horizon before
-        # the chain began, the next chain member, and the scheduled events
-        # a re-resolution must displace.
+        # Claim-chain bookkeeping (see Network._claim_chain): the cycle,
+        # link id and start of this flight's latest link claim, the link
+        # horizon before the chain began, the next chain member, and the
+        # scheduled hop event a re-resolution must displace.
         self.claim_cycle = -1
-        self.claim_link: Optional[Tuple[Vertex, Vertex]] = None
+        self.claim_link = -1
         self.claim_start = 0
         self.claim_base = 0
         self.claim_next: Optional["_Flight"] = None
         self.claim_event = None
-        self.claim_leave = None
 
     def __call__(self) -> None:
         self.net._arrive(self)
@@ -136,19 +138,11 @@ class Network:
 
     Residency semantics: a message occupies a switch buffer from the
     moment it is accepted until it is fully serialised onto the outgoing
-    link.  The slotted path records that release time per entry
-    (``_resident_until``) and finalises it in the hop dispatch itself,
-    instead of paying a dedicated ``net.leave`` kernel event per hop.
-    One boundary case is mode-dependent: an observation (capacity check
-    or switch kill) landing on *exactly* the release cycle sees the
-    entry gone in slotted mode, while legacy mode resolves the tie by
-    kernel event order (the ``net.leave`` event's insertion sequence),
-    which is history-dependent.  Slotted is therefore the deterministic
-    definition.  The modes produce bit-identical results on runs where
-    the tie is never observed — no switch kills and no buffer
-    saturation; the differential guard in
-    ``benchmarks/test_network_hotpath.py`` compares such runs and
-    asserts its own precondition (``buffer_stalls == 0``).
+    link.  Each entry records that release time (``_resident_until``),
+    finalised in the hop dispatch itself rather than by a dedicated leave
+    event.  An observation (capacity check or switch kill) landing on
+    *exactly* the release cycle therefore sees the entry gone — a
+    deterministic rule, independent of kernel event order.
     """
 
     def __init__(
@@ -162,7 +156,6 @@ class Network:
         link_latency: int = 4,
         bytes_per_cycle: float = 6.4,
         buffer_capacity: int = 64,
-        slotted: bool = True,
         express: bool = True,
         arbiter: "str | ArbiterPolicy" = "fifo",
         name: str = "net",
@@ -175,8 +168,7 @@ class Network:
         self.link_latency = link_latency
         self.bytes_per_cycle = bytes_per_cycle
         self.buffer_capacity = buffer_capacity
-        self.slotted = slotted
-        self.express = bool(express and slotted)
+        self.express = bool(express)
         self._name = name
         # Arbitration policy for same-cycle ties (link claims, delivery
         # order).  ``fifo`` keeps the inline message-id sorts below —
@@ -186,22 +178,15 @@ class Network:
         self._arb_fifo = self.arbiter.is_fifo
         self._arb_note = self.arbiter.note_delivery
 
+        # Vertex ids at or above this are half-switches.
+        self._n_nodes = topology.num_nodes
+        self._vertices = topology.vertices
+        # Live view of the topology's per-vertex dead flags (per-hop check).
+        self._dead = topology.dead
         self._endpoints: Dict[int, DeliverFn] = {}
-        self._link_free: Dict[Tuple[Vertex, Vertex], int] = {}
-        # Legacy residency: membership managed by net.leave events.
-        self._resident: Dict[Vertex, Set[int]] = defaultdict(set)
-        # Slotted residency: msg_id -> cycle the buffer entry is released.
-        self._resident_until: Dict[Vertex, Dict[int, int]] = defaultdict(dict)
-        # Per-switch next-free-cycle register: the max release cycle ever
-        # written for the switch.  Monotone per write, so "every entry's
-        # release has passed" — the express idle test — is one O(1)
-        # comparison instead of a table scan.
-        self._switch_next_free: Dict[Vertex, int] = {}
-        # Express claims: resources an in-express flight will use, keyed
-        # back to the flight so any other traffic touching them can
-        # materialise it first.
-        self._express_links: Dict[Tuple[Vertex, Vertex], _Flight] = {}
-        self._express_switches: Dict[Vertex, _Flight] = {}
+        self._reset_tables()
+        # Express flights by msg_id; empty means no link or switch is
+        # express-claimed, so the per-hop claim probes can be skipped.
         self._express_flights: Dict[int, _Flight] = {}
         # While > 0 express advancement is ineligible (armed drop hooks,
         # unmanaged hooks); see express_hold/express_release.
@@ -220,21 +205,15 @@ class Network:
         # messages, handed to endpoints in msg_id order at end of cycle.
         self._deliver_ready: List[Message] = []
         self._deliver_cycle = -1
-        # Claim slotting (see _claim_chain): most recent claimant per link,
-        # so a same-cycle claim collision can find and re-resolve the chain.
-        self._claim_head: Dict[Tuple[Vertex, Vertex], _Flight] = {}
         self._in_flight: Dict[int, _Flight] = {}
         self._drop_hooks: List[DropHook] = []
         self._lost_listeners: List[LostFn] = []
         self._epoch = 0
-        # Live view of the topology's dead-switch set (per-hop check).
-        self._dead_switches = topology.live_dead_set()
 
         # Pre-bound counters: send/deliver/lose run once per message (and
         # contention accounting once per hop), so the per-call f-string
         # construction + registry lookup was itself a measurable hot-path
-        # cost (guarded by the wall-clock floors in
-        # benchmarks/test_network_hotpath.py and
+        # cost (guarded by the wall-clock floor in
         # benchmarks/test_validation_hotpath.py).
         self.c_messages_sent = self.stats.counter(f"{name}.messages_sent")
         self.c_bytes_sent = self.stats.counter(f"{name}.bytes_sent")
@@ -251,6 +230,25 @@ class Network:
         self.c_express_hops = self.stats.counter(f"{name}.express_hops")
         self.c_express_interrupts = self.stats.counter(
             f"{name}.express_interrupts")
+
+    def _reset_tables(self) -> None:
+        """(Re)create the per-link and per-vertex state tables."""
+        num_links = self.topology.num_links
+        num_vertices = self.topology.num_vertices
+        # Per link: occupancy horizon, the most recent claimant (claim
+        # slotting, see _claim_chain), and the express flight holding it.
+        self._link_free: List[int] = [0] * num_links
+        self._claim_head: List[Optional[_Flight]] = [None] * num_links
+        self._express_links: List[Optional[_Flight]] = [None] * num_links
+        # Per switch: msg_id -> cycle each buffer entry is released.
+        self._resident_until: List[Dict[int, int]] = [
+            {} for _ in range(num_vertices)]
+        # Per-switch next-free-cycle register: the max release cycle ever
+        # written for the switch.  Monotone per write, so "every entry's
+        # release has passed" — the express idle test — is one O(1)
+        # comparison instead of a table scan.
+        self._switch_next_free: List[int] = [0] * num_vertices
+        self._express_switches: List[Optional[_Flight]] = [None] * num_vertices
 
     # ------------------------------------------------------------------
     # Wiring
@@ -319,8 +317,9 @@ class Network:
                 LABEL_LOCAL,
             )
             return
-        path = self.routing.path(msg.src, msg.dst)
-        flight = _Flight(msg, path, self._epoch, self, self._serialization(msg))
+        path, links = self.routing.route(msg.src, msg.dst)
+        flight = _Flight(msg, path, links, self._epoch, self,
+                         self._serialization(msg))
         self._in_flight[msg.msg_id] = flight
         if self.express:
             credit = self._express_credit
@@ -339,10 +338,9 @@ class Network:
     def buffer_depth(self) -> int:
         """Live switch-buffer residents, machine-wide (observability view).
 
-        Slotted mode counts entries whose release time has not passed yet
-        (released entries linger in the tables until lazily pruned, so the
-        raw sizes overcount); legacy mode counts the event-managed sets.
-        Read-only: the lazy pruning state is left untouched.
+        Counts entries whose release time has not passed yet (released
+        entries linger in the tables until lazily pruned, so the raw sizes
+        overcount).  Read-only: the lazy pruning state is left untouched.
 
         In-express flights have no residency entries for the intermediate
         switches they are advancing through arithmetically, so their
@@ -353,12 +351,10 @@ class Network:
         depth would undercount exactly when the network is busiest moving
         express traffic.
         """
-        if not self.slotted:
-            return sum(len(s) for s in self._resident.values())
         now = self.sim.now
         depth = sum(
             1
-            for table in self._resident_until.values()
+            for table in self._resident_until
             for until in table.values()
             if until > now
         )
@@ -390,33 +386,33 @@ class Network:
         """Move the message from its current vertex onto the next link."""
         if flight.dropped or flight.epoch != self._epoch:
             return
-        path = flight.path
         index = flight.index
-        here = path[index]
-        nxt = path[index + 1]
-        link = (here, nxt)
-        if self._express_links:
+        link = flight.links[index]
+        if self._express_flights:
             # This send/hop crosses an in-express segment: the express
             # flight claimed the link, so restore its hop-by-hop state
             # before computing contention against it.
-            other = self._express_links.get(link)
+            other = self._express_links[link]
             if other is not None:
                 self._materialize(other)
         if (self._express_on
                 and not flight.no_express
-                and len(path) - index >= 4
+                and len(flight.path) - index >= 4
                 and self._try_express(flight)):
             return
         now = self.sim.now
-        head = self._claim_head.get(link)
+        here = flight.path[index]
+        head = self._claim_head[link]
         if (head is not None and head.claim_cycle == now
                 and head.claim_link == link):
             self._claim_chain(flight, link, here, head)
             return
-        base = self._link_free.get(link, 0)
+        link_free = self._link_free
+        base = link_free[link]
         start = now if base <= now else base
         ser = flight.ser
-        self._link_free[link] = start + ser
+        release = start + ser
+        link_free[link] = release
         flight.claim_cycle = now
         flight.claim_link = link
         flight.claim_start = start
@@ -426,24 +422,20 @@ class Network:
         wait = start - now
         if wait:
             self.c_contention_cycles.add(wait)
-        if self.slotted:
-            # _finish_claim's slotted branch, inlined: this is the one
-            # claim per hop dispatch on the default configuration.
-            if here[0] == "sw":
-                release = start + ser
-                self._resident_until[here][flight.mid] = release
-                nf = self._switch_next_free
-                if release > nf.get(here, 0):
-                    nf[here] = release
-                arrive_at = start + ser + self.link_latency + self.switch_latency
-            else:
-                arrive_at = start + ser + self.link_latency + 1
-            flight.claim_event = self.sim.schedule(arrive_at, flight, LABEL_HOP)
+        # _finish_claim, inlined: this is the one claim per hop dispatch
+        # on the default configuration.
+        if here >= self._n_nodes:
+            self._resident_until[here][flight.mid] = release
+            next_free = self._switch_next_free
+            if release > next_free[here]:
+                next_free[here] = release
+            arrive_at = release + self.link_latency + self.switch_latency
         else:
-            self._finish_claim(flight, here, start)
+            arrive_at = release + self.link_latency + 1
+        flight.claim_event = self.sim.schedule(arrive_at, flight, LABEL_HOP)
 
-    def _claim_chain(self, flight: _Flight, link: Tuple[Vertex, Vertex],
-                     here: Vertex, head: _Flight) -> None:
+    def _claim_chain(self, flight: _Flight, link: int, here: int,
+                     head: _Flight) -> None:
         """Claim slotting: same-cycle claims on one link serialise in
         ``msg_id`` order, not dispatch order.
 
@@ -486,9 +478,6 @@ class Network:
             if m is flight or m.claim_start != start:
                 if m is not flight:
                     m.claim_event.cancel()
-                    if m.claim_leave is not None:
-                        m.claim_leave.cancel()
-                        m.claim_leave = None
                 m.claim_start = start
                 self._finish_claim(m, here, start)
             new_total += start - now
@@ -502,48 +491,36 @@ class Network:
         """Input direction of a chain member at its current vertex (the
         non-fifo arbiters' classification key)."""
         index = flight.index
-        prev = flight.path[index - 1] if index > 0 else None
+        vertices = self._vertices
+        prev = vertices[flight.path[index - 1]] if index > 0 else None
         return classify_direction(
-            prev, flight.path[index],
+            prev, vertices[flight.path[index]],
             self.topology.width, self.topology.height)
 
-    def _finish_claim(self, flight: _Flight, here: Vertex,
-                      start: int) -> None:
-        """Residency, register, and hop scheduling for one link claim."""
-        ser = flight.ser
-        arrive_at = start + ser + self.link_latency + (
-            self.switch_latency if here[0] == "sw" else 1)
-        # The message occupies the current switch buffer until it is fully
-        # on the wire (link start + serialisation).
-        if self.slotted:
-            if here[0] == "sw":
-                release = start + ser
-                self._resident_until[here][flight.mid] = release
-                if release > self._switch_next_free.get(here, 0):
-                    self._switch_next_free[here] = release
-            self._schedule_hop(flight, arrive_at)
+    def _finish_claim(self, flight: _Flight, here: int, start: int) -> None:
+        """Residency, register, and hop scheduling for one link claim.
+        The message occupies the current switch buffer until it is fully
+        on the wire (link start + serialisation)."""
+        release = start + flight.ser
+        if here >= self._n_nodes:
+            self._resident_until[here][flight.mid] = release
+            if release > self._switch_next_free[here]:
+                self._switch_next_free[here] = release
+            arrive_at = release + self.link_latency + self.switch_latency
         else:
-            flight.claim_event = self.sim.schedule(
-                arrive_at, lambda f=flight: self._arrive(f), LABEL_HOP
-            )
-            if here[0] == "sw":
-                flight.claim_leave = self.sim.schedule(
-                    start + ser, lambda f=flight, v=here: self._leave(f, v),
-                    LABEL_LEAVE
-                )
+            arrive_at = release + self.link_latency + 1
+        self._schedule_hop(flight, arrive_at)
 
-    # -- slotted scheduling --------------------------------------------
     def _schedule_hop(self, flight: _Flight, when: int) -> None:
-        """Queue a hop completion: one kernel event doing the whole hop
-        (the legacy scheme pays a second ``net.leave`` event per hop),
+        """Queue a hop completion: one kernel event doing the whole hop,
         with the flight itself as the callback (no closure allocation)."""
         flight.claim_event = self.sim.schedule(when, flight, LABEL_HOP)
 
     def _at_capacity(self, table) -> bool:
-        """Whether a switch's buffer (slotted mode) is full of *live*
-        entries.  Pruning released entries only matters once the raw count
-        reaches capacity (pruning only shrinks it), so the common
-        uncontended arrival pays a ``len`` instead of a table scan."""
+        """Whether a switch's buffer is full of *live* entries.  Pruning
+        released entries only matters once the raw count reaches capacity
+        (pruning only shrinks it), so the common uncontended arrival pays
+        a ``len`` instead of a table scan."""
         if len(table) < self.buffer_capacity:
             return False
         now = self.sim.now
@@ -568,40 +545,40 @@ class Network:
         event's insertion cycle to match hop-by-hop mode.
         """
         path = flight.path
+        links = flight.links
         base = flight.index
         last_sw = len(path) - 2          # final switch before the dst node
         now = self.sim.now
         ser = flight.ser
         link_free = self._link_free
         next_free = self._switch_next_free
-        dead = self._dead_switches
+        dead = self._dead
         ex_sw = self._express_switches
         ex_ln = self._express_links
         link_lat = self.link_latency
         sw_lat = self.switch_latency
+        n_nodes = self._n_nodes
 
         t = now
         for k in range(base, last_sw):
-            here = path[k]
+            link = links[k]
+            if link_free[link] > t or ex_ln[link] is not None:
+                return False
             nxt = path[k + 1]
-            if link_free.get((here, nxt), 0) > t or (here, nxt) in ex_ln:
+            if dead[nxt] or ex_sw[nxt] is not None or next_free[nxt] > now:
                 return False
-            if (nxt[1] in dead or nxt in ex_sw
-                    or next_free.get(nxt, 0) > now):
-                return False
-            t += ser + link_lat + (sw_lat if here[0] == "sw" else 1)
+            t += ser + link_lat + (sw_lat if path[k] >= n_nodes else 1)
 
         # Commit: claim the segment.  The first hop's claim and residency
         # are exactly what a normal depart would write this dispatch; the
         # rest are pre-claims keyed back to the flight.
         msg_id = flight.mid
         times: List[int] = []
-        saved: List[Optional[int]] = []
+        saved: List[int] = []
         t = now
         for k in range(base, last_sw):
             here = path[k]
-            nxt = path[k + 1]
-            link = (here, nxt)
+            link = links[k]
             release = t + ser
             if k == base:
                 # A real claim, identical to what a hop-by-hop depart
@@ -611,20 +588,20 @@ class Network:
                 flight.claim_cycle = t
                 flight.claim_link = link
                 flight.claim_start = t
-                flight.claim_base = link_free.get(link, 0)
+                flight.claim_base = link_free[link]
                 flight.claim_next = None
                 self._claim_head[link] = flight
                 link_free[link] = release
-                if here[0] == "sw":
+                if here >= n_nodes:
                     self._resident_until[here][msg_id] = release
-                    if release > next_free.get(here, 0):
+                    if release > next_free[here]:
                         next_free[here] = release
             else:
-                saved.append(link_free.get(link))
+                saved.append(link_free[link])
                 link_free[link] = release
                 ex_ln[link] = flight
-            ex_sw[nxt] = flight
-            t += ser + link_lat + (sw_lat if here[0] == "sw" else 1)
+            ex_sw[path[k + 1]] = flight
+            t += ser + link_lat + (sw_lat if here >= n_nodes else 1)
             times.append(t)
         flight.exp_base = base
         flight.exp_times = times
@@ -663,6 +640,7 @@ class Network:
         """
         now = self.sim.now
         path = flight.path
+        links = flight.links
         base = flight.exp_base
         times = flight.exp_times
         saved = flight.exp_saved
@@ -678,20 +656,15 @@ class Network:
             pos = base + 1 + j
         for k in range(base + 1, last_sw):
             arrive_k = times[k - base - 1]
-            link = (path[k], path[k + 1])
             if arrive_k < now:
                 # The depart at path[k] already "ran": its residency
                 # entry was popped when the flight moved on, but the
                 # next-free register write survives (monotone max).
                 release = arrive_k + ser
-                if release > next_free.get(path[k], 0):
+                if release > next_free[path[k]]:
                     next_free[path[k]] = release
             else:
-                old = saved[k - base - 1]
-                if old is None:
-                    link_free.pop(link, None)
-                else:
-                    link_free[link] = old
+                link_free[links[k]] = saved[k - base - 1]
         if pos > base:
             # The flight is buffered at (or serialising out of) path[pos]:
             # the one residency entry hop-by-hop mode would still hold.
@@ -709,60 +682,53 @@ class Network:
     def _express_clear(self, flight: _Flight) -> None:
         """Drop the flight's claims and express state (idempotent)."""
         path = flight.path
+        links = flight.links
         base = flight.exp_base
         last_sw = base + len(flight.exp_times)
         ex_ln = self._express_links
         ex_sw = self._express_switches
         for k in range(base + 1, last_sw):
-            ex_ln.pop((path[k], path[k + 1]), None)
-            ex_sw.pop(path[k], None)
-        ex_sw.pop(path[last_sw], None)
+            ex_ln[links[k]] = None
+            ex_sw[path[k]] = None
+        ex_sw[path[last_sw]] = None
         self._express_flights.pop(flight.mid, None)
         flight.exp_times = None
         flight.exp_saved = None
         flight.exp_event = None
 
-    # -- shared arrival logic ------------------------------------------
-    def _leave(self, flight: _Flight, vertex: Vertex) -> None:
-        self._resident[vertex].discard(flight.mid)
-
+    # -- arrival --------------------------------------------------------
     def _arrive(self, flight: _Flight) -> None:
         if flight.dropped or flight.epoch != self._epoch:
             return
         index = flight.index = flight.index + 1
         path = flight.path
-        slotted = self.slotted
-        if slotted:
-            # Leave, finalised: the entry's release time already passed
-            # (it was start + ser, strictly before this arrival).
-            prev = path[index - 1]
-            if prev[0] == "sw":
-                self._resident_until[prev].pop(flight.mid, None)
+        n_nodes = self._n_nodes
+        # Leave, finalised: the entry's release time already passed (it
+        # was start + ser, strictly before this arrival).
+        prev = path[index - 1]
+        if prev >= n_nodes:
+            self._resident_until[prev].pop(flight.mid, None)
         vertex = path[index]
-        if vertex[0] == "sw":
-            if self._express_switches:
+        if vertex >= n_nodes:
+            if self._express_flights:
                 # Arrival at a switch an express flight claimed: the
                 # claimant materialises first (observer-first tie rule)
                 # so the occupancy this flight observes is hop-by-hop's.
-                other = self._express_switches.get(vertex)
+                other = self._express_switches[vertex]
                 if other is not None:
                     self._materialize(other)
-            half: HalfSwitchId = vertex[1]
-            if self._dead_switches and half in self._dead_switches:
-                self._lose(flight, f"dead switch {half}")
+            if self._dead[vertex]:
+                self._lose(flight, f"dead switch {self._vertices[vertex][1]}")
                 return
             if self._drop_hooks:
+                public = self._vertices[vertex]
                 for hook in self._drop_hooks:
-                    if hook(flight.msg, vertex):
-                        self._lose(flight, f"fault injection at {half}")
+                    if hook(flight.msg, public):
+                        self._lose(flight, f"fault injection at {public[1]}")
                         return
-            if slotted:
-                table = self._resident_until[vertex]
-                full = (len(table) >= self.buffer_capacity
-                        and self._at_capacity(table))
-            else:
-                full = len(self._resident[vertex]) >= self.buffer_capacity
-            if full:
+            table = self._resident_until[vertex]
+            if (len(table) >= self.buffer_capacity
+                    and self._at_capacity(table)):
                 # Backpressure: retry entering the switch shortly.
                 flight.index -= 1
                 self.c_buffer_stalls.add()
@@ -770,10 +736,8 @@ class Network:
                     4, lambda f=flight: self._arrive_retry(f), LABEL_RETRY
                 )
                 return
-            if not slotted:
-                self._resident[vertex].add(flight.mid)
-            # Slotted residency is recorded in _depart, which runs within
-            # this same dispatch and knows the buffer-release time.
+            # Residency is recorded in _depart, which runs within this
+            # same dispatch and knows the buffer-release time.
             self._depart(flight)
         else:
             # Destination endpoint.
@@ -794,7 +758,7 @@ class Network:
         — exactly the thing express advancement changes.  Sorting each
         cycle's deliveries by a key the modes share makes the order (and
         thus every downstream dispatch) independent of how the flights got
-        here, so legacy, slotted, and express runs stay bit-identical.
+        here, so express and hop-by-hop runs stay bit-identical.
         """
         now = self.sim.now
         if self._deliver_cycle != now:
@@ -858,20 +822,18 @@ class Network:
         """Hard fault: the half-switch dies and its buffered messages are
         irretrievably lost (paper Table 1).  Returns how many died with it.
         Routing is NOT recomputed here — that is the recovery-time
-        reconfiguration step (:meth:`reconfigure`)."""
-        vertex: Vertex = ("sw", half)
-        claimant = self._express_switches.get(vertex)
+        reconfiguration step (:meth:`reconfigure`).  Raises ValueError
+        for a half-switch outside the torus."""
+        vertex = self.topology.switch_id(half)
+        claimant = self._express_switches[vertex]
         if claimant is not None:
             # Pin the in-express flight back to its true position first;
             # if it is buffered here it dies with the switch below.
             self._materialize(claimant)
-        if self.slotted:
-            now = self.sim.now
-            table = self._resident_until.pop(vertex, {})
-            victims = [mid for mid, until in table.items() if until > now]
-        else:
-            victims = list(self._resident.get(vertex, ()))
-            self._resident.pop(vertex, None)
+        now = self.sim.now
+        table = self._resident_until[vertex]
+        self._resident_until[vertex] = {}
+        victims = [mid for mid, until in table.items() if until > now]
         for msg_id in victims:
             flight = self._in_flight.get(msg_id)
             if flight is not None:
@@ -894,15 +856,9 @@ class Network:
         count = len(self._in_flight)
         self._epoch += 1
         self._in_flight.clear()
-        self._resident.clear()
-        self._resident_until.clear()
-        self._link_free.clear()
-        self._switch_next_free.clear()
-        self._express_links.clear()
-        self._express_switches.clear()
+        self._reset_tables()
         self._express_flights.clear()
         self._deliver_ready.clear()
         self._deliver_cycle = -1
-        self._claim_head.clear()
         self.arbiter.reset()
         return count

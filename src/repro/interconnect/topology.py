@@ -6,14 +6,21 @@ north-south half (Y-dimension ring links), and the node has separate
 injection paths to both halves.  Killing one half-switch therefore never
 partitions the machine: traffic can be routed Y-first (or around the ring)
 instead.
+
+Every vertex is numbered once, when the topology is built: node endpoints
+are ``0 .. N-1`` and half-switches ``N .. 3N-1`` (each node's ``ew`` half,
+then its ``ns`` half), so "is a switch" is ``v >= N``.  Every directed link
+of the healthy torus gets a dense id ``0 .. num_links-1``.  A kill only
+marks a vertex dead, so the ids — and any per-link or per-vertex state
+indexed by them — stay valid across faults.  ``HalfSwitchId`` and the
+``("node", id)`` / ``("sw", half)`` vertex tuples remain the public names.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -27,19 +34,12 @@ class HalfSwitchId:
     def __post_init__(self) -> None:
         if self.plane not in ("ew", "ns"):
             raise ValueError(f"plane must be 'ew' or 'ns', got {self.plane!r}")
-        # Half-switch ids key the network's per-vertex dicts (link
-        # occupancy, buffer residency) on every hop, so the generated
-        # field-tuple hash was a measurable share of hop dispatch.
-        object.__setattr__(self, "_hash", hash((self.plane, self.x, self.y)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         return f"{self.plane}({self.x},{self.y})"
 
 
-# Graph vertices are either ("node", node_id) endpoints or
+# Public vertices are either ("node", node_id) endpoints or
 # ("sw", HalfSwitchId) half-switches.
 Vertex = Tuple[str, object]
 
@@ -53,10 +53,10 @@ def switch_vertex(half: HalfSwitchId) -> Vertex:
 
 
 class TorusTopology:
-    """Builds and owns the half-switch connectivity graph.
+    """Numbers and connects the half-switch torus, and tracks dead switches.
 
-    The graph is undirected for path computation; the network layer models
-    each undirected edge as two directed links with independent occupancy.
+    Links are undirected for path computation; the network layer models
+    each as two directed links with independent occupancy (two link ids).
     """
 
     def __init__(self, width: int, height: int) -> None:
@@ -64,11 +64,29 @@ class TorusTopology:
             raise ValueError("torus must be at least 2x2")
         self.width = width
         self.height = height
+        n = width * height
+        self.num_vertices = 3 * n
+        #: Public name of every vertex id.
+        self.vertices: List[Vertex] = [node_vertex(i) for i in range(n)]
+        for i in range(n):
+            for plane in ("ew", "ns"):
+                self.vertices.append(switch_vertex(
+                    HalfSwitchId(plane, i % width, i // width)))
+        #: Neighbours of every vertex on the healthy torus, in route
+        #: tie-break order (see :meth:`_build_adjacency`).
+        self.adjacency: List[Tuple[int, ...]] = self._build_adjacency()
+        self._link_ids: Dict[Tuple[int, int], int] = {}
+        for u, neighbours in enumerate(self.adjacency):
+            for v in neighbours:
+                self._link_ids[(u, v)] = len(self._link_ids)
+        self.num_links = len(self._link_ids)
+        #: Per-vertex dead flags (only half-switches die).  Mutated in
+        #: place, so holders of this list always see the current state.
+        self.dead: List[bool] = [False] * self.num_vertices
         self._dead: Set[HalfSwitchId] = set()
-        self._graph = self._build_graph()
 
     # ------------------------------------------------------------------
-    # Coordinates
+    # Coordinates and numbering
     # ------------------------------------------------------------------
     def node_id(self, x: int, y: int) -> int:
         return y * self.width + x
@@ -86,73 +104,106 @@ class TorusTopology:
                 yield HalfSwitchId("ew", x, y)
                 yield HalfSwitchId("ns", x, y)
 
+    def switch_id(self, half: HalfSwitchId) -> int:
+        """Vertex id of ``half``; ValueError if it lies outside the torus."""
+        if not (0 <= half.x < self.width and 0 <= half.y < self.height):
+            raise ValueError(
+                f"half-switch {half} is outside the "
+                f"{self.width}x{self.height} torus")
+        return (self.num_nodes + 2 * self.node_id(half.x, half.y)
+                + (half.plane == "ns"))
+
+    def link_id(self, u: int, v: int) -> int:
+        """Id of the directed link ``u -> v`` (vertex ids)."""
+        return self._link_ids[(u, v)]
+
+    def _vertex_id(self, vertex: Vertex) -> int:
+        kind, ident = vertex
+        if kind == "sw":
+            return self.switch_id(ident)
+        if kind == "node" and 0 <= ident < self.num_nodes:
+            return ident
+        raise ValueError(f"{vertex!r} is not a vertex of this torus")
+
     # ------------------------------------------------------------------
-    # Graph construction
+    # Construction
     # ------------------------------------------------------------------
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        for y in range((self.height)):
-            for x in range(self.width):
-                nid = self.node_id(x, y)
-                ew = HalfSwitchId("ew", x, y)
-                ns = HalfSwitchId("ns", x, y)
-                g.add_node(node_vertex(nid))
-                for half in (ew, ns):
-                    if half not in self._dead:
-                        g.add_node(switch_vertex(half))
-                # Node connects to both halves (separate injection paths).
-                if ew not in self._dead:
-                    g.add_edge(node_vertex(nid), switch_vertex(ew))
-                if ns not in self._dead:
-                    g.add_edge(node_vertex(nid), switch_vertex(ns))
-                # Crossover between the two halves of one switch, for
-                # dimension turns (X-then-Y routing goes ew -> ns here).
-                if ew not in self._dead and ns not in self._dead:
-                    g.add_edge(switch_vertex(ew), switch_vertex(ns))
-        # Ring links.
-        for y in range(self.height):
-            for x in range(self.width):
-                ew = HalfSwitchId("ew", x, y)
-                ew_next = HalfSwitchId("ew", (x + 1) % self.width, y)
-                if ew not in self._dead and ew_next not in self._dead:
-                    g.add_edge(switch_vertex(ew), switch_vertex(ew_next))
-                ns = HalfSwitchId("ns", x, y)
-                ns_next = HalfSwitchId("ns", x, (y + 1) % self.height)
-                if ns not in self._dead and ns_next not in self._dead:
-                    g.add_edge(switch_vertex(ns), switch_vertex(ns_next))
-        return g
+    def _build_adjacency(self) -> List[Tuple[int, ...]]:
+        """Neighbour lists of the healthy torus, in route tie-break order.
+
+        Links are laid node by node (injection into both halves, then the
+        crossover between them) and then ring by ring.  Each vertex lists
+        its neighbours in the order its links are first reached when the
+        vertices are walked in build order (each node, then its ew and ns
+        halves), each vertex's links in the order they were laid.
+        Shortest-path routing breaks equal-distance ties by push order,
+        so this order picks between equal-length ring directions; the
+        route golden (``tests/data/route_golden.json``) pins the result.
+        """
+        w, h, n = self.width, self.height, self.num_nodes
+        laid: List[List[int]] = [[] for _ in range(3 * n)]
+
+        def lay(u: int, v: int) -> None:
+            if v not in laid[u]:  # a 2-wide ring lays its one link twice
+                laid[u].append(v)
+                laid[v].append(u)
+
+        for i in range(n):
+            ew, ns = n + 2 * i, n + 2 * i + 1
+            lay(i, ew)
+            lay(i, ns)
+            lay(ew, ns)
+        for y in range(h):
+            for x in range(w):
+                i = y * w + x
+                lay(n + 2 * i, n + 2 * (y * w + (x + 1) % w))
+                lay(n + 2 * i + 1, n + 2 * (((y + 1) % h) * w + x) + 1)
+        order = [v for i in range(n) for v in (i, n + 2 * i, n + 2 * i + 1)]
+        rank = [0] * (3 * n)
+        for r, v in enumerate(order):
+            rank[v] = r
+        adjacency: List[List[int]] = [[] for _ in range(3 * n)]
+        for u in order:
+            for v in laid[u]:
+                if rank[v] > rank[u]:
+                    adjacency[u].append(v)
+                    adjacency[v].append(u)
+        return [tuple(neighbours) for neighbours in adjacency]
 
     # ------------------------------------------------------------------
     # Fault support
     # ------------------------------------------------------------------
     def kill_half_switch(self, half: HalfSwitchId) -> None:
-        """Permanently remove a half-switch (the paper's hard fault)."""
-        if half in self._dead:
-            return
+        """Permanently remove a half-switch (the paper's hard fault).
+        Raises ValueError for a half-switch outside the torus."""
+        self.dead[self.switch_id(half)] = True
         self._dead.add(half)
-        self._graph = self._build_graph()
 
     def is_dead(self, half: HalfSwitchId) -> bool:
         return half in self._dead
-
-    def live_dead_set(self) -> Set[HalfSwitchId]:
-        """The mutable dead-switch set itself (not a copy): the network
-        holds this reference so its per-hop liveness check is a plain set
-        membership test instead of a method call."""
-        return self._dead
 
     @property
     def dead_switches(self) -> Set[HalfSwitchId]:
         return set(self._dead)
 
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
+    def has_link(self, u: Vertex, v: Vertex) -> bool:
+        """True if public vertices ``u`` and ``v`` are joined by a link of
+        the surviving torus."""
+        try:
+            a, b = self._vertex_id(u), self._vertex_id(v)
+        except ValueError:
+            return False
+        return (not self.dead[a] and not self.dead[b]
+                and b in self.adjacency[a])
 
     def is_connected(self) -> bool:
         """True if every pair of nodes can still communicate."""
-        endpoints = [node_vertex(n) for n in range(self.num_nodes)]
-        if not all(self._graph.has_node(v) for v in endpoints):
-            return False
-        comp = nx.node_connected_component(self._graph, endpoints[0])
-        return all(v in comp for v in endpoints[1:])
+        reached = [False] * self.num_vertices
+        reached[0] = True
+        frontier = deque([0])
+        while frontier:
+            for u in self.adjacency[frontier.popleft()]:
+                if not reached[u] and not self.dead[u]:
+                    reached[u] = True
+                    frontier.append(u)
+        return all(reached[:self.num_nodes])

@@ -76,7 +76,6 @@ class Machine:
         io_input_period: int = 0,
         controller_node: int = 0,
         error_code: Optional[ErrorCode] = None,
-        slotted_network: bool = True,
     ) -> None:
         self.config = config
         self.workload = workload
@@ -103,7 +102,6 @@ class Machine:
             link_latency=config.link_latency,
             bytes_per_cycle=config.link_bandwidth_bytes_per_cycle,
             buffer_capacity=config.switch_buffer_messages,
-            slotted=slotted_network,
             express=config.express_hops,
             arbiter=config.arbiter,
         )
@@ -238,9 +236,11 @@ class Machine:
     def inject_switch_kill(self, half: Optional[HalfSwitchId] = None,
                            at_cycle: int = 1_000_000) -> KillSwitchFault:
         """Experiment 3: kill a half-switch (default: ew(1,0)) at
-        ``at_cycle`` (the paper: after one million cycles)."""
+        ``at_cycle`` (the paper: after one million cycles).  Raises
+        ValueError for a half-switch outside the torus."""
         if half is None:
             half = HalfSwitchId("ew", 1 % self.config.torus_width, 0)
+        self.topology.switch_id(half)  # reject it now, not at at_cycle
         fault = KillSwitchFault(self.sim, self.network, half, at_cycle)
         fault.trace = self.trace
         self._faults.append(fault)

@@ -13,14 +13,14 @@ from repro.system.machine import Machine
 from repro.workloads import slashcode
 
 
-@pytest.mark.parametrize("slotted", [True, False])
-def test_switch_buffer_backpressure_delays_but_delivers(slotted):
+@pytest.mark.parametrize("express", [True, False])
+def test_switch_buffer_backpressure_delays_but_delivers(express):
     """With tiny switch buffers, hotspot traffic stalls at switch entry
     (counted) but every message still arrives exactly once."""
     sim = Simulator()
     topo = TorusTopology(4, 4)
     net = Network(sim, topo, RoutingTable(topo), stats=StatsRegistry(),
-                  buffer_capacity=1, slotted=slotted)
+                  buffer_capacity=1, express=express)
     delivered = []
     for n in range(16):
         net.attach(n, delivered.append)

@@ -102,21 +102,12 @@ def test_modes_bit_identical(shape, seed, scenario):
         assert exp_events < ref_events
 
 
-def test_express_disabled_under_legacy_scheduling():
-    """Express requires slotted hops; the legacy scheme must ignore it."""
-    sim = Simulator()
-    topo = TorusTopology(4, 4)
-    net = Network(sim, topo, RoutingTable(topo), slotted=False, express=True)
-    assert not net.express
-
-
 def _segment_network(express: bool):
     """A bare 8x8 network carrying one long-haul message (express covers
     the whole segment) and the hooks to observe it."""
     sim = Simulator()
     topo = TorusTopology(8, 8)
-    net = Network(sim, topo, RoutingTable(topo), slotted=True,
-                  express=express)
+    net = Network(sim, topo, RoutingTable(topo), express=express)
     delivered = []
     for nid in range(64):
         net.attach(nid, lambda m: delivered.append((sim.now, m.src, m.dst)))

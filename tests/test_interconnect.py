@@ -43,6 +43,18 @@ def test_half_switch_plane_validation():
         HalfSwitchId("diagonal", 0, 0)
 
 
+def test_kill_outside_torus_is_rejected():
+    # Regression: a kill outside W x H used to be recorded as a dead
+    # switch that no route ever crossed, so the fault vanished silently.
+    sim, topo, routing, net = make_net()
+    outside = HalfSwitchId("ew", 9, 0)
+    with pytest.raises(ValueError):
+        topo.kill_half_switch(outside)
+    with pytest.raises(ValueError):
+        net.kill_half_switch(outside)
+    assert not topo.dead_switches
+
+
 def test_killing_one_half_switch_keeps_machine_connected():
     # The design rationale for half-switches (paper Table 1): one dead
     # element must never partition the machine.
@@ -61,6 +73,7 @@ def test_routes_exist_between_all_pairs():
     for s in range(16):
         for d in range(16):
             path = routing.path(s, d)
+            assert isinstance(path, tuple)  # callers cannot edit the table
             assert path[0] == node_vertex(s)
             assert path[-1] == node_vertex(d)
 
@@ -191,9 +204,11 @@ def test_drop_hook_loses_message_and_notifies():
     assert net.stats.counter("net.messages_lost").value == 1
 
 
-@pytest.mark.parametrize("slotted", [True, False])
-def test_kill_switch_loses_buffered_and_future_messages(slotted):
-    sim, topo, routing, net = make_net(slotted=slotted)
+@pytest.mark.parametrize("express", [True, False])
+def test_kill_switch_loses_buffered_and_future_messages(express):
+    # With express on, the message's segment has claimed the victim when
+    # it dies: the kill must materialise the flight first.
+    sim, topo, routing, net = make_net(express=express)
     delivered, lost = [], []
     for nid in range(16):
         net.attach(nid, delivered.append)
@@ -219,9 +234,9 @@ def test_kill_switch_loses_buffered_and_future_messages(slotted):
     assert len(delivered) == 1
 
 
-@pytest.mark.parametrize("slotted", [True, False])
-def test_drain_discards_in_flight(slotted):
-    sim, topo, routing, net = make_net(slotted=slotted)
+@pytest.mark.parametrize("express", [True, False])
+def test_drain_discards_in_flight(express):
+    sim, topo, routing, net = make_net(express=express)
     delivered = []
     for nid in range(16):
         net.attach(nid, delivered.append)

@@ -208,8 +208,7 @@ def test_buffer_depth_counts_in_express_flights():
     def depth_series(express: bool):
         sim = Simulator()
         topo = TorusTopology(8, 8)
-        net = Network(sim, topo, RoutingTable(topo), slotted=True,
-                      express=express)
+        net = Network(sim, topo, RoutingTable(topo), express=express)
         for nid in range(64):
             net.attach(nid, lambda m: None)
         net.send(Message(MessageKind.GETS, src=0, dst=27))

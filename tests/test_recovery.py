@@ -191,6 +191,14 @@ def test_killed_switch_recovers_reconfigures_and_completes():
     machine.check_coherence_invariants()
 
 
+def test_switch_kill_outside_torus_is_rejected():
+    # Regression: ew(9,0) on a 2x2 machine used to "fire", be listed as
+    # dead, and leave the run cycle-identical to a clean one.
+    machine = tiny_machine(workload=apache(num_cpus=4, scale=64, seed=3), seed=3)
+    with pytest.raises(ValueError):
+        machine.inject_switch_kill(HalfSwitchId("ew", 9, 0), at_cycle=5_000)
+
+
 def test_killed_switch_crashes_unprotected():
     machine = tiny_machine(
         safetynet=False, workload=apache(num_cpus=4, scale=64, seed=3), seed=3

@@ -50,7 +50,7 @@ def _assert_path_valid(topo: TorusTopology, routing: RoutingTable,
     assert path[0] == node_vertex(src)
     assert path[-1] == node_vertex(dst)
     for here, nxt in zip(path, path[1:]):
-        assert topo.graph.has_edge(here, nxt), (
+        assert topo.has_link(here, nxt), (
             f"{src}->{dst}: {here} -> {nxt} is not a link")
     for vertex in path[1:-1]:
         assert vertex[0] == "sw"
@@ -89,7 +89,7 @@ def test_routing_survives_any_single_half_switch_loss(width, height,
             assert path[0] == node_vertex(src)
             assert path[-1] == node_vertex(dst)
             for here, nxt in zip(path, path[1:]):
-                assert topo.graph.has_edge(here, nxt)
+                assert topo.has_link(here, nxt)
             assert ("sw", victim) not in path
 
 
