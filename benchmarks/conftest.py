@@ -118,14 +118,13 @@ def record_bench(guard: str, speedup: float, events: int,
                  wall_s: float, **extra) -> None:
     """Append one machine-readable guard result to ``$REPRO_BENCH_JSON``.
 
-    Each differential guard (kernel, CPU, network, validation hot paths)
-    calls this with the measured fast/legacy ratio; when the environment
-    variable is unset nothing happens.  The file is JSON-lines — one
-    ``{"guard", "speedup", "events", "wall_s", ...}`` object per guard
-    per run — so the README's speedup trajectory can be regenerated from
-    committed ``BENCH_*.json`` data instead of maintained as prose:
+    The coherence guards call this with their measured ratio; when the
+    environment variable is unset nothing happens.  The file is
+    JSON-lines — one ``{"guard", "speedup", "events", "wall_s", ...}``
+    object per guard per run — so committed ``BENCH_*.json`` data can be
+    regenerated instead of maintained as prose:
 
-        REPRO_BENCH_JSON=BENCH_kernel.json pytest benchmarks/test_kernel_hotpath.py
+        REPRO_BENCH_JSON=BENCH_hotpaths.json pytest benchmarks/test_coherence_hotpath.py
     """
     path = os.environ.get("REPRO_BENCH_JSON")
     if not path:

@@ -1,217 +1,41 @@
-"""CPU-side hot path guard (burst-local fast path + deadline-table timeouts).
+"""CPU-side dispatch-mix guard: request timeouts stay off the kernel.
 
-The PR-4 overhaul has three coordinated layers — lazy timeout arming
-(``config.lazy_timeouts``), the burst-local fast path
-(``config.burst_fast_path``), and the profiling harness that measures
-both — and this guard holds them to their claims the same way the
-kernel/network/validation guards hold theirs:
-
-* **throughput** — on a default 4x4 machine driving a *CPU-hot op
-  stream* (a private, cache-resident footprint: after warmup it runs at
-  ~100% hit rate, so the per-op cost is what's measured — the analogue of
-  the network guard's bare hop stream), the overhauled paths must be
-  >= 1.3x faster wall-clock than the legacy paths, with bit-identical
-  results.  The default *workloads* (apache/jbb) are network-bound after
-  PRs 2-3, so they get a regression floor rather than the full claim —
-  the README records the measured end-to-end trajectory.
-* **dispatch mix** — dead ``cache.timeout`` events were ~5-7% of all
-  kernel dispatches on a busy legacy run; under ``lazy_timeouts`` the
-  timeout machinery (sweep events included) must be <1% of dispatches.
-  Measured with the PR's own ``repro profile`` harness
-  (:class:`repro.sim.profile.DispatchProfile`).
-* **equivalence** — full default-4x4 apache/jbb runs must produce
-  bit-identical ``RunResult`` fields and counters in both modes.  The
-  fast paths are optimisations, never a model change.
-
-``REPRO_BENCH_SMOKE=1`` shrinks run lengths and relaxes the wall-clock
-floor for the CI smoke step, keeping the structural assertions intact.
+Dead ``cache.timeout`` events were ~5-7% of all kernel dispatches on a
+busy run when every request armed its own kernel event.  Requestor
+timeouts now live in per-controller deadline tables
+(:mod:`repro.sim.deadlines`) swept by one re-arming event, and those
+sweeps must stay under 1% of dispatches on a default 4x4 jbb run.
+Measured with the profiling harness
+(:class:`repro.sim.profile.DispatchProfile`).
 """
-
-import time
 
 from repro.config import SystemConfig
 from repro.sim.profile import DispatchProfile
 from repro.system.machine import Machine
 from repro.workloads import by_name
-from repro.workloads.base import SyntheticWorkload, WorkloadSpec
 
-from benchmarks.conftest import record_bench, run_once, smoke_mode
+from benchmarks.conftest import run_once, smoke_mode
 
 SMOKE = smoke_mode()
 
-# The CPU-hot stream: purely private accesses over a footprint every
-# block of which is hot, so after warmup the whole measured phase is
-# store-upgraded, cache-resident hits — the burst loop's best case and
-# the differential the 1.3x tentpole claim is about.
-CPU_HOT = WorkloadSpec(name="cpu_hot", shared_frac=0.0, private_blocks=64,
-                       private_hot_blocks=64, store_hot_blocks=64,
-                       ro_shared_blocks=8, rw_shared_blocks=8,
-                       migratory_blocks=4)
-HOT_WARMUP = 2_000 if SMOKE else 5_000
-HOT_INSTRUCTIONS = 6_000 if SMOKE else 40_000
-# Wall-clock floors.  Full profile enforces the tentpole claim on the
-# CPU-hot stream; smoke only guards against gross regressions (tiny runs
-# are noisy).  The end-to-end default workloads are network-bound, so
-# their floor is a loose regression guard (best-of-TIMING_REPEATS, and
-# not asserted at all in smoke — sub-second runs are startup-dominated).
-MIN_HOT_SPEEDUP = 1.05 if SMOKE else 1.30
-MIN_E2E_SPEEDUP = None if SMOKE else 0.95
-# Structural floor: lazy timeouts must remove events outright.
-MAX_EVENT_RATIO = 0.99
-# Dispatch-mix claims (full runs only; smoke runs arm too few timeouts
-# for the legacy fraction to be meaningful).
-MAX_LAZY_TIMEOUT_FRAC = 0.01
-MIN_LEGACY_TIMEOUT_FRAC = 0.02
-TIMING_REPEATS = 3
-
-EQUIV_INSTRUCTIONS = 1_000 if SMOKE else 4_000
+MAX_TIMEOUT_FRAC = 0.01
+INSTRUCTIONS = 1_000 if SMOKE else 4_000
 
 
-def _overrides(fast: bool) -> dict:
-    return {"lazy_timeouts": fast, "burst_fast_path": fast}
-
-
-def _hot_machine(fast: bool) -> Machine:
-    config = SystemConfig.sim_scaled(16).with_overrides(**_overrides(fast))
-    return Machine(config, SyntheticWorkload(CPU_HOT, 16, seed=1), seed=1)
-
-
-def _hot_run(fast: bool):
-    machine = _hot_machine(fast)
-    started = time.perf_counter()
-    result = machine.run_with_warmup(HOT_WARMUP, HOT_INSTRUCTIONS,
-                                     max_cycles=120_000_000)
-    elapsed = time.perf_counter() - started
-    key = (result.cycles, result.committed_instructions, result.recoveries,
-           result.completed, result.crashed,
-           machine.stats.sum_counters(".cache.loads"),
-           machine.stats.sum_counters(".cache.stores"),
-           machine.stats.sum_counters(".cache.misses"),
-           machine.stats.sum_counters(".core.instructions_executed"))
-    return key, elapsed, machine.sim.events_dispatched
-
-
-def _best_hot_interleaved():
-    """Best-of-N per mode, fast/legacy interleaved within each round so
-    slow drift in machine speed (turbo, thermal, noisy neighbours)
-    cannot bias the ratio toward either side."""
-    best = {True: float("inf"), False: float("inf")}
-    keys = {}
-    for _ in range(TIMING_REPEATS):
-        for fast in (True, False):
-            k, elapsed, ev = _hot_run(fast)
-            best[fast] = min(best[fast], elapsed)
-            if fast not in keys:
-                keys[fast] = (k, ev)
-            else:
-                assert keys[fast] == (k, ev)  # deterministic
-    return ((keys[True][0], best[True], keys[True][1]),
-            (keys[False][0], best[False], keys[False][1]))
-
-
-def test_cpu_hot_stream_throughput(benchmark):
-    (fast_key, fast_s, fast_ev), (legacy_key, legacy_s, legacy_ev) = \
-        run_once(_best_hot_interleaved, benchmark)
-
-    speedup = legacy_s / fast_s
-    event_ratio = fast_ev / legacy_ev
-    print(f"\ncpu-hot stream ({HOT_INSTRUCTIONS} instr/cpu, warm "
-          f"{HOT_WARMUP}):"
-          f"\n  legacy: {legacy_s:.3f}s, {legacy_ev:,} kernel events"
-          f"\n  fast  : {fast_s:.3f}s, {fast_ev:,} kernel events"
-          f"\n  speedup {speedup:.2f}x, event ratio {event_ratio:.3f}")
-    record_bench("cpu_hot_stream", speedup, fast_ev, fast_s,
-                 event_ratio=round(event_ratio, 3))
-    assert fast_key == legacy_key, (
-        f"fast paths diverged on the CPU-hot stream\n"
-        f"  fast  : {fast_key}\n  legacy: {legacy_key}")
-    assert fast_key[3] and not fast_key[4]          # completed, not crashed
-    assert event_ratio < MAX_EVENT_RATIO, (
-        f"lazy timeouts stopped removing events: ratio {event_ratio:.3f}")
-    assert speedup >= MIN_HOT_SPEEDUP, (
-        f"CPU-side fast paths only {speedup:.2f}x faster than legacy "
-        f"(floor {MIN_HOT_SPEEDUP:.2f}x)")
-
-
-def _machine_result(fast: bool, workload: str, instructions: int):
-    config = SystemConfig.sim_scaled(16).with_overrides(**_overrides(fast))
-    machine = Machine(
-        config,
-        by_name(workload, num_cpus=config.num_processors, scale=16, seed=1),
-        seed=1,
-    )
-    started = time.perf_counter()
-    result = machine.run(instructions, max_cycles=10_000_000)
-    elapsed = time.perf_counter() - started
-    return (result.cycles, result.committed_instructions, result.recoveries,
-            result.completed, result.crashed,
-            machine.stats.counter("net.messages_delivered").value,
-            machine.stats.counter("net.bytes_sent").value,
-            machine.stats.sum_counters(".cache.loads"),
-            machine.stats.sum_counters(".cache.stores"),
-            machine.stats.sum_counters(".cache.stores_logged")), elapsed
-
-
-def _best_defaults(workload: str):
-    """Best-of-TIMING_REPEATS per mode, interleaved (single samples and
-    one-mode-first ordering both flake in CI)."""
-    best = {True: float("inf"), False: float("inf")}
-    keys = {}
-    for _ in range(TIMING_REPEATS):
-        for fast in (True, False):
-            k, elapsed = _machine_result(fast, workload, EQUIV_INSTRUCTIONS)
-            best[fast] = min(best[fast], elapsed)
-            if fast not in keys:
-                keys[fast] = k
-            else:
-                assert keys[fast] == k  # deterministic
-    return (keys[True], best[True]), (keys[False], best[False])
-
-
-def test_default_runs_bit_identical_and_not_slower(benchmark):
-    def experiment():
-        return {workload: _best_defaults(workload)
-                for workload in ("apache", "jbb")}
-
-    results = run_once(experiment, benchmark)
-    for workload, ((fast, fast_s), (legacy, legacy_s)) in results.items():
-        assert fast == legacy, (
-            f"{workload}: fast-path run diverged from legacy\n"
-            f"  fast  : {fast}\n  legacy: {legacy}")
-        cycles, committed, recoveries, completed, crashed = fast[:5]
-        assert completed and not crashed
-        assert committed >= EQUIV_INSTRUCTIONS * 16
-        print(f"\n{workload}: e2e speedup {legacy_s / fast_s:.2f}x "
-              f"(network-bound; see README trajectory)")
-        if MIN_E2E_SPEEDUP is not None:
-            assert legacy_s / fast_s >= MIN_E2E_SPEEDUP, (
-                f"{workload}: end-to-end regression "
-                f"({legacy_s / fast_s:.2f}x < {MIN_E2E_SPEEDUP}x)")
-
-
-def _timeout_fraction(fast: bool) -> float:
+def _timeout_fraction() -> float:
     """Share of kernel dispatches spent on timeout machinery."""
-    config = SystemConfig.sim_scaled(16).with_overrides(**_overrides(fast))
+    config = SystemConfig.sim_scaled(16)
     machine = Machine(
         config, by_name("jbb", num_cpus=16, scale=16, seed=1), seed=1)
     profile = DispatchProfile()
     machine.sim.tracer = profile
-    machine.run(EQUIV_INSTRUCTIONS, max_cycles=10_000_000)
-    return (profile.dispatch_fraction("cache.timeout")
-            + profile.dispatch_fraction("cache.timeout_sweep"))
+    machine.run(INSTRUCTIONS, max_cycles=10_000_000)
+    return profile.dispatch_fraction("cache.timeout_sweep")
 
 
 def test_timeout_dispatch_fraction_collapses(benchmark):
-    def experiment():
-        return _timeout_fraction(True), _timeout_fraction(False)
-
-    lazy_frac, legacy_frac = run_once(experiment, benchmark)
-    print(f"\ntimeout dispatch fraction: legacy {legacy_frac:.1%} -> "
-          f"lazy {lazy_frac:.2%}")
-    assert lazy_frac < MAX_LAZY_TIMEOUT_FRAC, (
-        f"lazy timeout machinery is {lazy_frac:.2%} of dispatches "
-        f"(claimed <{MAX_LAZY_TIMEOUT_FRAC:.0%})")
-    if not SMOKE:
-        # Sanity that the claim means something: the legacy path really
-        # does burn a visible slice of the kernel on dead timeouts.
-        assert legacy_frac > MIN_LEGACY_TIMEOUT_FRAC
+    frac = run_once(_timeout_fraction, benchmark)
+    print(f"\ntimeout dispatch fraction: {frac:.2%}")
+    assert frac < MAX_TIMEOUT_FRAC, (
+        f"timeout machinery is {frac:.2%} of dispatches "
+        f"(claimed <{MAX_TIMEOUT_FRAC:.0%})")

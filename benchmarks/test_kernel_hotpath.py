@@ -1,34 +1,27 @@
-"""Event-loop hot-path guards: heap floor and calendar-core differential.
+"""Event-loop hot-path guards: heap floor and tracer transparency.
 
 Every simulated cycle of every component funnels through the kernel's
 dispatch loop, so regressions here multiply across the whole
 reproduction.  Two kinds of guard live here:
 
-* **Heap floor** — the reference core keeps bare ``(when, seq, event)``
-  tuples on the heap precisely so sifting compares machine integers;
-  swapping the entries back to rich-compared objects costs ~25% of
-  end-to-end simulator throughput, which the throughput floor catches.
-  The floor is set ~4x below the throughput measured on a modest dev
-  machine (~1M events/s) so that CI noise never trips it while a real
-  hot-path regression still does.
-* **Calendar differential** — the calendar core
-  (:mod:`repro.sim.calendar`, the default via
-  ``SystemConfig.calendar_kernel``) must beat the heap core by >= 1.2x
-  dispatch throughput on the *default apache profile stream*: the
-  per-dispatch schedule pattern recorded from a real default-config
-  apache machine run and replayed through both bare kernels, so the
-  ratio measures exactly the queue substrate and nothing else.  The
-  tri-mode test holds heap / calendar / calendar+tracer machine runs
-  bit-identical.
+* **Heap floor** — the kernel keeps bare ``(when, seq, event)`` tuples
+  on the heap precisely so sifting compares machine integers; swapping
+  the entries back to rich-compared objects costs ~25% of end-to-end
+  simulator throughput, which the throughput floor catches.  The floor
+  is set ~4x below the throughput measured on a modest dev machine
+  (~1M events/s) so that CI noise never trips it while a real hot-path
+  regression still does.
+* **Tracer transparency** — the traced dispatch loop is a separate loop
+  kept free of cost when off; a machine run with a ``DispatchProfile``
+  attached must be bit-identical to the untraced run.
 """
 
 from time import perf_counter
 
-from repro.sim.calendar import CalendarSimulator
 from repro.sim.kernel import Simulator
 from repro.sim.profile import DispatchProfile
 
-from benchmarks.conftest import record_bench, smoke_mode
+from benchmarks.conftest import smoke_mode
 
 SMOKE = smoke_mode()
 
@@ -129,130 +122,19 @@ def test_dense_same_cycle_bursts(benchmark):
     benchmark(run_bursts)
 
 
-# ----------------------------------------------------------------------
-# Calendar-core differential: the apache profile stream
-# ----------------------------------------------------------------------
-
-# The calendar core must beat the heap core by at least this much on the
-# recorded apache stream.  Measured ~1.6-2x on a modest dev machine; 1.2x
-# leaves CI noise plenty of room while still failing if the calendar
-# path decays to heap cost (e.g. a change that sends the hot short-delay
-# traffic through the overflow tier).
-MIN_CALENDAR_SPEEDUP = 1.2
-
-#: Replayed dispatches per measured run (the recorded stream is truncated
-#: to this many dispatch slots).
-STREAM_EVENTS = 8_000 if SMOKE else 120_000
-
-
-def _record_apache_stream(max_dispatches: int):
-    """The default apache profile stream: per-dispatch schedule delays
-    recorded from a real default-config apache machine run.
-
-    Entry ``i`` lists the ``when - now`` delays of every ``schedule``
-    call the machine made while dispatching its ``i``-th kernel event, so
-    a replay reproduces the machine's temporal pattern — the zero-delay
-    bursts, the hop ladder, the sparse deadline sweeps — through a bare
-    kernel with no component code in the loop.
-    """
-    from repro.config import SystemConfig
-    from repro.system.machine import Machine
-    from repro.workloads import apache
-
-    config = SystemConfig.tiny()
-    machine = Machine(
-        config, apache(num_cpus=config.num_processors, scale=64, seed=1),
-        seed=1)
-    sim = machine.sim
-    stream = [[] for _ in range(max_dispatches)]
-    recorded = [0]
-    orig_schedule = sim.schedule
-
-    def recording_schedule(when, callback, label=""):
-        slot = sim.events_dispatched
-        if slot < max_dispatches:
-            stream[slot].append(when - sim.now)
-            recorded[0] += 1
-        return orig_schedule(when, callback, label)
-
-    sim.schedule = recording_schedule
-    instructions = 2_000 if SMOKE else 80_000
-    machine.run(instructions, max_cycles=30_000_000)
-    # Trim trailing empty dispatch slots the run never reached.
-    while stream and not stream[-1]:
-        stream.pop()
-    assert stream, "apache recording produced no schedule stream"
-    return stream
-
-
-def _replay_stream(kernel, stream) -> float:
-    """Replay the recorded stream: each dispatched event performs the
-    schedule calls the machine made during its dispatch slot.  Returns
-    elapsed wall seconds; dispatch count and final clock are returned on
-    the kernel itself for cross-core comparison."""
-    index = [0]
-    n = len(stream)
-
-    def fire() -> None:
-        i = index[0]
-        index[0] = i + 1
-        if i < n:
-            for delay in stream[i]:
-                kernel.schedule(kernel.now + delay, fire, "replay")
-
-    for delay in stream[0]:
-        kernel.schedule(kernel.now + delay, fire, "replay")
-    started = perf_counter()
-    kernel.run()
-    return perf_counter() - started
-
-
-def test_calendar_beats_heap_on_apache_stream():
-    """The tentpole guard: >=1.2x dispatch throughput over the heap core
-    on the recorded default-apache schedule stream, with bit-identical
-    dispatch counts and final clocks."""
-    stream = _record_apache_stream(STREAM_EVENTS)
-    best = {"heap": float("inf"), "calendar": float("inf")}
-    shape = {}
-    for _ in range(3):
-        # Interleaved so machine-speed drift cannot bias the ratio.
-        for name, factory in (("heap", Simulator),
-                              ("calendar", CalendarSimulator)):
-            kernel = factory()
-            elapsed = _replay_stream(kernel, stream)
-            best[name] = min(best[name], elapsed)
-            observed = (kernel.events_dispatched, kernel.now,
-                        kernel.peak_pending)
-            assert shape.setdefault(name, observed) == observed
-    assert shape["heap"] == shape["calendar"], (
-        f"cores diverged on the apache stream: heap={shape['heap']} "
-        f"calendar={shape['calendar']}"
-    )
-    events = shape["calendar"][0]
-    speedup = best["heap"] / best["calendar"]
-    print(f"\napache stream ({events:,} dispatches): heap "
-          f"{events / best['heap']:,.0f} events/s, calendar "
-          f"{events / best['calendar']:,.0f} events/s ({speedup:.2f}x)")
-    record_bench("kernel_apache_stream", speedup, events, best["calendar"])
-    assert speedup >= MIN_CALENDAR_SPEEDUP, (
-        f"calendar core only {speedup:.2f}x over heap on the apache "
-        f"stream (floor {MIN_CALENDAR_SPEEDUP}x)"
-    )
-
-
-def test_kernel_tri_mode_machine_bit_identical():
-    """heap / calendar / calendar+tracer machine runs must be
-    bit-identical: same RunResult, same counters, same dispatch count.
-    The traced mode matters because ``_run_traced`` is a separate loop —
-    this is what keeps its semantics from drifting."""
+def test_traced_machine_run_bit_identical():
+    """A machine run with a ``DispatchProfile`` attached must be
+    bit-identical to the untraced run: same RunResult, same counters,
+    same dispatch count and queue depth.  ``_run_traced`` is a separate
+    loop — this is what keeps its semantics from drifting."""
     from repro.config import SystemConfig
     from repro.system.machine import Machine
     from repro.workloads import apache
 
     instructions = 1_000 if SMOKE else 4_000
 
-    def run_mode(calendar: bool, traced: bool):
-        config = SystemConfig.tiny(calendar_kernel=calendar)
+    def run(traced: bool):
+        config = SystemConfig.tiny()
         machine = Machine(
             config, apache(num_cpus=config.num_processors, scale=64, seed=1),
             seed=1)
@@ -267,8 +149,5 @@ def test_kernel_tri_mode_machine_bit_identical():
                 machine.sim.events_dispatched, machine.sim.peak_pending,
                 counters)
 
-    heap = run_mode(calendar=False, traced=False)
-    cal = run_mode(calendar=True, traced=False)
-    cal_traced = run_mode(calendar=True, traced=True)
-    assert heap == cal, "calendar kernel diverged from heap oracle"
-    assert cal == cal_traced, "traced calendar loop diverged from untraced"
+    assert run(traced=False) == run(traced=True), \
+        "traced dispatch loop diverged from untraced"

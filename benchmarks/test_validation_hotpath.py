@@ -1,170 +1,69 @@
-"""Checkpoint-validation hot-path guard (event-driven vs legacy polled).
+"""Checkpoint-validation hot-path guard: no periodic validation events.
 
 The recovery-point advance (paper §2.4, §3.5) is a fuzzy barrier that is
 *usually idle*: between checkpoint-clock edges nothing about a node's
 sign-off can change unless a transaction spanning an edge completes.  The
-legacy scheduling drove it with a fixed-interval poll on every node
-forever — the dominant source of idle kernel events on large machines.
-The event-driven scheduling (``event_driven_validation=True``, default)
-recomputes readiness only on the events that can change it (clock edges,
-pre-edge transaction completions, detection-window closes, recovery) with
-a send-armed resync timer as the dropped-coordination-message insurance.
+validation agent therefore recomputes readiness only on the events that
+can change it (clock edges, pre-edge transaction completions,
+detection-window closes, recovery), with a send-armed resync timer as the
+dropped-coordination-message insurance.
 
-The announce *policy* — which VALIDATE_READY messages are sent, and when
-— is shared by both modes (duplicate announcements are suppressed; the
-poll loop is a no-op re-check), so the modes are required to be
-**bit-identical**, and the poll loop doubles as an oracle: if a poll ever
-catches readiness the triggers missed, the equivalence test fails.
+On an idle protected machine (clock + validation running, cores parked)
+that is at most one announcement and one resync check per node per
+checkpoint interval — a structural, noise-free bound that any periodic
+re-check loop would break.  The committed goldens
+(``tests/data/protocol_golden.json``) pin full runs, including 8x8 ones.
 
-* **throughput** — an idle protected machine (clock + validation running,
-  cores parked) is pure lifecycle scheduling; event-driven mode must
-  dispatch >= 30% fewer kernel events (structural, noise-free) and be
-  measurably faster in wall-clock terms.  This is also where the
-  pre-interned event labels / pre-bound network counters show up.
-* **equivalence** — full default runs on the paper's 4x4 and the
-  ROADMAP-scale 8x8 torus must produce bit-identical ``RunResult`` fields
-  *and* identical network-traffic counters in both modes, while
-  event-driven dispatches strictly fewer kernel events.
-
-``REPRO_BENCH_SMOKE=1`` shrinks run lengths for the CI smoke step and
-relaxes the wall-clock floor, keeping the structural assertions intact.
+``REPRO_BENCH_SMOKE=1`` shrinks the run for the CI smoke step.
 """
 
 import time
 
 from repro.config import SystemConfig
+from repro.sim.profile import DispatchProfile
 from repro.system.machine import Machine
 from repro.workloads import by_name
 
-from benchmarks.conftest import record_bench, run_once, smoke_mode
+from benchmarks.conftest import run_once, smoke_mode
 
 SMOKE = smoke_mode()
 
 # Checkpoint intervals per timed idle run.
 INTERVALS = 40 if SMOKE else 200
-# Event-driven must remove well over the claimed 30% of lifecycle
-# dispatches (measured: ~74% fewer on the idle stream).
-MAX_EVENT_RATIO = 0.7
-# Wall-clock floor.  The full-size requirement is the >=15% claim
-# (measured: >2x); the smoke floor only guards gross regressions.
-MIN_SPEEDUP = 1.05 if SMOKE else 1.15
-TIMING_REPEATS = 3
+# Validation-agent dispatches per node per interval: announce + resync.
+MAX_VALIDATE_PER_NODE_INTERVAL = 2
 
 
-def _machine(event_driven: bool, shape=None, workload: str = "apache",
-             seed: int = 1) -> Machine:
-    if shape is None:
-        config = SystemConfig.sim_scaled(16)          # the default 4x4
-    else:
-        config = SystemConfig.from_shape(*shape)
-    config = config.with_overrides(event_driven_validation=event_driven)
-    return Machine(
-        config,
-        by_name(workload, num_cpus=config.num_processors, scale=16, seed=seed),
-        seed=seed,
-    )
-
-
-def _idle_lifecycle(event_driven: bool) -> tuple:
-    """Run only the checkpoint lifecycle: clock edges, sign-off
-    coordination, and (in polled mode) the idle poll stream."""
-    machine = _machine(event_driven)
+def _idle_lifecycle():
+    """Run only the checkpoint lifecycle: clock edges and sign-off
+    coordination."""
+    config = SystemConfig.sim_scaled(16)          # the default 4x4
+    machine = Machine(
+        config, by_name("apache", num_cpus=config.num_processors, scale=16,
+                        seed=1),
+        seed=1)
+    profile = DispatchProfile()
+    machine.sim.tracer = profile
     machine.clock.start()
     for node in machine.nodes:
         node.validation.start()
     started = time.perf_counter()
-    machine.sim.run(limit=INTERVALS * machine.config.checkpoint_interval)
+    machine.sim.run(limit=INTERVALS * config.checkpoint_interval)
     wall = time.perf_counter() - started
-    # Validation must actually have been advancing the recovery point.
-    assert machine.controllers.rpcn >= INTERVALS - 1
-    return wall, machine.sim.events_dispatched
-
-
-def _time_idle(event_driven: bool) -> tuple:
-    best = float("inf")
-    events = None
-    for _ in range(TIMING_REPEATS):
-        wall, dispatched = _idle_lifecycle(event_driven)
-        best = min(best, wall)
-        if events is None:
-            events = dispatched
-        else:
-            assert events == dispatched  # deterministic
-    return best, events
+    return machine, profile, wall
 
 
 def test_validation_scheduling_throughput(benchmark):
-    def experiment():
-        polled_s, polled_events = _time_idle(event_driven=False)
-        event_s, event_events = _time_idle(event_driven=True)
-        return polled_s, polled_events, event_s, event_events
-
-    polled_s, polled_events, event_s, event_events = \
-        run_once(experiment, benchmark)
-
-    speedup = polled_s / event_s
-    event_ratio = event_events / polled_events
-    print(f"\nvalidation lifecycle ({INTERVALS} checkpoint intervals):"
-          f"\n  polled      : {polled_s:.3f}s, {polled_events:,} kernel events"
-          f"\n  event-driven: {event_s:.3f}s, {event_events:,} kernel events"
-          f"\n  speedup: {speedup:.2f}x, event ratio {event_ratio:.2f}")
-    record_bench("validation_scheduling", speedup, event_events, event_s,
-                 event_ratio=round(event_ratio, 2))
-    assert event_ratio < MAX_EVENT_RATIO, (
-        f"event-driven validation stopped saving dispatches: "
-        f"{event_events:,} events vs polled {polled_events:,} "
-        f"(ratio {event_ratio:.2f})"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"event-driven validation only {speedup:.2f}x faster than polled "
-        f"(floor {MIN_SPEEDUP:.2f}x)"
-    )
-
-
-def _machine_result(event_driven: bool, shape, workload: str,
-                    instructions: int) -> tuple:
-    machine = _machine(event_driven, shape=shape, workload=workload)
-    result = machine.run(instructions, max_cycles=20_000_000)
-    fields = (result.cycles, result.committed_instructions,
-              result.target_instructions, result.completed, result.crashed,
-              result.crash_reason, result.recoveries,
-              result.lost_instructions, result.reexecuted_instructions,
-              machine.stats.counter("net.messages_sent").value,
-              machine.stats.counter("net.messages_delivered").value,
-              machine.stats.counter("net.bytes_sent").value,
-              machine.controllers.rpcn)
-    return fields, machine.sim.events_dispatched
-
-
-def test_event_driven_results_bit_identical(benchmark):
-    # (shape, workload, instructions): the default 4x4 machine on two
-    # workloads plus the ROADMAP-scale 8x8, where O(nodes) polling
-    # overhead grows fastest.
-    cases = [
-        (None, "apache", 1_000 if SMOKE else 4_000),
-        (None, "jbb", 1_000 if SMOKE else 4_000),
-        ((8, 8), "apache", 400 if SMOKE else 1_000),
-    ]
-
-    def experiment():
-        out = {}
-        for shape, workload, instructions in cases:
-            key = (f"{shape[0]}x{shape[1]}" if shape else "4x4", workload)
-            out[key] = (_machine_result(True, shape, workload, instructions),
-                        _machine_result(False, shape, workload, instructions))
-        return out
-
-    results = run_once(experiment, benchmark)
-    for key, ((event_fields, event_events),
-              (polled_fields, polled_events)) in results.items():
-        assert event_fields == polled_fields, (
-            f"{key}: event-driven run diverged from polled\n"
-            f"  event-driven: {event_fields}\n  polled      : {polled_fields}"
-        )
-        assert event_events < polled_events, (
-            f"{key}: event-driven mode dispatched no fewer kernel events "
-            f"({event_events:,} vs {polled_events:,})"
-        )
-        cycles, committed, target, completed, crashed = event_fields[:5]
-        assert completed and not crashed
-        assert committed >= target
+    machine, profile, wall = run_once(_idle_lifecycle, benchmark)
+    events = machine.sim.events_dispatched
+    validate = sum(n for label, n in profile.counts.items()
+                   if label.startswith("validate."))
+    per_node_interval = validate / (len(machine.nodes) * INTERVALS)
+    print(f"\nvalidation lifecycle ({INTERVALS} checkpoint intervals): "
+          f"{wall:.3f}s, {events:,} kernel events ({events / wall:,.0f}/s), "
+          f"{per_node_interval:.2f} validation dispatches per node-interval")
+    # Validation must actually have been advancing the recovery point.
+    assert machine.controllers.rpcn >= INTERVALS - 1
+    assert per_node_interval <= MAX_VALIDATE_PER_NODE_INTERVAL, (
+        f"validation dispatched {per_node_interval:.2f} events per node "
+        f"per interval (bound {MAX_VALIDATE_PER_NODE_INTERVAL})")

@@ -11,15 +11,11 @@ coherence and processor layers:
   readiness signalling).
 * :mod:`repro.checkpoint.agent` — the per-node
   :class:`ValidationAgent`: edge-triggered readiness recomputation and
-  sign-off announcement, with the legacy poll loop retained behind
-  ``event_driven_validation=False`` for the differential guard in
-  ``benchmarks/test_validation_hotpath.py``.
+  sign-off announcement, with a resync timer as dropped-message
+  insurance.
 * :mod:`repro.checkpoint.controllers` — the redundant
   :class:`ServiceControllers` with incremental running-min sign-off
   tracking.
-
-``repro.core.validation`` re-exports the public names for backward
-compatibility.
 """
 
 from repro.checkpoint.agent import ValidationAgent

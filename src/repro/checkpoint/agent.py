@@ -33,19 +33,8 @@ timer: while an announcement is outstanding (sent but the RPCN has not
 caught up), the agent re-sends after ``validation_resync_interval``
 cycles, and the watchdog turns a persistent stall into a recovery.
 
-``event_driven_validation`` selects the *scheduling skeleton* only; the
-announce policy above is shared, so both modes emit identical coordination
-traffic and produce bit-identical runs (the differential guard in
-``benchmarks/test_validation_hotpath.py``):
-
-* **event-driven** (default): no periodic events at all — the triggers
-  plus the (send-armed, dormant-when-idle) resync timer carry the whole
-  lifecycle;
-* **polled** (legacy): the historical ``validation_poll_interval`` poll
-  loop keeps re-running ``announce_if_ready`` forever.  With complete
-  triggers every poll is a no-op, which is exactly what the guard
-  checks: if a poll ever catches readiness the triggers missed, the two
-  modes diverge and the equivalence benchmark fails.
+There are no periodic events: the triggers plus the send-armed,
+dormant-when-idle resync timer carry the whole lifecycle.
 """
 
 from __future__ import annotations
@@ -60,9 +49,7 @@ from repro.interconnect.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
-# Hot-path event labels, pre-interned once per process (the poll label is
-# the historical dominant idle event; see ROADMAP "event-label allocation").
-LABEL_POLL = sys.intern("validate.poll")
+# Hot-path event labels, pre-interned once per process.
 LABEL_ANNOUNCE = sys.intern("validate.announce")
 LABEL_RESYNC = sys.intern("validate.resync")
 LABEL_DETECT = sys.intern("validate.detect")
@@ -84,7 +71,6 @@ class ValidationAgent:
         controller_node: int = 0,
         detection_latency: int = 0,
         stats: Optional[StatsRegistry] = None,
-        event_driven: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -94,10 +80,6 @@ class ValidationAgent:
         self.edge_time = edge_time
         self.controller_node = controller_node
         self.detection_latency = detection_latency
-        self.event_driven = (
-            config.event_driven_validation if event_driven is None
-            else event_driven
-        )
         self.rpcn = 1
         self._announced = 0
         self._last_send: Optional[int] = None
@@ -120,22 +102,10 @@ class ValidationAgent:
     # Run control
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._running:
-            return
         self._running = True
-        if not self.event_driven:
-            self._poll()
 
     def stop(self) -> None:
         self._running = False
-
-    def _poll(self) -> None:
-        if not self._running:
-            return
-        self.announce_if_ready()
-        self.sim.schedule_after(
-            self.config.validation_poll_interval, self._poll, LABEL_POLL
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle triggers
@@ -199,7 +169,7 @@ class ValidationAgent:
             gated = self._detection_gated(k)
             if gated < k:
                 # Wake when the next checkpoint's window closes, so the
-                # announcement lands at that exact cycle in both modes.
+                # announcement lands at exactly that cycle.
                 self._arm_detection_timer(gated + 1)
             k = gated
         if k <= self.rpcn or k <= self._announced:
@@ -249,9 +219,8 @@ class ValidationAgent:
 
     def _arm_resync(self) -> None:
         """Dropped-coordination-message insurance (paper robustness): while
-        an announcement is outstanding, re-send it on a slow timer.  The
-        timer is armed at send time in *both* scheduling modes, so a run
-        with lost coordination messages still replays identically."""
+        an announcement is outstanding, re-send it on a slow timer, armed
+        at send time."""
         if self._resync_armed:
             return
         self._resync_armed = True

@@ -16,10 +16,10 @@ same four-phase lifecycle (paper §2, §3):
 4. **Readiness signalling** — when the component completes its last
    transaction from a pre-edge interval it calls the assigned
    ``on_readiness_changed`` callback, so the validation agent can
-   recompute sign-off *at that moment* instead of discovering it on a
-   later poll.  Components fire it conservatively (any completion of a
-   transaction that began before the current interval); the agent's
-   recompute is cheap and idempotent.
+   recompute sign-off *at that moment* (nothing else would: the agent
+   has no periodic events).  Components fire it conservatively (any
+   completion of a transaction that began before the current interval);
+   the agent's recompute is cheap and idempotent.
 
 Historically these hooks were duck-typed across four modules; the
 protocol below makes the contract explicit and is what

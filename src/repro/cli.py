@@ -197,11 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "report for tooling.")
     add_experiment_args(prof, instructions=8_000, warmup=0, period=60_000)
     prof.add_argument("--seed", type=int, default=1)
-    prof.add_argument("--legacy", action="store_true",
-                      help="profile the legacy hot paths (lazy_timeouts, "
-                           "burst_fast_path, express_hops, and "
-                           "calendar_kernel all False) for before/after "
-                           "comparison")
     prof.add_argument("--top", type=int, default=12,
                       help="rows per table (labels and functions)")
     prof.add_argument("--no-cprofile", action="store_true",
@@ -384,11 +379,6 @@ def cmd_sweep_status(args, out) -> int:
             ("peak pending events",
              f"{telemetry['peak_pending_events']:,.0f}"),
         ]
-        if telemetry.get("total_overflow_promotions"):
-            rows.append(
-                ("overflow promotions",
-                 f"{telemetry['total_overflow_promotions']:,.0f} "
-                 "(calendar kernel)"))
     manifest = CampaignManifest.load(args.out)
     if manifest is None:
         rows.append(("manifest", "absent (written by the next sweep run)"))
@@ -656,10 +646,6 @@ def cmd_profile(args, out) -> int:
 
     try:
         spec = _spec_from_args(args)
-        if args.legacy:
-            spec = spec.with_(config_overrides=(
-                ("lazy_timeouts", False), ("burst_fast_path", False),
-                ("express_hops", False), ("calendar_kernel", False)))
         report = profile_spec(spec, use_cprofile=not args.no_cprofile,
                               top_functions=args.top)
     except ValueError as exc:
@@ -675,7 +661,6 @@ def cmd_profile(args, out) -> int:
         print(report.to_json(), file=out)
         return 0 if not report.crashed else 1
 
-    mode = "legacy paths" if args.legacy else "current paths"
     label_rows = [
         (r["label"], f"{r['dispatches']:,}", f"{r['dispatch_frac']:6.1%}",
          f"{r['seconds']:.3f}", f"{r['seconds_frac']:6.1%}")
@@ -684,7 +669,7 @@ def cmd_profile(args, out) -> int:
     print(format_table(
         ["event label", "dispatches", "disp %", "excl s", "time %"],
         label_rows,
-        title=f"kernel dispatch profile ({mode}: "
+        title=f"kernel dispatch profile ("
               f"{report.events_dispatched:,} events, "
               f"{report.wall_seconds:.2f}s wall)"), file=out)
     if report.functions:
@@ -711,22 +696,10 @@ def cmd_profile(args, out) -> int:
               f"({coh['silent_upgrade_fraction']:.1%} of store upgrades), "
               f"{coh['writebacks_avoided']:,} writebacks avoided, "
               f"{coh['downgrades']:,} owner downgrades", file=out)
-    queue = report.queue
-    if queue.get("core") == "calendar":
-        print(f"queue: calendar width={queue['width']:,} "
-              f"lane/wheel/overflow scheduled "
-              f"{queue['lane_scheduled']:,}/{queue['wheel_scheduled']:,}/"
-              f"{queue['overflow_scheduled']:,} "
-              f"({queue['overflow_promotions']:,} promotions, "
-              f"{queue['resizes']} resizes, "
-              f"{queue['free_list_hit_rate']:.1%} recycled, "
-              f"peak pending {queue['peak_pending']:,})", file=out)
-    elif queue:
-        print(f"queue: heap peak pending {queue['peak_pending']:,}",
-              file=out)
     summary = (f"cycles={report.cycles:,} committed="
                f"{report.committed_instructions:,} "
-               f"recoveries={report.recoveries} completed={report.completed}")
+               f"recoveries={report.recoveries} completed={report.completed} "
+               f"peak_pending={report.peak_pending:,}")
     print(summary, file=out)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -147,11 +147,8 @@ class CacheController:
         self._sets: Dict[int, Dict[int, CacheBlock]] = {}
         self._lru_tick = 0
         # One sweep event instead of one heap event per request timeout
-        # (config.lazy_timeouts; see repro.sim.deadlines).
-        self._timeout_table: Optional[DeadlineTable] = (
-            DeadlineTable(sim, "cache.timeout_sweep")
-            if config.lazy_timeouts else None
-        )
+        # (see repro.sim.deadlines).
+        self._timeout_table = DeadlineTable(sim, "cache.timeout_sweep")
 
         self.mshrs: Dict[int, Mshr] = {}
         self.wb_buffer: Dict[int, CacheBlock] = {}
@@ -344,27 +341,17 @@ class CacheController:
         mshr.started_at = self.sim.now
         epoch = self.epoch
         issue = mshr.started_at
-        if self._timeout_table is not None:
-            # Lazy path: a dict store, re-keyed per transaction; a re-issue
-            # (NACK retry) replaces the deadline in place.  The deadline
-            # cycle is identical to the event the legacy path schedules.
-            self._timeout_table.arm(
-                mshr.txn_id,
-                issue + self.config.request_timeout,
-                lambda: self._check_timeout(mshr, issue, epoch),
-            )
-            return
-        self.sim.schedule_after(
-            self.config.request_timeout,
+        # A dict store keyed per transaction; a re-issue (NACK retry)
+        # replaces the deadline in place.
+        self._timeout_table.arm(
+            mshr.txn_id,
+            issue + self.config.request_timeout,
             lambda: self._check_timeout(mshr, issue, epoch),
-            "cache.timeout",
         )
 
     def _disarm_timeout(self, mshr: Mshr) -> None:
-        """Completion, lazy mode: drop the deadline (legacy-mode events
-        stay queued and no-op through the staleness checks instead)."""
-        if self._timeout_table is not None:
-            self._timeout_table.cancel(mshr.txn_id)
+        """Completion: drop the deadline."""
+        self._timeout_table.cancel(mshr.txn_id)
 
     def _check_timeout(self, mshr: Mshr, issue_cycle: int, epoch: int) -> None:
         if epoch != self.epoch:
@@ -753,8 +740,7 @@ class CacheController:
         self.wb_txns.clear()
         self.wb_buffer.clear()
         self._stalled_fwds.clear()
-        if self._timeout_table is not None:
-            self._timeout_table.clear()
+        self._timeout_table.clear()
         unrolled = 0
         for entry in self.clb.unroll_from(rpcn):
             state, data, cn = entry.payload

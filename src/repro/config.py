@@ -66,31 +66,13 @@ class SystemConfig:
     clb_entry_bytes: int = 72               # 8-byte address + 64-byte block
     register_checkpoint_cycles: int = 100   # paper's conservative charge
     max_clock_skew: int = 8                 # cycles of checkpoint-clock skew
-    #: Event-driven validation (default) recomputes sign-off only when a
-    #: clock edge, a pre-edge transaction completion, or a detection-latency
-    #: window close can change it; False keeps the legacy poll loop running
-    #: (same announce policy, so both modes are bit-identical — see
-    #: benchmarks/test_validation_hotpath.py).
-    event_driven_validation: bool = True
-    validation_poll_interval: int = 2_000   # legacy-mode readiness re-check cadence
+    #: How long an un-acknowledged sign-off announcement stands before it
+    #: is re-sent (dropped-coordination-message insurance, paper §3.5).
+    #: Well above any clean round trip, well below the watchdog.
+    validation_resync_interval: int = 16_000
 
     # -- fault handling ------------------------------------------------------
     request_timeout: int = 20_000           # cycles before a requestor times out
-    #: Lazy timeout arming (default): requestor timeouts live in a
-    #: per-controller :class:`~repro.sim.deadlines.DeadlineTable` swept by
-    #: one re-arming kernel event instead of one heap event per request.
-    #: Detection deadlines are unchanged (same ``request_timeout`` cycle);
-    #: only the kernel event count drops.  False keeps the historical
-    #: event-per-request path as the bit-identity oracle (see
-    #: benchmarks/test_cpu_hotpath.py, same pattern as
-    #: ``event_driven_validation``).
-    lazy_timeouts: bool = True
-    #: Burst-local CPU fast path (default): ``Core._burst`` inlines the
-    #: cache hit path (precomputed set masks, counter deltas accumulated
-    #: in burst locals and flushed once per burst exit).  False keeps the
-    #: per-op ``fast_access`` calls — arithmetically identical, retained
-    #: as the differential-benchmark baseline.
-    burst_fast_path: bool = True
     #: Express-hop flight advancement (default): when every switch on a
     #: message's remaining path segment is provably idle, the network
     #: computes the segment's arrival time arithmetically and pays one
@@ -99,22 +81,14 @@ class SystemConfig:
     #: crossing send materialises the flight back to hop-by-hop at its
     #: current position.  False keeps one-event-per-hop scheduling as the
     #: bit-identity oracle (see benchmarks/test_network_hotpath.py and
-    #: tests/test_express_hops.py, same pattern as ``lazy_timeouts``).
+    #: tests/test_express_hops.py).
     express_hops: bool = True
-    #: Calendar-queue kernel core (default): the machine's event queue is
-    #: a :class:`repro.sim.calendar.CalendarSimulator` — per-cycle buckets
-    #: with an overflow tier, a zero-delay fast lane, and event recycling;
-    #: O(1) amortised schedule/dispatch instead of the heap's O(log n).
-    #: False keeps the binary-heap :class:`repro.sim.kernel.Simulator` as
-    #: the bit-identity oracle (see benchmarks/test_kernel_hotpath.py and
-    #: tests/test_calendar_kernel.py, same pattern as ``express_hops``).
-    calendar_kernel: bool = True
     #: Optional home-side open-transaction timeout (cycles).  None (the
     #: default) preserves the historical behaviour: an orphaned home
     #: transaction is caught only by the requestor's timeout or the
     #: recovery-point watchdog.  When set, each home arms a deadline per
-    #: open transaction (via the same deadline table) and reports a fault
-    #: if it outlives the bound.
+    #: open transaction (in a :class:`~repro.sim.deadlines.DeadlineTable`,
+    #: like the requestor's) and reports a fault if it outlives the bound.
     home_request_timeout: Optional[int] = None
     watchdog_timeout: int = 1_000_000       # recovery-point stall watchdog
     service_broadcast_latency: int = 200    # out-of-band controller channel
@@ -220,13 +194,6 @@ class SystemConfig:
         return self.outstanding_checkpoints * self.checkpoint_interval
 
     @property
-    def validation_resync_interval(self) -> int:
-        """How long an un-acknowledged sign-off announcement stands before
-        it is re-sent (dropped-coordination-message insurance, paper §3.5).
-        Well above any clean round trip, well below the watchdog."""
-        return 8 * self.validation_poll_interval
-
-    @property
     def data_serialization_cycles(self) -> int:
         return max(1, round(self.data_message_bytes / self.link_bandwidth_bytes_per_cycle))
 
@@ -261,7 +228,7 @@ class SystemConfig:
             clb_size_bytes=(512 * 1024) // scale,
             request_timeout=6_000,
             watchdog_timeout=200_000,
-            validation_poll_interval=500,
+            validation_resync_interval=4_000,
         )
         if overrides:
             base = base.with_overrides(**overrides)
@@ -281,7 +248,7 @@ class SystemConfig:
             clb_size_bytes=32 * 1024,
             request_timeout=4_000,
             watchdog_timeout=100_000,
-            validation_poll_interval=200,
+            validation_resync_interval=1_600,
             memory_latency=20,
         )
         if overrides:

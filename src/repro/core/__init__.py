@@ -7,20 +7,19 @@ This package implements the checkpoint/recovery machinery itself:
   interval).
 * :mod:`repro.core.clock` — the loosely synchronised checkpoint clock that
   serves as the logical time base (skew < minimum network latency).
-* :mod:`repro.core.validation` — back-compat shim for the pipelined
-  two-phase checkpoint validation, which now lives in
-  :mod:`repro.checkpoint` (agent, service controllers, and the
-  :class:`~repro.checkpoint.participant.CheckpointParticipant` protocol).
 * :mod:`repro.core.recovery` — system recovery and restart orchestration.
 * :mod:`repro.core.commit` — output/input commit handling at the sphere of
   recovery boundary.
+
+The pipelined two-phase checkpoint validation (agent, service
+controllers, and the participant protocol) lives in
+:mod:`repro.checkpoint`.
 """
 
 from repro.core.clb import CheckpointLogBuffer, LogEntry
 from repro.core.clock import CheckpointClock
 from repro.core.commit import InputLog, OutputCommitBuffer
 from repro.core.recovery import RecoveryManager, RecoveryStats
-from repro.core.validation import ServiceControllers, ValidationAgent
 
 __all__ = [
     "CheckpointLogBuffer",
@@ -30,6 +29,4 @@ __all__ = [
     "InputLog",
     "RecoveryManager",
     "RecoveryStats",
-    "ServiceControllers",
-    "ValidationAgent",
 ]

@@ -22,7 +22,7 @@ retries=0`` — kept as the oracle for equivalence guards.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
@@ -49,6 +49,12 @@ _METRIC_SUFFIXES = (
 def build_machine(spec: RunSpec) -> Machine:
     """Assemble the machine a spec describes (also used by the CLI)."""
     overrides: Dict[str, Any] = dict(spec.config_overrides)
+    unknown = sorted(set(overrides) - {f.name for f in fields(SystemConfig)})
+    if unknown:
+        # Typically a flag that has since been removed: name it instead of
+        # failing deep inside a preset with a constructor TypeError.
+        raise ValueError(f"config_overrides names no SystemConfig field: "
+                         f"{', '.join(unknown)}")
     if not spec.safetynet:
         overrides["safetynet_enabled"] = False
     if spec.interval is not None:
@@ -223,10 +229,6 @@ def execute_run(spec: RunSpec) -> RunRecord:
                                 metrics["peak_home_clb_entries"]),
         "peak_pending_events": machine.sim.peak_pending,
     }
-    if hasattr(machine.sim, "c_overflow_promotions"):
-        # Calendar-core queue health: how often far-future deadlines took
-        # the overflow detour (high counts = wheel narrower than the mix).
-        telemetry["overflow_promotions"] = machine.sim.c_overflow_promotions
     return RunRecord(
         spec=spec,
         spec_hash=spec.spec_hash,
@@ -269,8 +271,6 @@ def aggregate_telemetry(records: Sequence[RunRecord]) -> Dict[str, float]:
         r.telemetry.get("peak_clb_entries", 0) for r in runs)
     out["peak_pending_events"] = max(
         r.telemetry.get("peak_pending_events", 0) for r in runs)
-    out["total_overflow_promotions"] = sum(
-        r.telemetry.get("overflow_promotions", 0) for r in runs)
     return out
 
 

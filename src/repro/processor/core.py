@@ -66,15 +66,13 @@ class Core:
         # never fired: the core's outstanding work is the cache's MSHRs).
         self.on_readiness_changed: Optional[Callable[[], None]] = None
 
-        # Burst-local fast path (config.burst_fast_path): the burst loop
-        # inlines the cache hit path, consumes the workload's packed-op
-        # stream, and defers counter updates to burst exit.  I/O hooks
-        # observe every retirement individually, and stub caches/workloads
-        # (unit tests) lack the inlined internals, so those keep the
-        # per-op reference loop.
+        # Burst-local fast path: the burst loop inlines the cache hit path,
+        # consumes the workload's packed-op stream, and defers counter
+        # updates to burst exit.  I/O hooks observe every retirement
+        # individually, and stub caches/workloads (unit tests) lack the
+        # inlined internals, so those keep the per-op loop.
         self._fast_path = (
-            config.burst_fast_path
-            and io_hooks is None
+            io_hooks is None
             and isinstance(cache, CacheController)
             and hasattr(workload, "op_packed")
         )
@@ -132,11 +130,10 @@ class Core:
             self._burst_slow()
 
     def _burst_slow(self) -> None:
-        """The reference burst loop: one ``fast_access`` call per op.
+        """The per-op burst loop: one ``fast_access`` call per op.
 
-        Arithmetically identical to :meth:`_burst_fast` (the differential
-        guard in benchmarks/test_cpu_hotpath.py holds the two together);
-        also the only loop that drives per-retire I/O hooks.
+        Arithmetically identical to :meth:`_burst_fast`; the loop for
+        per-retire I/O hooks and for stub caches and workloads.
         """
         t = self.sim.now
         edge = self.next_edge_time()
@@ -178,7 +175,7 @@ class Core:
         the position/counter deltas — flushed back in one step at every
         burst exit, so between kernel events all externally visible state
         (position, counters, bandwidth meters) is exactly what the
-        reference loop would have produced.
+        per-op loop would have produced.
         """
         sim = self.sim
         t = sim.now

@@ -5,8 +5,8 @@ every request, they essentially never fire (they exist to catch *lost*
 messages), and yet the naive implementation — schedule one kernel event
 per request — makes the event heap churn through a dead callback for
 every transaction in the run.  Profiling a busy run shows ``cache.timeout``
-alone at ~7% of all kernel dispatches (see ``repro profile`` and
-``benchmarks/test_cpu_hotpath.py``).
+alone at ~7% of all kernel dispatches (see ``repro profile``;
+``benchmarks/test_cpu_hotpath.py`` holds the table's share under 1%).
 
 :class:`DeadlineTable` replaces that pattern with a per-controller
 registry: deadlines live in a plain dict keyed by the caller's request id,
@@ -16,23 +16,14 @@ callback (in arm order — deterministic), then re-arms itself at the new
 minimum.  Arming is a dict store, cancellation is a dict delete; the heap
 only ever sees the sweeps.
 
-Detection semantics are unchanged: an entry armed for cycle ``d`` has its
-callback run at exactly cycle ``d`` (the sweep event is always scheduled
-at the minimum outstanding deadline, which is never later than any entry).
-The one observable difference from per-request events is kernel event
-*count* — which is the point.
-
-One boundary is worth naming: the sweep event's heap insertion order can
-differ from a per-request event's (a sweep re-armed at the previous
-minimum carries a later sequence number than an event armed at issue
-time), so *within* the deadline cycle the check may order differently
-against other same-cycle events.  That is only observable if a
-transaction completes at exactly ``issue + request_timeout`` — a
-same-cycle tie between detection and completion, which the legacy path
-may resolve as a (spurious) fault and the lazy path as a completion.
-``tests/test_timeout_modes.py`` holds the two modes bit-identical across
-seeds, shapes, and fault scenarios; the tie has never been observed
-there, but it is a tie, not an equivalence proof.
+An entry armed for cycle ``d`` has its callback run at exactly cycle
+``d``: the sweep event is always scheduled at the minimum outstanding
+deadline, which is never later than any entry.  Within that cycle the
+sweep keeps its own kernel-sequence position, so a completion landing at
+exactly ``issue + request_timeout`` is a same-cycle tie that sequence
+order decides.  The requestor and the optional home-side timeouts both
+use this table; the committed goldens (``tests/data/protocol_golden.json``)
+pin runs in which each fires.
 """
 
 from __future__ import annotations

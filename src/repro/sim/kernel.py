@@ -5,32 +5,20 @@ one processor clock at the paper's 1 GHz target, i.e. 1 ns).  Components
 schedule callbacks at absolute cycles; ties are broken by insertion order so
 that every run with the same seeds is bit-for-bit reproducible.
 
-Two interchangeable kernel cores implement that contract:
-
-* :class:`Simulator` (this module) — a binary heap of ``(when, seq, event)``
-  tuples.  O(log n) schedule/pop, no assumptions about the event mix.  It
-  is the reference core: simple enough to audit, and every alternative
-  core must reproduce its dispatch order bit-for-bit.
-* :class:`~repro.sim.calendar.CalendarSimulator` — a calendar queue
-  (per-cycle buckets plus a sorted overflow tier) with a zero-delay fast
-  lane and event recycling; O(1) amortised on the dense integer streams
-  the machine produces.  Selected by ``SystemConfig.calendar_kernel``
-  (the default); guarded by ``benchmarks/test_kernel_hotpath.py`` and
-  ``tests/test_calendar_kernel.py``.
-
-:func:`make_kernel` is the factory the machine layer uses; new cores
-register themselves in :data:`KERNEL_CORES`.  A core is any object with
-the Simulator API surface the components rely on: ``now``, ``schedule``,
-``schedule_after``, ``run``, ``step``, ``stop``, ``stop_reason``,
-``pending``, ``peak_pending``, ``events_dispatched``, ``drain_matching``,
-and the optional ``tracer`` hook.
+The kernel is a binary heap of ``(when, seq, event)`` tuples: O(log n)
+schedule/pop, no assumptions about the event mix.  A calendar-queue core
+(per-cycle buckets, a zero-delay lane, event recycling) was tried
+against it on the canonical end-to-end benchmark and was a wash — ahead
+on the network-bound 8x8 run, behind on the CPU-bound 2x2 one, with
+identical dispatch counts and queue depths — so the simpler core is the
+only one.
 """
 
 from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -176,7 +164,7 @@ class Simulator:
         # Queue drained before the limit: fast-forward the clock ("nothing
         # can happen until then").  NOT when stop() fired — a stopped run
         # halts at the current cycle, whether or not later events remained
-        # (lazy timeouts legitimately leave the queue empty at the stop).
+        # (deadline tables legitimately leave the queue empty at the stop).
         if (limit is not None and not self._queue and not self._stopped
                 and self.now < limit):
             self.now = limit
@@ -271,34 +259,6 @@ class Simulator:
                            if not entry[2].cancelled]
             heapq.heapify(self._queue)
         return cancelled
-
-
-#: Kernel-core registry: name -> zero-argument factory.  ``heap`` is the
-#: reference core defined above; ``calendar`` (repro.sim.calendar) is
-#: registered lazily by :func:`make_kernel` so importing the kernel never
-#: drags the calendar module in.
-KERNEL_CORES: Dict[str, Callable[[], "Simulator"]] = {"heap": Simulator}
-
-
-def make_kernel(core: str = "heap") -> "Simulator":
-    """Build a kernel core by registry name (``"heap"`` / ``"calendar"``).
-
-    The machine layer calls this with
-    ``"calendar" if config.calendar_kernel else "heap"``; every core is a
-    drop-in :class:`Simulator` — same API, same deterministic
-    ``(when, seq)`` dispatch order, bit-identical runs
-    (``tests/test_calendar_kernel.py`` holds the cores equivalent).
-    """
-    if core == "calendar" and core not in KERNEL_CORES:
-        from repro.sim.calendar import CalendarSimulator  # registers itself
-        assert KERNEL_CORES.get("calendar") is CalendarSimulator
-    try:
-        factory = KERNEL_CORES[core]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel core {core!r}; one of {sorted(KERNEL_CORES)}"
-        ) from None
-    return factory()
 
 
 class Ticker:

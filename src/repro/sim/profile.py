@@ -165,17 +165,13 @@ class ProfileReport:
     crashed: bool
     recoveries: int
     events_dispatched: int
+    peak_pending: int                 # deepest the kernel queue ever got
     dispatch: DispatchProfile
     functions: List[Dict[str, Any]] = field(default_factory=list)
     #: Express-hop efficiency (see Network): hop dispatches vs hops
     #: advanced arithmetically, and the fraction of hops that rode an
     #: express segment.  Empty when the machine has no network counters.
     network: Dict[str, Any] = field(default_factory=dict)
-    #: Kernel queue health (see CalendarSimulator.queue_health): wheel
-    #: width and occupancy, zero-delay-lane / wheel / overflow schedule
-    #: mix, promotion and resize counts, free-list hit rate.  For the
-    #: heap core, just the core name and the pending high-water mark.
-    queue: Dict[str, Any] = field(default_factory=dict)
     #: Coherence-protocol efficiency (see coherence_efficiency): E fills,
     #: silent-upgrade fraction, writebacks avoided vs mosi.  Empty for
     #: protocols without an E state.
@@ -193,10 +189,10 @@ class ProfileReport:
                 "recoveries": self.recoveries,
             },
             "events_dispatched": self.events_dispatched,
+            "peak_pending": self.peak_pending,
             "kernel_events": self.dispatch.to_dict(),
             "hot_functions": self.functions,
             "network": self.network,
-            "queue": self.queue,
             "coherence": self.coherence,
         }
 
@@ -233,7 +229,6 @@ def profile_spec(spec, *, use_cprofile: bool = True,
         prof.disable()
     wall = perf_counter() - started
     network = network_efficiency(machine, dispatch)
-    queue = queue_health(machine.sim)
     coherence = coherence_efficiency(machine)
     return ProfileReport(
         spec=spec.canonical(),
@@ -244,27 +239,12 @@ def profile_spec(spec, *, use_cprofile: bool = True,
         crashed=result.crashed,
         recoveries=result.recoveries,
         events_dispatched=machine.sim.events_dispatched,
+        peak_pending=machine.sim.peak_pending,
         dispatch=dispatch,
         functions=hot_functions(prof, top_functions) if prof is not None else [],
         network=network,
-        queue=queue,
         coherence=coherence,
     )
-
-
-def queue_health(sim) -> Dict[str, Any]:
-    """Kernel queue-health snapshot of one profiled run.
-
-    The calendar core reports its own block (wheel occupancy, schedule
-    mix, promotions, free-list hit rate — see
-    :meth:`repro.sim.calendar.CalendarSimulator.queue_health`); the heap
-    core has no internal tiers, so its block is just the core name and
-    the pending high-water mark.
-    """
-    health = getattr(sim, "queue_health", None)
-    if health is not None:
-        return health()
-    return {"core": "heap", "peak_pending": sim.peak_pending}
 
 
 def coherence_efficiency(machine) -> Dict[str, Any]:

@@ -35,7 +35,7 @@ from repro.interconnect.messages import reset_msg_ids
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingTable
 from repro.interconnect.topology import HalfSwitchId, TorusTopology
-from repro.sim.kernel import make_kernel
+from repro.sim.kernel import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
 from repro.system.node import IoHooks, Node
@@ -86,7 +86,7 @@ class Machine:
         # workers reusing processes, retried fabric cells).
         reset_txn_ids()
         reset_msg_ids()
-        self.sim = make_kernel("calendar" if config.calendar_kernel else "heap")
+        self.sim = Simulator()
         self.stats = StatsRegistry()
         self.protocol = resolve_protocol(config.protocol)
         rngs = {"skew": DeterministicRng(seed * 7919 + 1),

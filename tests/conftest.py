@@ -1,4 +1,5 @@
-"""Shared test helpers: small machines and a direct-drive harness."""
+"""Shared test helpers: small machines, a direct-drive harness, and a
+kernel fixture covering both dispatch loops."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from typing import Optional
 import pytest
 
 from repro.config import SystemConfig
+from repro.sim.kernel import Simulator
+from repro.sim.profile import DispatchProfile
 from repro.system.machine import Machine
 from repro.workloads import RandomTester, apache
 
@@ -78,3 +81,17 @@ def driver() -> Driver:
 @pytest.fixture
 def driver_no_sn() -> Driver:
     return Driver(tiny_machine(safetynet=False))
+
+
+def _traced_simulator() -> Simulator:
+    sim = Simulator()
+    sim.tracer = DispatchProfile()
+    return sim
+
+
+@pytest.fixture(params=[Simulator, _traced_simulator], ids=["heap", "traced"])
+def sim(request) -> Simulator:
+    """A fresh kernel, plain and with a DispatchProfile attached: the
+    tracer switches :meth:`Simulator.run` to its separate traced loop,
+    which must keep every semantic of the plain one."""
+    return request.param()

@@ -1,4 +1,4 @@
-"""Regenerate the MOSI golden baselines for tests/test_protocols.py.
+"""Regenerate the golden run baselines for tests/test_protocols.py.
 
 The protocol refactor's acceptance bar is *bit identity*: a default
 (``protocol=mosi``, ``arbiter=fifo``) run must produce exactly the
@@ -8,6 +8,12 @@ recomputed after the refactor (the pre-refactor code is gone), so they
 are captured here as data: this script ran against the last pre-refactor
 commit and wrote ``tests/data/protocol_golden.json``, which the
 equivalence suite replays forever after.
+
+The matrix was later extended, at the last commit that still carried
+the flag-selected alternative implementations (calendar kernel core,
+per-request timeout events, polled validation, reference burst loop),
+with cells that exercise each of those mechanisms; the goldens, not a
+second implementation, now pin their behaviour.
 
 Re-run only to *extend* the matrix (new shapes/faults/seeds), never to
 "refresh" baselines after a divergence — that would turn the oracle into
@@ -44,6 +50,42 @@ GOLDEN_SPECS = [
     # One jbb cell: a second workload's sharing mix on the default shape.
     RunSpec(workload="jbb", instructions=2_000, warmup=0, seed=1, scale=64,
             torus_width=2, torus_height=2),
+]
+
+#: Gentle fault rate for the extension cells: recoveries the run absorbs
+#: (the 2 500-cycle rate above livelocks corrupt/misroute on 4x4).
+_GENTLE = dict(fault_period=20_000, fault_at=6_000)
+
+#: Extension cells, each firing one mechanism that once had a second,
+#: flag-selected implementation (kernel core, requestor/home timeouts,
+#: validation scheduling, burst-loop throttling): a non-zero counter in
+#: every record shows the mechanism ran.
+GOLDEN_SPECS += [
+    RunSpec(workload="apache", instructions=1_000, warmup=0, seed=1,
+            scale=64, torus_width=8, torus_height=8),
+    RunSpec(workload="apache", instructions=1_000, warmup=0, seed=1,
+            scale=64, torus_width=8, torus_height=8, fault="transient",
+            **_GENTLE),
+] + [
+    RunSpec(workload="apache", instructions=2_000, warmup=0, seed=1,
+            scale=64, torus_width=4, torus_height=4, fault=fault, **_GENTLE)
+    for fault in ("corrupt", "misroute")
+] + [
+    RunSpec(workload="apache", instructions=1_000, warmup=0, seed=1,
+            scale=64, torus_width=4, torus_height=4, protocol=protocol,
+            fault="transient", **_GENTLE)
+    for protocol in ("mesi", "moesi")
+] + [
+    # Detection latency gates sign-off (the validation timer path).
+    RunSpec(workload="jbb", instructions=1_000, warmup=0, seed=1, scale=64,
+            torus_width=4, torus_height=4, detection_latency=4_000),
+    # Home-side timeouts catch the drops (home.timeouts > 0).
+    RunSpec(workload="jbb", instructions=1_000, warmup=0, seed=1, scale=64,
+            torus_width=4, torus_height=4, fault="transient", **_GENTLE,
+            config_overrides=(("home_request_timeout", 3_000),)),
+    # A 10-entry CLB: stores throttle the burst loop (store_throttles > 0).
+    RunSpec(workload="oltp", instructions=4_000, warmup=0, seed=1, scale=64,
+            torus_width=2, torus_height=2, clb_bytes=720),
 ]
 
 

@@ -11,6 +11,7 @@ from repro.experiments import (
     RunSpec,
     Sweep,
     aggregate,
+    build_machine,
     execute_run,
     summarize,
     summary_rows,
@@ -115,6 +116,16 @@ def test_spec_roundtrips_through_json():
         RunSpec.from_dict({"bogus_field": 1})
     with pytest.raises(ValueError):
         RunSpec(fault="meteor")
+
+
+def test_build_machine_names_unknown_config_overrides():
+    """A spec naming a removed SystemConfig flag still loads (stores keep
+    old records) but fails to build with every bad key named."""
+    spec = TINY.with_(config_overrides=(("calendar_kernel", False),
+                                        ("max_recoveries", 7),
+                                        ("no_such_knob", 1)))
+    with pytest.raises(ValueError, match="calendar_kernel, no_such_knob$"):
+        build_machine(spec)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.obs import fabric_summary, load_fabric_events
 
 #: Long enough (~0.2 s) that an armed 5-45 ms chaos kill always lands
 #: mid-simulation instead of racing the cell's natural completion.
-TINY = RunSpec(workload="apache", instructions=2_000, warmup=0, preset="tiny",
+TINY = RunSpec(workload="apache", instructions=20_000, warmup=0, preset="tiny",
                scale=64, max_cycles=2_000_000)
 
 
@@ -86,8 +86,12 @@ def test_filequeue_sweep_survives_kill_stall_and_torn_chaos(tmp_path):
     store = ResultStore(str(tmp_path / "chaos.jsonl"))
     runner = Runner(jobs=2, backend="filequeue", store=store, retries=3,
                     backoff_s=0.05, lease_ttl=5.0,
+                    # Every first attempt is killed, so heartbeat stalls
+                    # and torn appends are drawn for second attempts; a
+                    # third attempt is always clean.
                     chaos=ChaosConfig(kill=1.0, kill_until=1, stall=0.5,
-                                      torn=0.5, seed=11))
+                                      torn=0.5, stall_until=2, torn_until=2,
+                                      seed=11))
     records = runner.run(specs)
     assert [r.result_key() for r in records] == \
         [r.result_key() for r in baseline]

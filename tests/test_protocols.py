@@ -2,10 +2,10 @@
 
 Three layers of evidence, matching the refactor's promises:
 
-1. **Bit identity** — a default (mosi/fifo) run replays the committed
-   pre-refactor goldens exactly: every RunResult field, every registered
-   counter, and the kernel dispatch count (tests/data/protocol_golden.json,
-   captured by tests/gen_protocol_golden.py before the refactor landed).
+1. **Bit identity** — every golden cell replays its committed record
+   exactly: every RunResult field, every registered counter, and the
+   kernel dispatch count (tests/data/protocol_golden.json, captured by
+   tests/gen_protocol_golden.py before the code each cell pins changed).
    Default-valued specs also keep their pre-refactor hashes, so every
    existing ResultStore stays valid.
 2. **Protocol invariants** — mesi/moesi complete full runs (fault-free
@@ -62,14 +62,27 @@ DEFAULT_CELL_HASH = "0ab01d8be8ee8a66"
 def _golden_id(record):
     spec = record["spec"]
     shape = f"{spec.get('torus_width', '?')}x{spec.get('torus_height', '?')}"
-    return (f"{spec['workload']}-s{spec['seed']}-{shape}-{spec['fault']}")
+    parts = [spec["workload"], f"s{spec['seed']}", shape, spec["fault"]]
+    # Cells that differ only in a non-default knob name it (the original
+    # cells set none of these, so their ids are unchanged).
+    if spec.get("protocol"):
+        parts.append(spec["protocol"])
+    if spec.get("detection_latency"):
+        parts.append(f"dl{spec['detection_latency']}")
+    if spec.get("clb_bytes"):
+        parts.append(f"clb{spec['clb_bytes']}")
+    parts.extend(f"{k}={v}" for k, v in spec["config_overrides"].items())
+    return "-".join(parts)
 
 
 # ---------------------------------------------------------------------------
-# 1. Bit identity with the pre-refactor code
+# 1. Bit identity with the committed goldens
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("record", GOLDEN_RECORDS, ids=_golden_id)
-def test_mosi_bit_identical_to_golden(record):
+def _is_mosi(record) -> bool:
+    return record["spec"].get("protocol") in (None, "mosi")
+
+
+def _assert_replays_golden(record) -> None:
     spec = RunSpec.from_dict(record["spec"])
     assert spec.spec_hash == record["spec_hash"], \
         "spec hashing changed: existing stores would orphan their records"
@@ -77,11 +90,25 @@ def test_mosi_bit_identical_to_golden(record):
     result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
     for fld in RESULT_FIELDS:
         assert getattr(result, fld) == record["result"][fld], \
-            f"{fld} diverged from the pre-refactor golden"
+            f"{fld} diverged from the golden"
     assert machine.stats.snapshot() == record["counters"], \
         "counter snapshot diverged (values or registered-counter set)"
     assert machine.sim.events_dispatched == record["events_dispatched"], \
         "kernel dispatch count diverged"
+
+
+@pytest.mark.parametrize("record",
+                         [r for r in GOLDEN_RECORDS if _is_mosi(r)],
+                         ids=_golden_id)
+def test_mosi_bit_identical_to_golden(record):
+    _assert_replays_golden(record)
+
+
+@pytest.mark.parametrize("record",
+                         [r for r in GOLDEN_RECORDS if not _is_mosi(r)],
+                         ids=_golden_id)
+def test_mesi_moesi_bit_identical_to_golden(record):
+    _assert_replays_golden(record)
 
 
 def test_default_spec_hashes_unchanged():

@@ -4,7 +4,6 @@ import heapq
 
 import pytest
 
-from repro.sim.calendar import CalendarSimulator
 from repro.sim.kernel import Event, SimulationError, Simulator, Ticker, quiesce
 from repro.sim.profile import DispatchProfile
 
@@ -155,37 +154,20 @@ def test_max_events_bound():
 
 
 # ----------------------------------------------------------------------
-# step() alignment with run() — both kernel cores (PR 8)
+# step(), Ticker and quiesce edges, plain and traced dispatch loops
 # ----------------------------------------------------------------------
 
-@pytest.fixture(params=[Simulator, CalendarSimulator],
-                ids=["heap", "calendar"])
-def any_core(request):
-    return request.param()
-
-
-def _inject_raw(sim, event: Event) -> None:
-    """White-box: smuggle an event past schedule()'s past-guard, straight
-    into the core's ready structure."""
-    if isinstance(sim, CalendarSimulator):
-        sim._lane.append(event)
-        sim._count += 1
-    else:
-        heapq.heappush(sim._queue, (event.when, event.seq, event))
-
-
-def test_step_applies_backwards_time_guard(any_core):
-    sim = any_core
+def test_step_applies_backwards_time_guard(sim):
     sim.schedule(10, lambda: None)
     sim.run()
     assert sim.now == 10
-    _inject_raw(sim, Event(5, 10**9, lambda: None))
+    # White-box: smuggle an event past schedule()'s past-guard.
+    heapq.heappush(sim._queue, (5, 10**9, Event(5, 10**9, lambda: None)))
     with pytest.raises(SimulationError, match="backwards"):
         sim.step()
 
 
-def test_step_records_tracer_timing(any_core):
-    sim = any_core
+def test_step_records_tracer_timing(sim):
     tracer = DispatchProfile()
     sim.tracer = tracer
     sim.schedule(1, lambda: None, label="alpha")
@@ -195,10 +177,9 @@ def test_step_records_tracer_timing(any_core):
     assert all(s >= 0.0 for s in tracer.seconds.values())
 
 
-def test_step_run_interleaving_equivalent(any_core):
+def test_step_run_interleaving_equivalent(sim):
     """Stepping partway then running must complete the same schedule a
     single run() would."""
-    sim = any_core
     order = []
     for i in range(6):
         sim.schedule(i * 3 + 1, lambda i=i: order.append(i))
@@ -208,10 +189,9 @@ def test_step_run_interleaving_equivalent(any_core):
     assert order == list(range(6))
 
 
-def test_ticker_zero_phase_first_fires_one_period_out(any_core):
+def test_ticker_zero_phase_first_fires_one_period_out(sim):
     """phase=0 means "aligned to the period", not "fire immediately":
     started at cycle 50, a period-100 ticker first fires at 150."""
-    sim = any_core
     sim.schedule(50, lambda: None)
     sim.run()
     times = []
@@ -222,8 +202,7 @@ def test_ticker_zero_phase_first_fires_one_period_out(any_core):
     assert ticker.ticks == 3
 
 
-def test_ticker_phase_overrides_first_fire_only(any_core):
-    sim = any_core
+def test_ticker_phase_overrides_first_fire_only(sim):
     sim.schedule(50, lambda: None)
     sim.run()
     times = []
@@ -234,8 +213,7 @@ def test_ticker_phase_overrides_first_fire_only(any_core):
     assert times == [55, 155, 255]  # now+phase, then strict periods
 
 
-def test_ticker_stop_inside_callback(any_core):
-    sim = any_core
+def test_ticker_stop_inside_callback(sim):
     ticks = []
 
     def on_tick(i):
@@ -250,8 +228,7 @@ def test_ticker_stop_inside_callback(any_core):
     assert sim.pending() == 0
 
 
-def test_quiesce_true_at_entry_dispatches_nothing(any_core):
-    sim = any_core
+def test_quiesce_true_at_entry_dispatches_nothing(sim):
     sim.schedule(100, lambda: None)
     assert quiesce(sim, limit=10_000, check=lambda: True)
     assert sim.events_dispatched == 0
@@ -259,21 +236,19 @@ def test_quiesce_true_at_entry_dispatches_nothing(any_core):
     assert sim.pending() == 1
 
 
-def test_quiesce_queue_drains_before_limit(any_core):
+def test_quiesce_queue_drains_before_limit(sim):
     """Once the queue is empty nothing can flip the condition: quiesce
     must return its final answer without spinning to the limit."""
-    sim = any_core
     state = {"done": False}
     sim.schedule(30, lambda: state.update(done=True))
     assert quiesce(sim, limit=10**9, check=lambda: state["done"], step=100)
     # And the failing flavour: drained, condition still false.
-    sim2 = type(sim)()
+    sim2 = Simulator()
     sim2.schedule(30, lambda: None)
     assert not quiesce(sim2, limit=10**9, check=lambda: False, step=100)
 
 
-def test_quiesce_condition_flips_exactly_at_limit(any_core):
-    sim = any_core
+def test_quiesce_condition_flips_exactly_at_limit(sim):
     state = {"done": False}
     sim.schedule(500, lambda: state.update(done=True))
     assert quiesce(sim, limit=500, check=lambda: state["done"], step=100)

@@ -1,18 +1,15 @@
-"""Lazy (deadline-table) vs legacy (event-per-request) timeouts: bit-identical.
+"""Request timeouts: pinned runs, and home timeouts inert on clean runs.
 
-``lazy_timeouts`` changes how request-timeout deadlines are *scheduled*
-(one sweeping kernel event per controller vs one heap event per request),
-never *when they detect*: an armed deadline still runs its check at
-exactly ``issue + request_timeout``.  So every run must replay
-identically across seeds, machine shapes, and fault scenarios — including
-scenarios where timeouts actually fire and trigger recovery, which is the
-interesting case: the sweep event's heap position differs from the legacy
-per-request event's, and these tests are the proof that the difference is
-unobservable.  (The default-machine wall-clock/dispatch-fraction claims
-live in ``benchmarks/test_cpu_hotpath.py``.)
-
-``burst_fast_path`` is deliberately left at its default (True) in both
-runs here: this file isolates the timeout layer.
+Requestor and home timeouts share the deadline-table machinery
+(:mod:`repro.sim.deadlines`): one re-arming sweep event per controller
+checks every armed deadline at exactly ``issue + request_timeout``.
+Each ``test_modes_bit_identical`` cell replays a record in
+``tests/data/mode_golden.json`` captured at the last commit that still
+had the event-per-request timeout path, where both schedulers produced
+it; the deadline table must keep reproducing it — including the
+transient cells, where timeouts fire and trigger recovery.
+(``tests/data/protocol_golden.json`` pins further runs in which
+requestor and home timeouts fire.)
 """
 
 import pytest
@@ -20,81 +17,32 @@ import pytest
 from repro.config import SystemConfig
 from repro.system.machine import Machine
 from repro.workloads import apache
+from tests.gen_mode_golden import (TIMEOUT_MATRIX, cell_id, first_fault,
+                                   golden, timeout_record)
 
-SHAPES = [(2, 2), (2, 3)]
-SEEDS = [1, 2]
-SCENARIOS = ["clean", "transient"]
-
-
-def _run(lazy: bool, shape, seed: int, scenario: str):
-    if shape == (2, 2):
-        config = SystemConfig.tiny(lazy_timeouts=lazy)
-    else:
-        config = SystemConfig.from_shape(
-            *shape, preset="tiny", lazy_timeouts=lazy)
-    workload = apache(num_cpus=config.num_processors, scale=64, seed=seed)
-    machine = Machine(config, workload, seed=seed)
-    if scenario == "transient":
-        # Dropped messages orphan transactions; the *requestor timeout* is
-        # the detector that turns them into recoveries.  Schedule chosen
-        # so every (shape, seed) cell fires at least one.
-        machine.inject_transient_faults(period=2_500, first_at=1_200)
-    result = machine.run(2_000, max_cycles=5_000_000)
-    fields = (
-        result.cycles,
-        result.committed_instructions,
-        result.target_instructions,
-        result.completed,
-        result.crashed,
-        result.crash_reason,
-        result.recoveries,
-        result.lost_instructions,
-        result.reexecuted_instructions,
-        machine.stats.counter("net.messages_sent").value,
-        machine.stats.counter("net.messages_delivered").value,
-        machine.stats.counter("net.bytes_sent").value,
-        machine.stats.sum_counters(".cache.timeouts"),
-        machine.stats.sum_counters(".cache.loads"),
-        machine.stats.sum_counters(".cache.stores"),
-        machine.controllers.rpcn,
-    )
-    return fields, machine.sim.events_dispatched
+SHAPES, SEEDS, SCENARIOS = TIMEOUT_MATRIX
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_modes_bit_identical(shape, seed, scenario):
-    lazy_fields, lazy_events = _run(True, shape, seed, scenario)
-    legacy_fields, legacy_events = _run(False, shape, seed, scenario)
-    assert lazy_fields == legacy_fields, (
-        f"shape={shape} seed={seed} {scenario}: modes diverged\n"
-        f"  lazy  : {lazy_fields}\n  legacy: {legacy_fields}"
-    )
-    # The whole point: same run, fewer kernel events.
-    assert lazy_events < legacy_events
+    cell = cell_id(shape, seed, scenario)
+    record = timeout_record(shape, seed, scenario)
+    assert record == golden("timeouts")["cells"][cell], (
+        f"{cell}: run diverged from the record both timeout schedulers "
+        f"produced")
     if scenario == "transient":
         # The scenario must exercise the machinery to mean anything: a
         # timeout fired (deadline sweep -> fault) and recovery happened.
-        assert lazy_fields[12] > 0, "transient scenario fired no timeout"
-        assert lazy_fields[6] > 0, "transient scenario caused no recovery"
+        assert record["cache_timeouts"] > 0, "transient cell fired no timeout"
+        assert record["recoveries"] > 0, "transient cell caused no recovery"
 
 
 def test_timeouts_fire_at_identical_cycles():
-    """The first detection must land on the same cycle in both modes
-    (deadline semantics, not just end-of-run equality)."""
-    cycles = {}
-    for lazy in (True, False):
-        config = SystemConfig.tiny(lazy_timeouts=lazy)
-        machine = Machine(config, apache(num_cpus=4, scale=64, seed=1), seed=1)
-        machine.inject_transient_faults(period=2_500, first_at=1_200)
-        machine.run(2_000, max_cycles=5_000_000)
-        log = machine.recovery.stats.fault_log
-        assert log, "no fault was ever reported"
-        # txn ids come from a process-global counter, so two machines in
-        # one process never agree on them; everything else must match.
-        cycles[lazy] = log[0].split(" txn=")[0]
-    assert cycles[True] == cycles[False]
+    """The first detection lands on the pinned cycle (deadline semantics,
+    not just end-of-run equality)."""
+    assert first_fault() == golden("timeouts")["first_fault"]
 
 
 def test_home_timeout_optional_and_inert_when_clean():

@@ -1,83 +1,47 @@
-"""Event-driven vs legacy-polled validation: bit-identical runs.
+"""Validation scheduling: pinned runs, and detection latency gates sign-off.
 
-The two settings of ``event_driven_validation`` share one announce policy
-and differ only in scheduling (triggers + resync timers vs the historical
-poll loop re-checking the same state), so every run must replay
-identically — across seeds, machine shapes, fault scenarios, and nonzero
-detection latency.  The poll loop doubles as an oracle: a poll that ever
-catches readiness the event triggers missed would make the modes diverge
-and fail these tests.  (The full-size default-machine comparison lives in
-``benchmarks/test_validation_hotpath.py``.)
+Validation is event-driven: sign-off triggers plus a per-node resync
+timer (``validation_resync_interval``).  Each ``test_modes_bit_identical``
+cell replays a record in ``tests/data/mode_golden.json`` captured at the
+last commit that still had the polled validation loop, where the polled
+and event-driven schedulers produced it; the event-driven path must keep
+reproducing it across seeds, shapes, fault scenarios and nonzero
+detection latency.  A nonzero ``detection_latency`` holds each
+checkpoint's sign-off until its detection window closes (the validation
+agent's detection timer), so the recovery point can only lag a clean
+run's.
 """
 
 import pytest
 
-from repro.config import SystemConfig
-from repro.system.machine import Machine
-from repro.workloads import apache
+from tests.gen_mode_golden import (VALIDATION_MATRIX, cell_id, golden,
+                                   validation_record, validation_run)
 
-SHAPES = [(2, 2), (2, 3)]
-SEEDS = [1, 2]
-SCENARIOS = ["clean", "transient", "detection"]
-
-
-def _run(event_driven: bool, shape, seed: int, scenario: str):
-    if shape == (2, 2):
-        config = SystemConfig.tiny(event_driven_validation=event_driven)
-    else:
-        config = SystemConfig.from_shape(
-            *shape, preset="tiny", event_driven_validation=event_driven)
-    detection = 2 * config.checkpoint_interval if scenario == "detection" else 0
-    workload = apache(num_cpus=config.num_processors, scale=64, seed=seed)
-    machine = Machine(config, workload, seed=seed,
-                      detection_latency=detection)
-    if scenario == "transient":
-        # Schedule chosen so every (shape, seed) cell sees >= 1 recovery.
-        machine.inject_transient_faults(period=2_500, first_at=1_200)
-    result = machine.run(2_000, max_cycles=5_000_000)
-    fields = (
-        result.cycles,
-        result.committed_instructions,
-        result.target_instructions,
-        result.completed,
-        result.crashed,
-        result.crash_reason,
-        result.recoveries,
-        result.lost_instructions,
-        result.reexecuted_instructions,
-        machine.stats.counter("net.messages_sent").value,
-        machine.stats.counter("net.messages_delivered").value,
-        machine.stats.counter("net.bytes_sent").value,
-        machine.controllers.rpcn,
-    )
-    return fields, machine.sim.events_dispatched
+SHAPES, SEEDS, SCENARIOS = VALIDATION_MATRIX
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_modes_bit_identical(shape, seed, scenario):
-    event_fields, event_events = _run(True, shape, seed, scenario)
-    polled_fields, polled_events = _run(False, shape, seed, scenario)
-    assert event_fields == polled_fields, (
-        f"shape={shape} seed={seed} {scenario}: modes diverged\n"
-        f"  event-driven: {event_fields}\n  polled      : {polled_fields}"
-    )
-    # The whole point: same run, fewer kernel events.
-    assert event_events < polled_events
+    cell = cell_id(shape, seed, scenario)
+    record = validation_record(shape, seed, scenario)
+    assert record == golden("validation")[cell], (
+        f"{cell}: run diverged from the record both validation schedulers "
+        f"produced")
     if scenario == "transient":
         # The scenario must actually exercise recovery to mean anything.
-        assert event_fields[6] > 0, "transient scenario caused no recovery"
+        assert record["recoveries"] > 0, "transient cell caused no recovery"
+
+
+def _final_rpcn(shape, detection: bool) -> int:
+    machine, result = validation_run(shape, 1,
+                                     "detection" if detection else "clean")
+    assert result.completed and not result.crashed
+    return machine.controllers.rpcn
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_detection_latency_still_delays_validation(shape):
-    """Nonzero detection latency must gate the recovery point in both
-    modes equally (the detection timer is shared machinery)."""
-    final_rpcn = {}
-    for event_driven in (True, False):
-        fields, _ = _run(event_driven, shape, 1, "detection")
-        final_rpcn[event_driven] = fields[-1]
-        clean_fields, _ = _run(event_driven, shape, 1, "clean")
-        assert fields[-1] <= clean_fields[-1]
-    assert final_rpcn[True] == final_rpcn[False]
+    assert _final_rpcn(shape, detection=True) < _final_rpcn(shape,
+                                                            detection=False)
