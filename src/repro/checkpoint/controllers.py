@@ -6,11 +6,8 @@ failure (the paper uses redundant controllers; we model their function
 and their message traffic, not their internals).
 
 The recovery point is the minimum over every node's highest announced
-sign-off.  Announced values only ever increase (until a recovery resets
-the conversation), so the minimum is tracked *incrementally*: a
-value-multiset plus a running minimum, updated in O(1) amortised per
-announcement instead of scanning all nodes — the difference matters on
-the 8x8-and-up machines where sign-off fan-in grows with node count.
+sign-off, recomputed on each new sign-off (a few hundred per run even on
+an 8x8 machine).
 """
 
 from __future__ import annotations
@@ -45,10 +42,6 @@ class ServiceControllers:
         self.home_node = home_node
         self.rpcn = 1
         self.ready: Dict[int, int] = {n: 1 for n in range(num_nodes)}
-        # Incremental-min bookkeeping: how many nodes sit at each announced
-        # value, plus the current minimum over `ready`.
-        self._ready_counts: Dict[int, int] = {1: num_nodes}
-        self._min_ready = 1
         self.last_advance_cycle = 0
         #: Optional :class:`repro.obs.trace.TraceLog` (wired by
         #: ``Machine.attach_tracer``).
@@ -58,8 +51,8 @@ class ServiceControllers:
 
     @property
     def min_ready(self) -> int:
-        """The running minimum over every node's announced sign-off."""
-        return self._min_ready
+        """The minimum over every node's announced sign-off."""
+        return min(self.ready.values())
 
     def on_validate_ready(self, node: int, k: int) -> None:
         old = self.ready.get(node)
@@ -70,28 +63,10 @@ class ServiceControllers:
         if trace is not None:
             trace.emit(self.sim.now, "validate.signoff", node,
                        k=k, previous=old)
-        counts = self._ready_counts
-        counts[k] = counts.get(k, 0) + 1
-        remaining = counts[old] - 1
-        if remaining:
-            counts[old] = remaining
-            return
-        del counts[old]
-        if old != self._min_ready:
-            return
-        # The last node holding the minimum moved up; walk to the next
-        # occupied value (announcements cluster within a few intervals, so
-        # the walk is a handful of steps at most).
-        m = old + 1
-        while m not in counts:
-            m += 1
-        self._min_ready = m
-        self._maybe_advance()
-
-    def _maybe_advance(self) -> None:
-        if self._min_ready > self.rpcn:
+        min_ready = self.min_ready
+        if min_ready > self.rpcn:
             previous = self.rpcn
-            self.rpcn = self._min_ready
+            self.rpcn = min_ready
             self.last_advance_cycle = self.sim.now
             self.c_advances.add()
             trace = self.trace
@@ -111,8 +86,6 @@ class ServiceControllers:
     def on_recovery(self, rpcn: int) -> None:
         """Reset sign-off state; nodes re-announce after restart."""
         self.ready = {n: rpcn for n in range(self.num_nodes)}
-        self._ready_counts = {rpcn: self.num_nodes}
-        self._min_ready = rpcn
         self.last_advance_cycle = self.sim.now
 
     def stalled_for(self) -> int:

@@ -11,9 +11,12 @@ one coherent level — see DESIGN.md) plus the SafetyNet hooks:
   of overflow — CLBs are sized for performance, not correctness);
 * local log unroll + invalidation of unvalidated blocks on recovery.
 
-The CPU-side interface is split for speed: :meth:`fast_access` resolves
-hits synchronously (the common case the paper stresses has zero added
-latency), and :meth:`start_miss` runs the message protocol.
+The CPU side has two entries: hits resolve synchronously (the common
+case the paper stresses has zero added latency) and :meth:`start_miss`
+runs the message protocol.  The core's burst loop inlines the hit path
+(``processor/core.py``), calling :meth:`_store_hit_logged` for a store
+hit that must log; :meth:`fast_access` is the same hit path as one call,
+the single-access entry the directed protocol tests drive.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class CacheController:
         self.on_fault = on_fault
         self.protocol = (protocol if protocol is not None
                          else resolve_protocol(config.protocol))
-        # Hot-path alias (read per store in the burst fast path).
+        # Hot-path alias (read per store in the core's burst loop).
         self._silent_upgrade = self.protocol.silent_upgrade_states
 
         self.ccn = 1
@@ -137,13 +140,8 @@ class CacheController:
         self._num_sets = max(1, config.cache_sets)
         self._assoc = config.l2_assoc
         self._block_bits = config.block_size.bit_length() - 1
-        # Set-index mask for the (overwhelmingly common) power-of-two set
-        # count; None falls back to the modulo in _set_index.  The burst
-        # fast path (processor/core.py) reads these directly.
-        self._set_mask: Optional[int] = (
-            self._num_sets - 1
-            if self._num_sets & (self._num_sets - 1) == 0 else None
-        )
+        # The core's burst loop (processor/core.py) reads _block_bits,
+        # _num_sets and _sets directly.
         self._sets: Dict[int, Dict[int, CacheBlock]] = {}
         self._lru_tick = 0
         # One sweep event instead of one heap event per request timeout
@@ -190,8 +188,6 @@ class CacheController:
     # Cache array helpers
     # ------------------------------------------------------------------
     def _set_index(self, addr: int) -> int:
-        if self._set_mask is not None:
-            return (addr >> self._block_bits) & self._set_mask
         return (addr >> self._block_bits) % self._num_sets
 
     def _set_of(self, addr: int) -> Dict[int, CacheBlock]:
@@ -294,7 +290,7 @@ class CacheController:
         return ("miss", 0)
 
     def _store_hit_logged(self, block: CacheBlock, value: int) -> Tuple[str, int]:
-        """The burst fast path's slow case: a store hit that must log.
+        """The burst loop's slow case: a store hit that must log.
 
         Delegates to :meth:`_apply_store` (one copy of the logging rule;
         this path is rare, so nothing is deferred) and maps its result to

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from repro.interconnect.messages import CONTROL_MESSAGE_BYTES, DATA_MESSAGE_BYTES
+
 
 def parse_shape(text: str) -> Tuple[int, int]:
     """Parse a ``"WxH"`` machine-shape string (e.g. ``"4x8"``)."""
@@ -51,11 +53,8 @@ class SystemConfig:
     switch_latency: int = 8           # cycles per switch hop (pipelined)
     link_latency: int = 4             # cycles of wire/SerDes per link
     switch_buffer_messages: int = 64  # per half-switch buffer capacity
-    control_message_bytes: int = 8
-    data_message_bytes: int = 72      # 8-byte header + 64-byte block
 
-    # -- cache access timing ----------------------------------------------
-    cache_hit_latency: int = 1        # cycles for an L1/L2 hit (blocking core)
+    # -- cache access timing (a hit costs the core's 1 cycle) -------------
     store_log_penalty: int = 8        # paper: 8 cycles to read old block out
 
     # -- SafetyNet ---------------------------------------------------------
@@ -195,11 +194,11 @@ class SystemConfig:
 
     @property
     def data_serialization_cycles(self) -> int:
-        return max(1, round(self.data_message_bytes / self.link_bandwidth_bytes_per_cycle))
+        return max(1, round(DATA_MESSAGE_BYTES / self.link_bandwidth_bytes_per_cycle))
 
     @property
     def control_serialization_cycles(self) -> int:
-        return max(1, round(self.control_message_bytes / self.link_bandwidth_bytes_per_cycle))
+        return max(1, round(CONTROL_MESSAGE_BYTES / self.link_bandwidth_bytes_per_cycle))
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
         """Return a copy with the given fields replaced."""

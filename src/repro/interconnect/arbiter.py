@@ -9,9 +9,9 @@ historically used message-id order — a FIFO-by-age rule.  This module
 lifts that decision into an :class:`ArbiterPolicy` object behind a
 registry (the ``PROTOCOLS`` pattern):
 
-* ``fifo`` — the historical message-id order and the bit-identity
-  oracle.  The network keeps its inline sorts on this path, so the
-  default configuration's hot path is untouched.
+* ``fifo`` — the historical message-id order and the default.  The
+  network calls the policy only for the rare multi-claimant chain or
+  multi-message delivery flush, so the sort costs one method call.
 * ``wrr`` — weighted round-robin over *input directions*: each
   contended cycle rotates which direction (injection, east, west,
   north, south, or the ew/ns crossover) is served first, with
@@ -74,9 +74,6 @@ class ArbiterPolicy:
     """
 
     name = "base"
-    #: The network keeps its inline message-id sorts when this is True
-    #: (the default path pays no arbiter call at all).
-    is_fifo = False
     #: Optional per-delivery hook (bound method or None): policies that
     #: track per-message state set this to prune it on delivery.
     note_delivery: Optional[Callable] = None
@@ -93,10 +90,9 @@ class ArbiterPolicy:
 
 
 class FifoArbiter(ArbiterPolicy):
-    """Message-id order — the historical rule and bit-identity oracle."""
+    """Message-id order — the historical rule and the default."""
 
     name = "fifo"
-    is_fifo = True
 
     def order_chain(self, link, chain: List, now: int,
                     direction_of: Callable) -> None:

@@ -46,6 +46,10 @@ class MessageKind(enum.Enum):
 DATA_KINDS = frozenset({MessageKind.DATA, MessageKind.DATA_OWNER,
                         MessageKind.PUTM, MessageKind.COPYBACK})
 
+# Wire sizes: an 8-byte header, plus the 64-byte block on data carriers.
+CONTROL_MESSAGE_BYTES = 8
+DATA_MESSAGE_BYTES = 72
+
 # Kinds belonging to the coherence protocol (vs. SafetyNet coordination).
 COHERENCE_REQUEST_KINDS = frozenset(
     {MessageKind.GETS, MessageKind.GETM, MessageKind.PUTM, MessageKind.PUTE}
@@ -94,7 +98,8 @@ class Message:
     size_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.size_bytes = 72 if self.kind in DATA_KINDS else 8
+        self.size_bytes = (DATA_MESSAGE_BYTES if self.kind in DATA_KINDS
+                           else CONTROL_MESSAGE_BYTES)
 
     def is_data(self) -> bool:
         return self.kind in DATA_KINDS

@@ -171,11 +171,9 @@ class Network:
         self.express = bool(express)
         self._name = name
         # Arbitration policy for same-cycle ties (link claims, delivery
-        # order).  ``fifo`` keeps the inline message-id sorts below —
-        # the arbiter object is never consulted on the default path.
+        # order); ``fifo`` is message-id order.
         self.arbiter = (arbiter if isinstance(arbiter, ArbiterPolicy)
                         else resolve_arbiter(arbiter))
-        self._arb_fifo = self.arbiter.is_fifo
         self._arb_note = self.arbiter.note_delivery
 
         # Vertex ids at or above this are half-switches.
@@ -459,10 +457,7 @@ class Network:
             member = member.claim_next
         old_total = sum(m.claim_start - now for m in chain)
         chain.append(flight)
-        if self._arb_fifo:
-            chain.sort(key=lambda m: m.mid)
-        else:
-            self.arbiter.order_chain(link, chain, now, self._input_direction)
+        self.arbiter.order_chain(link, chain, now, self._input_direction)
         base = head.claim_base
         start = now if base <= now else base
         new_total = 0
@@ -772,10 +767,7 @@ class Network:
             return
         self._deliver_ready = []
         if len(ready) > 1:
-            if self._arb_fifo:
-                ready.sort(key=lambda m: m.msg_id)
-            else:
-                self.arbiter.order_deliveries(ready)
+            self.arbiter.order_deliveries(ready)
         for msg in ready:
             self._deliver(msg)
 

@@ -9,6 +9,11 @@ The core executes its workload positionally: ``position`` counts retired
 instructions, and the op stream is a pure function of position, so
 SafetyNet recovery is just "restore the register checkpoint (which
 includes position) and re-execute".
+
+Ops run in one burst loop (:meth:`Core._burst`) with the cache hit path
+inlined; a miss leaves the loop and blocks the core until the cache's
+transaction completes, and I/O commit hooks see each retirement that
+crosses an output or input period boundary.
 """
 
 from __future__ import annotations
@@ -66,17 +71,6 @@ class Core:
         # never fired: the core's outstanding work is the cache's MSHRs).
         self.on_readiness_changed: Optional[Callable[[], None]] = None
 
-        # Burst-local fast path: the burst loop inlines the cache hit path,
-        # consumes the workload's packed-op stream, and defers counter
-        # updates to burst exit.  I/O hooks observe every retirement
-        # individually, and stub caches/workloads (unit tests) lack the
-        # inlined internals, so those keep the per-op loop.
-        self._fast_path = (
-            io_hooks is None
-            and isinstance(cache, CacheController)
-            and hasattr(workload, "op_packed")
-        )
-
         self.target: Optional[int] = None
         self.done = False
         self.frozen = False                  # recovery in progress
@@ -118,72 +112,33 @@ class Core:
     # The burst loop: execute until a miss, an edge, or the quantum
     # ------------------------------------------------------------------
     def _burst(self, epoch: int) -> None:
+        """Execute ops with the cache hit path inlined.
+
+        Everything hot is a burst local: the workload op stream, the
+        cache's set dictionaries, the register file, and the
+        position/counter deltas — flushed back in one step at every burst
+        exit, so between kernel events all externally visible state
+        (position, counters, bandwidth meters) is exactly what retiring
+        one op at a time would have produced.
+
+        I/O hooks see every retirement that crosses an output or input
+        period boundary: the loop's exit test is ``position >= stop`` with
+        ``stop = min(target, next boundary)``, and at a crossing it writes
+        ``position`` back and calls ``on_retire`` for the op that crossed.
+        Without hooks ``stop`` is the target, so no per-op work is added.
+        """
         if epoch != self.epoch or self._blocked():
             return
         if self._stall_credit:
             delay, self._stall_credit = self._stall_credit, 0
             self._schedule_burst(delay)
             return
-        if self._fast_path:
-            self._burst_fast()
-        else:
-            self._burst_slow()
-
-    def _burst_slow(self) -> None:
-        """The per-op burst loop: one ``fast_access`` call per op.
-
-        Arithmetically identical to :meth:`_burst_fast`; the loop for
-        per-retire I/O hooks and for stub caches and workloads.
-        """
-        t = self.sim.now
-        edge = self.next_edge_time()
-        for _ in range(BURST_QUANTUM):
-            if self.position >= self.target:
-                self._schedule_finish(t)
-                return
-            gap, is_store, addr = self.workload.op(self.node_id, self.position)
-            t_issue = t + gap + 1
-            if t_issue > edge:
-                # Stop at the checkpoint edge; the edge event (already
-                # queued) fires first and applies the checkpoint stall.
-                self._schedule_burst(edge - self.sim.now)
-                return
-            if is_store:
-                value = self._store_value()
-                status, extra = self.cache.fast_access(addr, True, value)
-            else:
-                status, extra = self.cache.fast_access(addr, False, 0)
-            if status == "hit":
-                t = t_issue + extra
-                self._retire(gap, is_store, addr)
-            elif status == "throttle":
-                # CLB full: the paper's CPU-throttling backpressure.
-                self.c_store_stall_cycles.add(extra)
-                self._schedule_burst((t_issue - self.sim.now) + extra)
-                return
-            else:  # miss
-                self._start_miss_event(addr, is_store, gap, t_issue)
-                return
-        # Quantum exhausted: yield to other events, resume at time t.
-        self._schedule_burst(max(0, t - self.sim.now))
-
-    def _burst_fast(self) -> None:
-        """The burst loop with the cache hit path inlined.
-
-        Everything hot is a burst local: the workload op stream, the
-        cache's set dictionaries and index mask, the register file, and
-        the position/counter deltas — flushed back in one step at every
-        burst exit, so between kernel events all externally visible state
-        (position, counters, bandwidth meters) is exactly what the
-        per-op loop would have produced.
-        """
         sim = self.sim
         t = sim.now
         edge = self.next_edge_time()
         cache = self.cache
         sets = cache._sets
         block_bits = cache._block_bits
-        set_mask = cache._set_mask
         num_sets = cache._num_sets
         ccn = cache.ccn                      # stable within one event
         logging_on = cache.config.safetynet_enabled
@@ -195,7 +150,11 @@ class Core:
         registers = self.registers
         target = self.target
         position = self.position
+        io = self.io_hooks
+        boundary = io.next_boundary(position) if io is not None else target
+        stop = min(target, boundary)
         lru = cache._lru_tick
+        gap = 0
         loads = 0
         stores = 0
         executed = 0
@@ -213,23 +172,29 @@ class Core:
                 cache.bw.add("hits", (loads + stores) * cache.config.block_size)
 
         for _ in range(BURST_QUANTUM):
-            if position >= target:
-                flush()
-                self._schedule_finish(t)
-                return
+            if position >= stop:
+                if io is not None and position >= boundary:
+                    # The op just retired crossed an I/O period boundary.
+                    self.position = position
+                    io.on_retire(self, gap + 1)
+                    boundary = io.next_boundary(position)
+                    stop = min(target, boundary)
+                if position >= target:
+                    flush()
+                    self._schedule_finish(t)
+                    return
             p = op(nid, position)
             gap = p >> OP_GAP_SHIFT
             is_store = p & OP_STORE_BIT
             addr = p & OP_ADDR_MASK
             t_issue = t + gap + 1
             if t_issue > edge:
+                # Stop at the checkpoint edge; the edge event (already
+                # queued) fires first and applies the checkpoint stall.
                 flush()
                 self._schedule_burst(edge - sim.now)
                 return
-            if set_mask is not None:
-                bucket = sets.get((addr >> block_bits) & set_mask)
-            else:
-                bucket = sets.get((addr >> block_bits) % num_sets)
+            bucket = sets.get((addr >> block_bits) % num_sets)
             block = bucket.get(addr) if bucket is not None else None
             if block is not None:
                 lru += 1
@@ -289,6 +254,8 @@ class Core:
             return
         # Quantum exhausted: yield to other events, resume at time t.
         flush()
+        if io is not None and position >= boundary:
+            io.on_retire(self, gap + 1)
         self._schedule_burst(max(0, t - sim.now))
 
     def _start_miss_event(self, addr: int, is_store: bool, gap: int,
@@ -381,8 +348,6 @@ class Core:
             if not self.throttled:
                 self.throttled = True
                 self.c_throttle_stalls.add()
-        if not self._blocked() and not self._miss_outstanding:
-            pass  # the already-scheduled burst resumes after the edge
 
     def on_rpcn(self, rpcn: int) -> None:
         if rpcn <= self.rpcn:

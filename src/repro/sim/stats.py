@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 class Counter:
@@ -34,41 +34,21 @@ class Counter:
 
 
 class Histogram:
-    """A sample accumulator with O(1) running aggregates.
+    """A sample accumulator; every aggregate is computed on read.
 
-    ``count``/``total``/``mean``/``minimum``/``maximum`` are maintained
-    incrementally on :meth:`record` (the old implementation re-scanned
-    ``_samples`` on every property access — quadratic when a report reads
-    them in a loop).  The sorted view behind :meth:`percentile` and the
-    :meth:`stddev` scan are computed lazily and cached until the next
-    ``record`` invalidates them.
-
-    Numerical note: ``total`` accumulates in recording order, exactly as
-    ``sum(self._samples)`` used to, so ``mean`` is bit-identical to the
-    re-scanning implementation.
+    Histograms hold one sample per recovery and are read only by reports,
+    so nothing is maintained incrementally.  ``total`` sums in recording
+    order, so ``mean`` is the same float however often it is read.
     """
 
-    __slots__ = ("name", "_samples", "_total", "_min", "_max",
-                 "_sorted", "_stddev")
+    __slots__ = ("name", "_samples")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._samples: List[float] = []
-        self._total: float = 0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-        self._sorted: Optional[List[float]] = None
-        self._stddev: Optional[float] = None
 
     def record(self, value: float) -> None:
         self._samples.append(value)
-        self._total = self._total + value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        self._sorted = None
-        self._stddev = None
 
     @property
     def count(self) -> int:
@@ -76,47 +56,36 @@ class Histogram:
 
     @property
     def total(self) -> float:
-        return self._total
+        return sum(self._samples)
 
     @property
     def mean(self) -> float:
-        return self._total / len(self._samples) if self._samples else 0.0
+        return self.total / len(self._samples) if self._samples else 0.0
 
     @property
     def maximum(self) -> float:
-        return self._max if self._max is not None else 0.0
+        return max(self._samples, default=0.0)
 
     @property
     def minimum(self) -> float:
-        return self._min if self._min is not None else 0.0
+        return min(self._samples, default=0.0)
 
     def stddev(self) -> float:
-        if self._stddev is None:
-            n = len(self._samples)
-            if n < 2:
-                self._stddev = 0.0
-            else:
-                mu = self.mean
-                self._stddev = math.sqrt(
-                    sum((x - mu) ** 2 for x in self._samples) / (n - 1))
-        return self._stddev
+        n = len(self._samples)
+        if n < 2:
+            return 0.0
+        mu = self.mean
+        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / (n - 1))
 
     def percentile(self, p: float) -> float:
         if not self._samples:
             return 0.0
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        ordered = self._sorted
+        ordered = sorted(self._samples)
         k = min(len(ordered) - 1, max(0, int(round(p / 100.0 * (len(ordered) - 1)))))
         return ordered[k]
 
     def reset(self) -> None:
         self._samples.clear()
-        self._total = 0
-        self._min = None
-        self._max = None
-        self._sorted = None
-        self._stddev = None
 
 
 class BandwidthMeter:

@@ -35,7 +35,9 @@ class IoHooks:
     Every ``output_period`` retired instructions the node emits an output
     event (think: a disk write) into the commit buffer; every
     ``input_period`` instructions it consumes an external input (logged
-    for replay).  Periods of zero disable the respective stream.
+    for replay).  Periods of zero disable the respective stream.  The
+    core's burst loop stops at :meth:`next_boundary` and calls
+    :meth:`on_retire` for each retirement that reaches it.
     """
 
     def __init__(
@@ -61,6 +63,15 @@ class IoHooks:
         point)."""
         if self.input_period:
             self.input_log.prune_below(position // self.input_period)
+
+    def next_boundary(self, position: int) -> int:
+        """The first position above ``position`` at which a retirement
+        emits an output or consumes an input."""
+        boundary = 1 << 62
+        for period in (self.output_period, self.input_period):
+            if period:
+                boundary = min(boundary, (position // period + 1) * period)
+        return boundary
 
     def on_retire(self, core: Core, retired: int) -> None:
         pos = core.position

@@ -183,14 +183,6 @@ class SyntheticWorkload:
         self._ro_hot_blocks = max(1, s.ro_shared_blocks // 16)
         self._rw_hot_blocks = max(1, s.rw_shared_blocks // 8)
         self._part_blocks = max(1, s.rw_shared_blocks // num_cpus)
-        # Last-op memo, one slot per CPU.  The burst loop legitimately
-        # re-asks for the same (cpu, index): a burst that stops at a
-        # checkpoint edge or a CLB throttle recomputes the op it could not
-        # issue when it resumes.  One slot is enough — the re-ask is
-        # always for the op that was just computed — and keeps the
-        # splitmix64 double-mix off those resume paths.
-        self._memo_index = [-1] * num_cpus
-        self._memo_op: list = [None] * num_cpus
 
     # ------------------------------------------------------------------
     def _block_to_addr(self, block: int) -> int:
@@ -211,8 +203,6 @@ class SyntheticWorkload:
         # allocation.  The readable MemOp helpers stay below as the
         # reference; tests/test_deadlines_and_profile.py holds the two
         # together.  Same math, same stream.
-        if self._memo_index[cpu] == index:
-            return self._memo_op[cpu]
         s = self.spec
         x = (self.seed ^ ((cpu << 40) + index)) + _GOLDEN & _M64
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -278,8 +268,6 @@ class SyntheticWorkload:
                 else:
                     block = base + r_addr2 % s.private_blocks
                 out = (gap << OP_GAP_SHIFT) | (block << self.BLOCK_SHIFT)
-        self._memo_index[cpu] = index
-        self._memo_op[cpu] = out
         return out
 
     # ------------------------------------------------------------------

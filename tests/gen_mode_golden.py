@@ -1,25 +1,32 @@
 """Regenerate the run records the single-path mode suites replay.
 
-Three mechanisms once had two flag-selected implementations each — the
-kernel's event queue (heap vs calendar-queue core), request timeouts
-(deadline table vs one kernel event per request) and validation
-scheduling (event-driven vs polled) — and their equivalence suites ran
-every cell under both settings and compared the runs.  The records in
+Four mechanisms once had two implementations each — the kernel's event
+queue (heap vs calendar-queue core), request timeouts (deadline table vs
+one kernel event per request), validation scheduling (event-driven vs
+polled) and the core's burst loop (the inlined loop vs a per-op loop
+that I/O-commit runs used) — and their equivalence suites ran every cell
+under both and compared the runs.  The records in
 ``tests/data/mode_golden.json`` were written by this script at the last
-commit that still carried both implementations, with the flags set to
-the implementation that remains; each record was compared there against
-the runs of the other setting and against all four alternatives at once
-(the reference burst loop included), and they matched in every field
-(the dispatch count only across kernel cores: the per-request timeout
-events and the poll loop were extra dispatches by design).  The suites
-now replay the remaining implementation against them:
+commit that still carried both implementations.  For the first three,
+the flags were set to the implementation that remains; each record was
+compared there against the runs of the other setting and against all
+four alternatives at once (the reference burst loop included), and they
+matched in every field (the dispatch count only across kernel cores: the
+per-request timeout events and the poll loop were extra dispatches by
+design).  The ``io`` records were taken from the per-op loop, the only
+loop that ran I/O hooks then.  The suites now replay the remaining
+implementation against them:
 
 * ``kernel``: the event-calendar suite's machine sweep
   (RunResult, a digest of every counter, final RPCN, dispatch count and
   peak queue depth);
 * ``timeouts``: ``tests/test_timeout_modes.py`` (cells and the first
   fault-log line);
-* ``validation``: ``tests/test_validation_modes.py``.
+* ``validation``: ``tests/test_validation_modes.py``;
+* ``io``: ``tests/test_commit.py``'s output/input-commit runs
+  (RunResult, counter digest, dispatch count, peak queue depth, every
+  node's released outputs, pending outputs, input-log first reads and
+  replays, and the final architected state).
 
 Re-run only to *extend* a matrix, never to "refresh" a record after a
 divergence — that would turn the oracle into a mirror.
@@ -46,10 +53,17 @@ KERNEL_MATRIX = ([(2, 2), (4, 4), (4, 8)], [1, 2],
 TIMEOUT_MATRIX = ([(2, 2), (2, 3)], [1, 2], ["clean", "transient"])
 VALIDATION_MATRIX = ([(2, 2), (2, 3)], [1, 2],
                      ["clean", "transient", "detection"])
+#: The I/O-commit sweep adds (output, input) period pairs to each cell.
+IO_MATRIX = ([(2, 2), (2, 3)], [1, 2], ["clean", "transient"])
+IO_PERIODS = [(50, 0), (0, 150), (37, 41)]
 
 
 def cell_id(shape, seed: int, scenario: str) -> str:
     return f"{scenario}-{shape[0]}x{shape[1]}-{seed}"
+
+
+def io_cell_id(shape, seed: int, scenario: str, periods) -> str:
+    return f"{cell_id(shape, seed, scenario)}-{periods[0]}-{periods[1]}"
 
 
 def golden(section: str) -> dict:
@@ -76,20 +90,31 @@ def _result_fields(result) -> dict:
     }
 
 
-def kernel_record(shape, seed: int, scenario: str) -> dict:
+def _sha256(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _machine(shape, seed: int, scenario: str, **io_periods) -> Machine:
+    """The kernel and I/O sweeps' machine: apache on odd seeds, jbb on
+    even ones."""
     config = _config(shape)
     workload = (apache if seed % 2 else jbb)(
         num_cpus=config.num_processors, scale=64, seed=seed)
-    machine = Machine(config, workload, seed=seed)
+    machine = Machine(config, workload, seed=seed, **io_periods)
     if scenario == "transient":
         machine.inject_transient_faults(period=2_500, first_at=1_200)
     elif scenario == "switch_kill":
         machine.inject_switch_kill(at_cycle=2_000)
+    return machine
+
+
+def kernel_record(shape, seed: int, scenario: str) -> dict:
+    machine = _machine(shape, seed, scenario)
     result = machine.run(1_500, max_cycles=5_000_000)
-    counters = json.dumps(machine.stats.counters_matching(""), sort_keys=True)
     return {
         **_result_fields(result),
-        "counters_sha256": hashlib.sha256(counters.encode()).hexdigest(),
+        "counters_sha256": _sha256(machine.stats.counters_matching("")),
         "rpcn": machine.controllers.rpcn,
         "events_dispatched": machine.sim.events_dispatched,
         "peak_pending": machine.sim.peak_pending,
@@ -164,6 +189,25 @@ def validation_record(shape, seed: int, scenario: str) -> dict:
     }
 
 
+def io_record(shape, seed: int, scenario: str, periods) -> dict:
+    machine = _machine(shape, seed, scenario, io_output_period=periods[0],
+                       io_input_period=periods[1])
+    result = machine.run(2_000, max_cycles=5_000_000)
+    nodes = machine.nodes
+    return {
+        **_result_fields(result),
+        "counters_sha256": _sha256(machine.stats.counters_matching("")),
+        "events_dispatched": machine.sim.events_dispatched,
+        "peak_pending": machine.sim.peak_pending,
+        "released_sha256": _sha256([n.commit.released for n in nodes]),
+        "pending_outputs": [n.commit.pending_count for n in nodes],
+        "input_first_reads": [n.input_log.first_reads for n in nodes],
+        "input_replays": [n.input_log.replays for n in nodes],
+        "architected_sha256": _sha256(
+            [n.core.architected_state() for n in nodes]),
+    }
+
+
 def _cells(matrix, record) -> dict:
     shapes, seeds, scenarios = matrix
     return {cell_id(shape, seed, scenario): record(shape, seed, scenario)
@@ -178,6 +222,10 @@ def build() -> dict:
             "first_fault": first_fault(),
         },
         "validation": _cells(VALIDATION_MATRIX, validation_record),
+        "io": {io_cell_id(shape, seed, scenario, periods):
+               io_record(shape, seed, scenario, periods)
+               for scenario in IO_MATRIX[2] for shape in IO_MATRIX[0]
+               for seed in IO_MATRIX[1] for periods in IO_PERIODS},
     }
 
 

@@ -56,7 +56,7 @@ def test_snooping_on_edge_never_rewinds_bus_time():
 
 
 # ---------------------------------------------------------------------------
-# Incremental running-min sign-off tracking
+# Sign-off minimum and recovery-point advance
 # ---------------------------------------------------------------------------
 def test_controllers_running_min_matches_full_scan():
     machine = tiny_machine()
@@ -71,7 +71,7 @@ def test_controllers_running_min_matches_full_scan():
             node, controllers.ready[node] + bump)
         assert controllers.min_ready == min(controllers.ready.values())
         assert controllers.rpcn == max(1, controllers.min_ready)
-    # Recovery resets the conversation; the running min follows.
+    # Recovery resets the conversation; the minimum follows.
     controllers.on_recovery(controllers.rpcn)
     assert controllers.min_ready == controllers.rpcn
     assert controllers.min_ready == min(controllers.ready.values())

@@ -1,6 +1,12 @@
 """Tests for output/input commit at the sphere-of-recovery boundary."""
 
+import pytest
+
 from repro.core.commit import InputLog, OutputCommitBuffer
+from tests.gen_mode_golden import (IO_MATRIX, IO_PERIODS, golden, io_cell_id,
+                                   io_record)
+
+IO_SHAPES, IO_SEEDS, IO_SCENARIOS = IO_MATRIX
 
 
 # ---------------------------------------------------------------------------
@@ -73,3 +79,27 @@ def test_input_log_prune():
         log.consume(k, lambda k=k: k)
     log.prune_below(7)
     assert len(log) == 3
+
+
+# ---------------------------------------------------------------------------
+# Whole-machine I/O commit runs, pinned
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("periods", IO_PERIODS, ids=lambda p: f"{p[0]}-{p[1]}")
+@pytest.mark.parametrize("seed", IO_SEEDS)
+@pytest.mark.parametrize("shape", IO_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("scenario", IO_SCENARIOS)
+def test_io_commit_runs_match_golden(shape, seed, scenario, periods):
+    """Every retirement that crosses an output or input period boundary
+    emits an output or consumes a logged input; recovery discards
+    unvalidated outputs and replays inputs from the log.  Each cell
+    replays a record in ``tests/data/mode_golden.json`` captured from the
+    per-op burst loop that I/O runs used before the inlined loop took
+    them over."""
+    cell = io_cell_id(shape, seed, scenario, periods)
+    record = io_record(shape, seed, scenario, periods)
+    assert record == golden("io")[cell], f"{cell}: run diverged from its record"
+    assert record["completed"] and not record["crashed"]
+    if scenario == "transient":
+        assert record["recoveries"] > 0, "transient cell caused no recovery"
+        if periods[1]:
+            assert sum(record["input_replays"]) > 0, "no input was replayed"

@@ -2,7 +2,7 @@
 
 * :class:`repro.sim.deadlines.DeadlineTable` — many timeouts, one event;
 * the kernel dispatch tracer + :mod:`repro.sim.profile` harness;
-* :class:`repro.sim.stats.Histogram` running aggregates / lazy caches;
+* :class:`repro.sim.stats.Histogram` aggregates;
 * the optional home-side and snooping request timeouts.
 """
 
@@ -233,7 +233,7 @@ def test_flattened_op_matches_reference_helpers():
 
 
 # ----------------------------------------------------------------------
-# Histogram running aggregates
+# Histogram aggregates
 # ----------------------------------------------------------------------
 def test_histogram_running_aggregates_match_samples():
     h = Histogram("h")
@@ -248,8 +248,8 @@ def test_histogram_running_aggregates_match_samples():
     assert h.percentile(0) == min(samples)
     assert h.percentile(100) == max(samples)
     first = h.stddev()
-    assert first == h.stddev()            # cached value is stable
-    h.record(100)                          # invalidates the caches
+    assert first == h.stddev()            # reading twice is stable
+    h.record(100)                          # every aggregate sees it
     assert h.maximum == 100
     assert h.percentile(100) == 100
     assert h.stddev() != first

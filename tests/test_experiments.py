@@ -122,9 +122,12 @@ def test_build_machine_names_unknown_config_overrides():
     """A spec naming a removed SystemConfig flag still loads (stores keep
     old records) but fails to build with every bad key named."""
     spec = TINY.with_(config_overrides=(("calendar_kernel", False),
+                                        ("data_message_bytes", 136),
                                         ("max_recoveries", 7),
                                         ("no_such_knob", 1)))
-    with pytest.raises(ValueError, match="calendar_kernel, no_such_knob$"):
+    with pytest.raises(
+            ValueError,
+            match="calendar_kernel, data_message_bytes, no_such_knob$"):
         build_machine(spec)
 
 

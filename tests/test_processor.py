@@ -1,108 +1,119 @@
-"""Unit tests for the in-order core (with a stub cache)."""
+"""Unit tests for the in-order core, driving node 0's real cache.
 
-from typing import Dict, List, Optional, Tuple
+Each test builds a tiny machine and runs one extra :class:`Core` on node
+0's cache controller, so every op goes through the core's one burst loop
+and misses run the real coherence protocol.  The machine's own cores stay
+idle, and its clock and validation run only where a test starts them.
+"""
 
-import pytest
-
-from repro.config import SystemConfig
 from repro.processor.core import Core
-from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.workloads import RandomTester, apache
+from tests.conftest import Driver, tiny_machine
 
 
-class StubCache:
-    """Always-hit cache with scriptable misses/throttles."""
-
-    def __init__(self, sim: Simulator, miss_addrs=(), miss_latency: int = 50,
-                 throttle_once_at: Optional[int] = None) -> None:
-        self.sim = sim
-        self.miss_addrs = set(miss_addrs)
-        self.miss_latency = miss_latency
-        self.throttle_once_at = throttle_once_at
-        self.values: Dict[int, int] = {}
-        self.accesses: List[Tuple[int, bool]] = []
-
-    def fast_access(self, addr, is_store, value):
-        self.accesses.append((addr, is_store))
-        if self.throttle_once_at is not None and len(self.accesses) == self.throttle_once_at:
-            self.throttle_once_at = None
-            return ("throttle", 100)
-        if addr in self.miss_addrs:
-            return ("miss", 0)
-        if is_store:
-            self.values[addr] = value
-        return ("hit", 0)
-
-    def start_miss(self, addr, is_store, value, done):
-        if is_store:
-            self.values[addr] = value
-        self.miss_addrs.discard(addr)
-        self.sim.schedule_after(self.miss_latency, done)
-
-    def load_value(self, addr):
-        return self.values.get(addr)
-
-
-def make_core(sim, workload=None, cache=None, **cfg_kw):
-    cfg = SystemConfig.tiny(**cfg_kw)
+def make_core(workload=None, **cfg_kw):
     workload = workload or apache(num_cpus=4, scale=64, seed=3)
-    cache = cache or StubCache(sim)
+    machine = tiny_machine(workload=workload, **cfg_kw)
     stats = StatsRegistry()
-    core = Core(sim, 0, cfg, cache, workload, stats)
-    return core, cache, stats
+    core = Core(machine.sim, 0, machine.config, machine.nodes[0].cache,
+                workload, stats)
+    return machine, core, stats
+
+
+def retirement_walk(workload, start: int, target: int):
+    """Every position the op stream retires through from ``start`` until
+    it reaches ``target``: each op advances position by ``gap + 1``."""
+    positions = [start]
+    while positions[-1] < target:
+        positions.append(
+            positions[-1] + workload.op(0, positions[-1]).gap + 1)
+    return positions
+
+
+def run_to_target(machine, core):
+    """Step ``machine`` until ``core`` reaches its target; returns (finish
+    cycle, cycles spent with a miss outstanding).  A blocking core
+    retires nothing past an outstanding miss."""
+    sim, mshrs = machine.sim, core.cache.mshrs
+    finish = []
+    core.on_target_reached = lambda nid: finish.append(sim.now)
+    blocked_cycles = 0
+    blocked_at = None
+    while not finish and sim.pending():
+        before, blocked = sim.now, bool(mshrs)
+        sim.step()
+        if blocked:
+            blocked_cycles += sim.now - before
+            if blocked_at is None:
+                blocked_at = core.position
+            assert core.position == blocked_at or not mshrs
+        else:
+            blocked_at = None
+    assert finish, "core never reached its target"
+    return finish[0], blocked_cycles
 
 
 def test_core_executes_to_target():
-    sim = Simulator()
-    core, cache, stats = make_core(sim)
+    machine, core, stats = make_core()
     core.start(5_000)
-    sim.run(limit=1_000_000)
+    machine.sim.run(limit=1_000_000)
     assert core.done
     assert core.position >= 5_000
     assert stats.counter("node0.core.instructions_executed").value == core.position
 
 
 def test_runtime_reflects_one_ipc_plus_memory():
-    sim = Simulator()
-    core, cache, stats = make_core(sim)
-    finish_time = []
-    core.on_target_reached = lambda nid: finish_time.append(sim.now)
+    machine, core, _ = make_core()
     core.start(3_000)
-    sim.run()  # no limit: `now` ends at the last event, not a fast-forward
-    # All hits, no stalls: runtime == instruction count (1 IPC).
-    assert finish_time and finish_time[0] == pytest.approx(core.position, rel=0.02)
+    finish, blocked_cycles = run_to_target(machine, core)
+    # One cycle per instruction, plus every cycle blocked on a miss.
+    assert blocked_cycles > 0
+    assert finish == core.position + blocked_cycles
 
 
 def test_misses_block_and_add_latency():
-    sim = Simulator()
-    wl = RandomTester(num_cpus=1, seed=1, blocks=4)
-    addrs = {wl.op(0, i).addr for i in range(64)}
-    cache = StubCache(sim, miss_addrs=addrs, miss_latency=200)
-    core, _, _ = make_core(sim, workload=wl, cache=cache)
+    machine, core, _ = make_core(RandomTester(num_cpus=4, seed=1, blocks=4))
     core.start(200)
-    sim.run(limit=1_000_000)
-    assert core.done
-    assert sim.now > 200 + 4 * 180  # at least the four cold misses
+    finish, blocked_cycles = run_to_target(machine, core)
+    misses = core.cache.c_misses.value
+    assert misses >= 4  # at least the four cold misses
+    # One core alone: memory serves every miss.
+    assert blocked_cycles >= misses * machine.config.memory_latency
+    assert finish == core.position + blocked_cycles
 
 
 def test_throttle_retries_same_op():
-    sim = Simulator()
-    wl = RandomTester(num_cpus=1, seed=2, blocks=4)
-    cache = StubCache(sim, throttle_once_at=5)
-    core, _, stats = make_core(sim, workload=wl, cache=cache)
-    core.start(100)
-    sim.run(limit=100_000)
-    assert core.done
-    assert stats.counter("node0.core.clb_throttle_cycles").value == 100
-    # The throttled access was retried, not skipped.
-    throttled_addr = cache.accesses[4][0]
-    assert cache.accesses[5][0] == throttled_addr
+    # A two-entry CLB fills once the clock opens a new interval; stores
+    # that must log then throttle until validation frees entries.  A full
+    # CLB stretches time but must not change what executes.
+    states = {}
+    for clb_bytes in (2 * 72, 32 * 1024):
+        wl = RandomTester(num_cpus=4, seed=2, blocks=4)
+        machine, core, stats = make_core(wl, clb_size_bytes=clb_bytes)
+        Driver(machine).start_safetynet()
+        core.start(3_000)
+        throttled_at = None
+        while not core.done and machine.sim.pending():
+            machine.sim.step()
+            if throttled_at is None and core.c_store_stall_cycles.value:
+                throttled_at = core.position
+                assert wl.op(0, throttled_at).is_store
+        states[clb_bytes] = (core.architected_state(),
+                             stats.counter("node0.core.clb_throttle_cycles").value,
+                             throttled_at)
+    (small_state, small_stall, throttled_at), (big_state, big_stall, _) = (
+        states[2 * 72], states[32 * 1024])
+    assert throttled_at is not None and big_stall == 0
+    assert small_stall > 0 and small_stall % 100 == 0
+    # The throttled access was retried, not skipped: the register file
+    # folds in every retired op, and it matches the unthrottled run.
+    assert small_state == big_state
 
 
 def test_edge_snapshots_and_checkpoint_stall():
-    sim = Simulator()
-    core, cache, stats = make_core(sim)
+    machine, core, stats = make_core()
+    sim = machine.sim
     core.start(10_000)
     sim.run(limit=2_000)
     core.on_edge(2)
@@ -114,8 +125,8 @@ def test_edge_snapshots_and_checkpoint_stall():
 
 
 def test_recover_to_restores_position_and_registers():
-    sim = Simulator()
-    core, cache, stats = make_core(sim)
+    machine, core, stats = make_core()
+    sim = machine.sim
     core.start(50_000)
     sim.run(limit=3_000)
     core.on_edge(2)
@@ -123,6 +134,9 @@ def test_recover_to_restores_position_and_registers():
     sim.run(limit=9_000)
     assert core.position > snap_pos
     core.freeze()
+    # Let an in-flight miss land: the cache is not rolled back here, and
+    # re-execution must not re-issue a miss its MSHR still holds.
+    Driver(machine).run_until(lambda: not core.cache.mshrs)
     lost = core.recover_to(2)
     assert lost == core.c_reexecuted.value
     assert core.position == snap_pos
@@ -133,40 +147,49 @@ def test_recover_to_restores_position_and_registers():
 
 
 def test_reexecution_replays_identical_op_stream():
-    sim = Simulator()
     wl = apache(num_cpus=4, scale=64, seed=9)
-    cache = StubCache(sim)
-    core, _, _ = make_core(sim, workload=wl, cache=cache)
+    machine, core, _ = make_core(wl)
+    sim = machine.sim
+    walk = retirement_walk(wl, 0, 2_000)
+    on_walk = set(walk)
     core.start(2_000)
     sim.run(limit=1_500)
     core.on_edge(2)
     snap_pos, _ = core.snapshots[2]
+    assert snap_pos in on_walk
     sim.run(limit=3_500)
-    first_run = list(cache.accesses)
+    first_run_end = core.position
+    assert first_run_end > snap_pos
     core.freeze()
+    Driver(machine).run_until(lambda: not core.cache.mshrs)
     core.recover_to(2)
-    cache.accesses.clear()
     core.resume()
-    sim.run(limit=1_000_000)
+    # The replay (ops after the snapshot) is the original stream exactly:
+    # pure positional generation, so every position the core passes
+    # through is on the walk from the snapshot, and it ends where an
+    # uninterrupted run would.
+    replay = walk[walk.index(snap_pos):]
+    seen = set()
+    while not core.done and sim.pending():
+        sim.step()
+        seen.add(core.position)
     assert core.done
-    # The replayed prefix (ops after the snapshot) matches the original
-    # execution exactly: pure positional generation.
-    replay_of_lost = cache.accesses
-    original_tail = [a for a in first_run][-len(replay_of_lost):]
-    overlap = min(len(replay_of_lost), len(first_run))
-    # Find where the snapshot position sits in the first run's op sequence.
-    assert replay_of_lost[: overlap][0] in first_run
+    assert seen <= set(replay)
+    assert first_run_end in replay
+    assert core.position == walk[-1]
 
 
 def test_outstanding_checkpoint_throttle():
-    sim = Simulator()
-    core, cache, stats = make_core(sim)
+    machine, core, stats = make_core()
+    sim = machine.sim
     core.start(10**9)
     sim.run(limit=1_000)
     # Push CCN far ahead of the recovery point: the core must stall.
     for ccn in range(2, 8):
         core.on_edge(ccn)
     assert core.throttled
+    # An in-flight miss may still retire its op; nothing issues after it.
+    Driver(machine).run_until(lambda: not core.cache.mshrs)
     pos = core.position
     sim.run(limit=50_000)
     assert core.position == pos  # no forward progress while throttled
@@ -177,8 +200,7 @@ def test_outstanding_checkpoint_throttle():
 
 
 def test_rpcn_advance_frees_old_snapshots():
-    sim = Simulator()
-    core, _, _ = make_core(sim)
+    _, core, _ = make_core()
     for ccn in range(2, 6):
         core.on_edge(ccn)
     core.on_rpcn(4)
@@ -186,11 +208,15 @@ def test_rpcn_advance_frees_old_snapshots():
 
 
 def test_done_core_stays_idle():
-    sim = Simulator()
-    core, cache, _ = make_core(sim)
+    machine, core, stats = make_core()
+    sim, cache = machine.sim, core.cache
     core.start(100)
     sim.run(limit=10_000)
     assert core.done
-    n = len(cache.accesses)
+    executed = stats.counter("node0.core.instructions_executed").value
+    accesses = (cache.c_loads.value, cache.c_stores.value, cache.c_misses.value)
     sim.run(limit=50_000)
-    assert len(cache.accesses) == n
+    assert core.position == executed
+    assert stats.counter("node0.core.instructions_executed").value == executed
+    assert (cache.c_loads.value, cache.c_stores.value,
+            cache.c_misses.value) == accesses
