@@ -4,10 +4,11 @@ Every simulated cycle of every component funnels through the kernel's
 dispatch loop, so regressions here multiply across the whole
 reproduction.  Two kinds of guard live here:
 
-* **Heap floor** — the kernel keeps bare ``(when, seq, event)`` tuples
-  on the heap precisely so sifting compares machine integers; swapping
-  the entries back to rich-compared objects costs ~25% of end-to-end
-  simulator throughput, which the throughput floor catches.  The floor
+* **Heap floor** — the kernel keeps plain ``(when, seq, callback,
+  label)`` tuples on the heap, with no per-event object, so sifting
+  compares machine integers and scheduling allocates one tuple;
+  swapping the entries back to rich-compared objects costs ~25% of
+  end-to-end simulator throughput, which the throughput floor catches.  The floor
   is set ~4x below the throughput measured on a modest dev machine
   (~1M events/s) so that CI noise never trips it while a real hot-path
   regression still does.

@@ -145,13 +145,13 @@ class KillSwitchFault:
         self.messages_lost_in_switch = 0
         #: Optional :class:`repro.obs.trace.TraceLog` (see Machine).
         self.trace = None
-        self._event = sim.schedule(at_cycle, self._fire, "fault.kill_switch")
+        self._handle = sim.schedule(at_cycle, self._fire, "fault.kill_switch")
 
     def stop(self) -> None:
         """Cancel the kill if it has not fired yet (already-dead switches
         stay dead — hard faults are not undone by disarming)."""
         if not self.fired:
-            self._event.cancel()
+            self.sim.cancel(self._handle)
 
     def _fire(self) -> None:
         self.fired = True

@@ -15,12 +15,18 @@ where a switch is named outside the network: drop hooks, loss reasons
 and arbiters.
 
 Hop scheduling is *slotted*: each hop is one kernel dispatch that performs
-leave + arrive + depart together.  Hops deliberately do NOT share heap
-entries: batching same-cycle hop completions into one dispatch would run
-a later-scheduled hop at the earliest hop's heap position, reordering its
-processing (and any traffic its delivery injects) against non-hop events
-of the same cycle — an order-dependent tie that changes results once
-checkpoint-validation traffic is completion-triggered.
+leave + arrive + depart together, and in the common case one Python frame
+(:meth:`_Flight.__call__`): the flight leaves its switch, enters the next,
+claims the outgoing link and schedules its next hop itself, handing off
+to the general arrive/depart methods only for express flights, armed
+drop hooks, dead or full switches and same-cycle claim chains.
+
+Hops deliberately do NOT share heap entries: batching same-cycle hop
+completions into one dispatch would run a later-scheduled hop at the
+earliest hop's heap position, reordering its processing (and any traffic
+its delivery injects) against non-hop events of the same cycle — an
+order-dependent tie that changes results once checkpoint-validation
+traffic is completion-triggered.
 
 *Express hops* (``express=True``) recover multi-hop advancement without
 re-opening that wound: when every switch on a flight's remaining path
@@ -77,12 +83,13 @@ LABEL_RETRY = sys.intern("net.buffer_retry")
 class _Flight:
     """Book-keeping for one in-flight message.
 
-    The flight doubles as its own hop callback (``__call__``): the slotted
-    scheduler queues the flight object directly, avoiding a per-hop
-    closure allocation on the hottest scheduling path.  ``ser`` is the
-    link-serialisation time, computed once per message instead of once
-    per hop.  ``path`` holds the route's vertex ids and ``links[k]`` the
-    id of the link from ``path[k]`` to ``path[k + 1]``.
+    The flight doubles as its own hop callback (``__call__``, the whole
+    hop in one frame): the slotted scheduler queues the flight object
+    directly, avoiding a per-hop closure allocation on the hottest
+    scheduling path.  ``ser`` is the link-serialisation time, computed
+    once per message instead of once per hop.  ``path`` holds the route's
+    vertex ids and ``links[k]`` the id of the link from ``path[k]`` to
+    ``path[k + 1]``.
 
     Express state (``exp_*``) is live only while the flight is advancing
     a segment arithmetically: ``exp_base`` is the path index the segment
@@ -118,7 +125,7 @@ class _Flight:
         # Claim-chain bookkeeping (see Network._claim_chain): the cycle,
         # link id and start of this flight's latest link claim, the link
         # horizon before the chain began, the next chain member, and the
-        # scheduled hop event a re-resolution must displace.
+        # scheduled hop's kernel handle a re-resolution must cancel.
         self.claim_cycle = -1
         self.claim_link = -1
         self.claim_start = 0
@@ -127,7 +134,72 @@ class _Flight:
         self.claim_event = None
 
     def __call__(self) -> None:
-        self.net._arrive(self)
+        """One hop in one frame: arrive at the next vertex and, at a
+        switch, claim the next link, record the buffer residency and
+        schedule the following hop (:meth:`Network._depart`'s plain
+        claim, for a flight that just arrived).
+
+        Anything unusual takes the general path before this frame has
+        changed any state: :meth:`Network._arrive` when an express
+        flight is in the air, a drop hook is armed (any express hold),
+        or the switch is dead or at capacity; :meth:`Network._claim_chain`
+        when the link already has a claim this cycle.  Express is
+        attempted exactly where :meth:`Network._depart` attempts it.
+        """
+        net = self.net
+        if self.dropped or self.epoch != net._epoch:
+            return
+        index = self.index + 1
+        path = self.path
+        here = path[index]
+        n_nodes = net._n_nodes
+        resident = net._resident_until
+        if here >= n_nodes:
+            table = resident[here]
+            if (net._express_flights or net._express_holds
+                    or net._dead[here]
+                    or len(table) >= net.buffer_capacity):
+                net._arrive(self)
+                return
+        self.index = index
+        # Leave, finalised (see Network._arrive).
+        prev = path[index - 1]
+        if prev >= n_nodes:
+            resident[prev].pop(self.mid, None)
+        if here < n_nodes:
+            # Destination endpoint.
+            del net._in_flight[self.mid]
+            net._enqueue_delivery(self.msg)
+            return
+        link = self.links[index]
+        if (net._express_on and not self.no_express
+                and len(path) - index >= 4 and net._try_express(self)):
+            return
+        now = net.sim.now
+        head = net._claim_head[link]
+        if (head is not None and head.claim_cycle == now
+                and head.claim_link == link):
+            net._claim_chain(self, link, here, head)
+            return
+        link_free = net._link_free
+        base = link_free[link]
+        start = now if base <= now else base
+        release = start + self.ser
+        link_free[link] = release
+        self.claim_cycle = now
+        self.claim_link = link
+        self.claim_start = start
+        self.claim_base = base
+        self.claim_next = None
+        net._claim_head[link] = self
+        if start != now:
+            net.c_contention_cycles.add(start - now)
+        table[self.mid] = release
+        next_free = net._switch_next_free
+        if release > next_free[here]:
+            next_free[here] = release
+        self.claim_event = net.sim.schedule(
+            release + net.link_latency + net.switch_latency, self, LABEL_HOP)
 
     def express_call(self) -> None:
         self.net._express_complete(self)
@@ -264,6 +336,9 @@ class Network:
         :class:`~repro.interconnect.faults.PeriodicArmedFault`) brackets
         its armed windows with :meth:`express_hold` / :meth:`express_release`
         itself; an unmanaged hook pins a hold for the network's lifetime.
+        While no hold is in place the one-frame hop does not consult the
+        hooks at all, so a managed hook must be inert (return False and
+        change nothing) outside its armed windows.
         """
         self._drop_hooks.append(hook)
         if not managed:
@@ -381,7 +456,10 @@ class Network:
         return max(1, round(msg.size_bytes / self.bytes_per_cycle))
 
     def _depart(self, flight: _Flight) -> None:
-        """Move the message from its current vertex onto the next link."""
+        """Move the message from its current vertex onto the next link.
+
+        The general path: sends, and the hops :meth:`_Flight.__call__`
+        hands to :meth:`_arrive`."""
         if flight.dropped or flight.epoch != self._epoch:
             return
         index = flight.index
@@ -408,29 +486,16 @@ class Network:
         link_free = self._link_free
         base = link_free[link]
         start = now if base <= now else base
-        ser = flight.ser
-        release = start + ser
-        link_free[link] = release
+        link_free[link] = start + flight.ser
         flight.claim_cycle = now
         flight.claim_link = link
         flight.claim_start = start
         flight.claim_base = base
         flight.claim_next = None
         self._claim_head[link] = flight
-        wait = start - now
-        if wait:
-            self.c_contention_cycles.add(wait)
-        # _finish_claim, inlined: this is the one claim per hop dispatch
-        # on the default configuration.
-        if here >= self._n_nodes:
-            self._resident_until[here][flight.mid] = release
-            next_free = self._switch_next_free
-            if release > next_free[here]:
-                next_free[here] = release
-            arrive_at = release + self.link_latency + self.switch_latency
-        else:
-            arrive_at = release + self.link_latency + 1
-        flight.claim_event = self.sim.schedule(arrive_at, flight, LABEL_HOP)
+        if start != now:
+            self.c_contention_cycles.add(start - now)
+        self._finish_claim(flight, here, start)
 
     def _claim_chain(self, flight: _Flight, link: int, here: int,
                      head: _Flight) -> None:
@@ -442,8 +507,9 @@ class Network:
         advancement rewrites (a materialised flight's hop is re-queued
         with a fresh sequence number).  Re-resolving the cycle's claim
         chain against a canonical key keeps every mode's contention
-        pattern identical.  Chains are rare (a few hundred per default
-        run), so the single-claim fast path above stays lean.
+        pattern identical.  Chains are rare (1,119 in 243,791 dispatches
+        on the 8x8 benchmark run), so the single-claim paths — the
+        one-frame hop and :meth:`_depart` — stay lean.
         """
         now = self.sim.now
         if head.exp_times is not None:
@@ -472,7 +538,7 @@ class Network:
             prev = m
             if m is flight or m.claim_start != start:
                 if m is not flight:
-                    m.claim_event.cancel()
+                    self.sim.cancel(m.claim_event)
                 m.claim_start = start
                 self._finish_claim(m, here, start)
             new_total += start - now
@@ -504,12 +570,7 @@ class Network:
             arrive_at = release + self.link_latency + self.switch_latency
         else:
             arrive_at = release + self.link_latency + 1
-        self._schedule_hop(flight, arrive_at)
-
-    def _schedule_hop(self, flight: _Flight, when: int) -> None:
-        """Queue a hop completion: one kernel event doing the whole hop,
-        with the flight itself as the callback (no closure allocation)."""
-        flight.claim_event = self.sim.schedule(when, flight, LABEL_HOP)
+        flight.claim_event = self.sim.schedule(arrive_at, flight, LABEL_HOP)
 
     def _at_capacity(self, table) -> bool:
         """Whether a switch's buffer is full of *live* entries.  Pruning
@@ -641,7 +702,7 @@ class Network:
         saved = flight.exp_saved
         ser = flight.ser
         last_sw = base + len(times)
-        flight.exp_event.cancel()
+        self.sim.cancel(flight.exp_event)
         link_free = self._link_free
         next_free = self._switch_next_free
         pos = base
@@ -672,7 +733,8 @@ class Network:
         if self._express_credit <= 0:
             self._express_on = False
         self.c_express_interrupts.add()
-        self._schedule_hop(flight, times[pos - base])
+        flight.claim_event = self.sim.schedule(times[pos - base], flight,
+                                               LABEL_HOP)
 
     def _express_clear(self, flight: _Flight) -> None:
         """Drop the flight's claims and express state (idempotent)."""
@@ -799,7 +861,7 @@ class Network:
 
     def _lose(self, flight: _Flight, reason: str) -> None:
         if flight.exp_times is not None:
-            flight.exp_event.cancel()
+            self.sim.cancel(flight.exp_event)
             self._express_clear(flight)
         flight.dropped = True
         self._in_flight.pop(flight.mid, None)

@@ -6,13 +6,12 @@ schedules work through :class:`~repro.sim.kernel.Simulator`.
 """
 
 from repro.sim.deadlines import DeadlineTable
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.profile import DispatchProfile, ProfileReport, profile_spec
 from repro.sim.rng import DeterministicRng, spawn_streams
 from repro.sim.stats import BandwidthMeter, Counter, Histogram, StatsRegistry
 
 __all__ = [
-    "Event",
     "Simulator",
     "DeadlineTable",
     "DispatchProfile",

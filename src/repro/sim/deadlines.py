@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 
 
 class DeadlineTable:
@@ -49,13 +49,14 @@ class DeadlineTable:
     run in a follow-up sweep the same cycle.
     """
 
-    __slots__ = ("sim", "label", "_entries", "_event", "_event_when")
+    __slots__ = ("sim", "label", "_entries", "_handle", "_event_when")
 
     def __init__(self, sim: Simulator, label: str = "deadline.sweep") -> None:
         self.sim = sim
         self.label = label
         self._entries: Dict[Any, Tuple[int, Callable[[], None]]] = {}
-        self._event: Optional[Event] = None
+        # The sweep's kernel handle while one is queued.
+        self._handle: Optional[tuple] = None
         self._event_when: int = 0
 
     # ------------------------------------------------------------------
@@ -75,7 +76,7 @@ class DeadlineTable:
     def arm(self, key: Any, deadline: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` at ``deadline`` unless cancelled/replaced first."""
         self._entries[key] = (deadline, callback)
-        if self._event is None or deadline < self._event_when:
+        if self._handle is None or deadline < self._event_when:
             self._schedule(deadline)
 
     def cancel(self, key: Any) -> bool:
@@ -94,13 +95,13 @@ class DeadlineTable:
 
     # ------------------------------------------------------------------
     def _schedule(self, when: int) -> None:
-        if self._event is not None:
-            self._event.cancel()
+        if self._handle is not None:
+            self.sim.cancel(self._handle)
         self._event_when = when
-        self._event = self.sim.schedule(when, self._sweep, self.label)
+        self._handle = self.sim.schedule(when, self._sweep, self.label)
 
     def _sweep(self) -> None:
-        self._event = None
+        self._handle = None
         now = self.sim.now
         entries = self._entries
         expired = [key for key, (d, _) in entries.items() if d <= now]

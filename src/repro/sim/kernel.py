@@ -5,58 +5,37 @@ one processor clock at the paper's 1 GHz target, i.e. 1 ns).  Components
 schedule callbacks at absolute cycles; ties are broken by insertion order so
 that every run with the same seeds is bit-for-bit reproducible.
 
-The kernel is a binary heap of ``(when, seq, event)`` tuples: O(log n)
-schedule/pop, no assumptions about the event mix.  A calendar-queue core
-(per-cycle buckets, a zero-delay lane, event recycling) was tried
-against it on the canonical end-to-end benchmark and was a wash — ahead
-on the network-bound 8x8 run, behind on the CPU-bound 2x2 one, with
-identical dispatch counts and queue depths — so the simpler core is the
-only one.
+The kernel is a binary heap of plain ``(when, seq, callback, label)``
+tuples: O(log n) schedule/pop, no assumptions about the event mix.
+``seq`` is an insertion counter, so heap sifting compares two machine
+integers and never reaches the callback.  :meth:`Simulator.schedule`
+returns the entry itself as an opaque handle, good only for
+:meth:`Simulator.cancel`; a cancelled entry stays queued until it is
+popped, and its ``seq`` sits in a set the dispatch loop consults only
+while the set is non-empty.  There is no per-event object, so
+scheduling allocates one tuple and dispatching reads no attributes.
+
+A calendar-queue core (per-cycle buckets, a zero-delay lane, event
+recycling) was tried against the heap on the canonical end-to-end
+benchmark and was a wash — ahead on the network-bound 8x8 run, behind on
+the CPU-bound 2x2 one, with identical dispatch counts and queue depths —
+so the simpler core is the only one.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
 
 
-class Event:
-    """A pending callback.
-
-    The heap itself stores bare ``(when, seq, event)`` tuples so that
-    heap sifting compares machine integers instead of calling back into
-    a rich-comparison method — the event loop is the hottest path in the
-    whole simulator (see ``benchmarks/test_kernel_hotpath.py``).  ``seq``
-    is an insertion counter: it breaks same-cycle ties deterministically
-    and guarantees the tuple comparison never reaches the (incomparable)
-    event object.
-    """
-
-    __slots__ = ("when", "seq", "callback", "label", "cancelled")
-
-    def __init__(self, when: int, seq: int, callback: Callable[[], None],
-                 label: str = "") -> None:
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.label = label
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (it stays in the queue lazily)."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(when={self.when}, seq={self.seq}, label={self.label!r}{state})"
-
-
-_QueueEntry = Tuple[int, int, Event]
+#: A queued event, ``(when, seq, callback, label)``.  Private to the
+#: kernel: callers hold entries only as handles for :meth:`Simulator.cancel`.
+_Entry = Tuple[int, int, Callable[[], None], str]
 
 
 class Simulator:
@@ -71,7 +50,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._queue: List[_QueueEntry] = []
+        self._queue: List[_Entry] = []
+        #: ``seq`` of every queued entry that was cancelled; an entry
+        #: leaves the set when it is popped (or compacted away).
+        self._cancelled: Set[int] = set()
         self._seq: int = 0
         self._events_dispatched: int = 0
         self._stopped: bool = False
@@ -91,25 +73,48 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, when: int, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at absolute cycle ``when``."""
-        if when < self.now:
+    def schedule(self, when: int, callback: Callable[[], None],
+                 label: str = "") -> _Entry:
+        """Schedule ``callback`` at absolute cycle ``when`` (an ``int``,
+        not before now).  Returns a handle for :meth:`cancel`."""
+        if when < self.now or type(when) is not int:
+            if when < self.now:
+                raise SimulationError(
+                    f"cannot schedule event '{label}' at {when}, "
+                    f"now is {self.now}")
             raise SimulationError(
-                f"cannot schedule event '{label}' at {when}, now is {self.now}"
-            )
-        event = Event(int(when), self._seq, callback, label)
-        self._seq += 1
+                f"cannot schedule event '{label}' at non-integer "
+                f"cycle {when!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        entry = (when, seq, callback, label)
         queue = self._queue
-        heapq.heappush(queue, (event.when, event.seq, event))
+        heappush(queue, entry)
         if len(queue) > self.peak_pending:
             self.peak_pending = len(queue)
-        return event
+        return entry
 
-    def schedule_after(self, delay: int, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule_after(self, delay: int, callback: Callable[[], None],
+                       label: str = "") -> _Entry:
         """Schedule ``callback`` ``delay`` cycles from now (delay >= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event '{label}'")
         return self.schedule(self.now + delay, callback, label)
+
+    def cancel(self, handle: _Entry) -> None:
+        """Stop a scheduled event from firing.
+
+        A no-op for a handle that already fired, was already cancelled,
+        or was compacted away (:meth:`drain_matching`).  The entry stays
+        queued — :meth:`pending` and :attr:`peak_pending` count it — until
+        the dispatch loop pops and skips it.  Cancels are rare (a few per
+        thousand dispatches on a full-machine run), so the queue scan
+        that tells a live handle from a spent one costs nothing that
+        shows.
+        """
+        seq = handle[1]
+        if seq not in self._cancelled and handle in self._queue:
+            self._cancelled.add(seq)
 
     # ------------------------------------------------------------------
     # Execution
@@ -131,78 +136,95 @@ class Simulator:
         """Number of queued (possibly cancelled) events."""
         return len(self._queue)
 
-    def run(self, limit: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, limit: Optional[int] = None,
+            max_events: Optional[int] = None) -> int:
         """Dispatch events until the queue drains, ``limit`` cycles pass,
         ``max_events`` events fire, or :meth:`stop` is called.
 
-        Returns the cycle at which the run loop stopped.
+        A ``limit`` before now dispatches nothing and leaves the clock
+        alone, as does ``max_events=0``; a negative ``max_events`` raises
+        :class:`SimulationError`.  Returns the cycle at which the run
+        loop stopped.
         """
-        if self.tracer is not None:
-            return self._run_traced(limit, max_events)
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"negative max_events {max_events}")
         self._stopped = False
         self._stop_reason = None
-        dispatched_here = 0
+        if max_events == 0 or (limit is not None and limit < self.now):
+            return self.now
+        if self.tracer is not None:
+            return self._run_traced(limit, max_events)
         queue = self._queue
-        heappop = heapq.heappop
-        while queue and not self._stopped:
-            when = queue[0][0]
-            if limit is not None and when > limit:
-                self.now = limit
-                break
-            event = heappop(queue)[2]
-            if event.cancelled:
-                continue
-            if when < self.now:
-                raise SimulationError("event queue went backwards in time")
-            self.now = when
-            event.callback()
-            self._events_dispatched += 1
-            dispatched_here += 1
-            if max_events is not None and dispatched_here >= max_events:
-                self._stop_reason = "max_events"
-                break
+        cancelled = self._cancelled
+        budget = -1 if max_events is None else max_events
+        dispatched = 0
+        now = self.now
+        try:
+            while queue and not self._stopped:
+                when = queue[0][0]
+                if limit is not None and when > limit:
+                    self.now = limit
+                    break
+                _, seq, callback, _ = heappop(queue)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                if when < now:
+                    raise SimulationError("event queue went backwards in time")
+                self.now = now = when
+                callback()
+                dispatched += 1
+                if dispatched == budget:
+                    self._stop_reason = "max_events"
+                    break
+        finally:
+            self._events_dispatched += dispatched
         # Queue drained before the limit: fast-forward the clock ("nothing
         # can happen until then").  NOT when stop() fired — a stopped run
         # halts at the current cycle, whether or not later events remained
         # (deadline tables legitimately leave the queue empty at the stop).
-        if (limit is not None and not self._queue and not self._stopped
+        if (limit is not None and not queue and not self._stopped
                 and self.now < limit):
             self.now = limit
         return self.now
 
-    def _run_traced(self, limit: Optional[int], max_events: Optional[int]) -> int:
+    def _run_traced(self, limit: Optional[int],
+                    max_events: Optional[int]) -> int:
         """The :meth:`run` loop with per-dispatch label timing.
 
         A separate loop so the common (untraced) path pays nothing; kept
         line-for-line parallel with :meth:`run` — same stop conditions,
-        same cancelled-event handling, same return value.
+        same cancelled-entry handling, same return value.
         """
         record = self.tracer.record
-        self._stopped = False
-        self._stop_reason = None
-        dispatched_here = 0
         queue = self._queue
-        heappop = heapq.heappop
-        while queue and not self._stopped:
-            when = queue[0][0]
-            if limit is not None and when > limit:
-                self.now = limit
-                break
-            event = heappop(queue)[2]
-            if event.cancelled:
-                continue
-            if when < self.now:
-                raise SimulationError("event queue went backwards in time")
-            self.now = when
-            started = perf_counter()
-            event.callback()
-            record(event.label, perf_counter() - started)
-            self._events_dispatched += 1
-            dispatched_here += 1
-            if max_events is not None and dispatched_here >= max_events:
-                self._stop_reason = "max_events"
-                break
-        if (limit is not None and not self._queue and not self._stopped
+        cancelled = self._cancelled
+        budget = -1 if max_events is None else max_events
+        dispatched = 0
+        now = self.now
+        try:
+            while queue and not self._stopped:
+                when = queue[0][0]
+                if limit is not None and when > limit:
+                    self.now = limit
+                    break
+                _, seq, callback, label = heappop(queue)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                if when < now:
+                    raise SimulationError("event queue went backwards in time")
+                self.now = now = when
+                started = perf_counter()
+                callback()
+                record(label, perf_counter() - started)
+                dispatched += 1
+                if dispatched == budget:
+                    self._stop_reason = "max_events"
+                    break
+        finally:
+            self._events_dispatched += dispatched
+        if (limit is not None and not queue and not self._stopped
                 and self.now < limit):
             self.now = limit
         return self.now
@@ -215,27 +237,30 @@ class Simulator:
         and the optional tracer timing apply here too, so stepping through
         a run observes exactly what running it would.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
+        queue = self._queue
+        cancelled = self._cancelled
+        while queue:
+            when, seq, callback, label = heappop(queue)
+            if seq in cancelled:
+                cancelled.discard(seq)
                 continue
-            if event.when < self.now:
+            if when < self.now:
                 raise SimulationError("event queue went backwards in time")
-            self.now = event.when
+            self.now = when
             if self.tracer is not None:
                 started = perf_counter()
-                event.callback()
-                self.tracer.record(event.label, perf_counter() - started)
+                callback()
+                self.tracer.record(label, perf_counter() - started)
             else:
-                event.callback()
+                callback()
             self._events_dispatched += 1
             return True
         return False
 
-    def drain_matching(self, predicate: Callable[[Event], bool]) -> int:
-        """Cancel every queued event matching ``predicate``.
+    def drain_matching(self, predicate: Callable[[str], bool]) -> int:
+        """Cancel every queued event whose label matches ``predicate``.
 
-        Used by recovery-style bulk discards of in-flight network/protocol
+        For recovery-style bulk discards of in-flight network/protocol
         events.  Returns the number of events newly cancelled.
 
         Cancelled events normally stay queued (lazily skipped on pop), but
@@ -246,18 +271,17 @@ class Simulator:
         queue is compacted in place (drop cancelled entries, re-heapify):
         O(n), against a scan that was O(n) already.
         """
-        cancelled = 0
-        dead = 0
-        for _, _, event in self._queue:
-            if event.cancelled:
-                dead += 1
-            elif predicate(event):
-                event.cancel()
-                cancelled += 1
-        if (cancelled + dead) * 2 > len(self._queue):
-            self._queue = [entry for entry in self._queue
-                           if not entry[2].cancelled]
-            heapq.heapify(self._queue)
+        queue = self._queue
+        dead = self._cancelled
+        before = len(dead)
+        for _, seq, _, label in queue:
+            if seq not in dead and predicate(label):
+                dead.add(seq)
+        cancelled = len(dead) - before
+        if len(dead) * 2 > len(queue):
+            queue[:] = [entry for entry in queue if entry[1] not in dead]
+            heapify(queue)
+            dead.clear()
         return cancelled
 
 
@@ -284,7 +308,7 @@ class Ticker:
         self._label = label
         self._tick = 0
         self._running = False
-        self._event: Optional[Event] = None
+        self._handle: Optional[_Entry] = None
         self._phase = phase
 
     @property
@@ -302,13 +326,13 @@ class Ticker:
         first = self._sim.now + self._phase
         if self._phase == 0:
             first = self._sim.now + self._period
-        self._event = self._sim.schedule(first, self._fire, self._label)
+        self._handle = self._sim.schedule(first, self._fire, self._label)
 
     def stop(self) -> None:
         self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        if self._handle is not None:
+            self._sim.cancel(self._handle)
+            self._handle = None
 
     def _fire(self) -> None:
         if not self._running:
@@ -317,7 +341,8 @@ class Ticker:
         self._tick += 1
         self._callback(index)
         if self._running:
-            self._event = self._sim.schedule_after(self._period, self._fire, self._label)
+            self._handle = self._sim.schedule_after(self._period, self._fire,
+                                                    self._label)
 
 
 def quiesce(sim: Simulator, limit: int, check: Callable[[], bool], step: int = 1000) -> bool:

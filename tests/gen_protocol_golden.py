@@ -88,6 +88,17 @@ GOLDEN_SPECS += [
             torus_width=2, torus_height=2, clb_bytes=720),
 ]
 
+#: Switch back-pressure cells: one- and two-message switch buffers make
+#: arrivals find a full buffer and retry (``net.buffer_stalls`` > 0 in
+#: every record), clean and through transient-fault recoveries.
+GOLDEN_SPECS += [
+    RunSpec(workload="apache", instructions=2_000, warmup=0, seed=1,
+            scale=64, torus_width=4, torus_height=4, fault=fault, **gentle,
+            config_overrides=(("switch_buffer_messages", capacity),))
+    for capacity in (1, 2)
+    for (fault, gentle) in (("none", {}), ("transient", _GENTLE))
+]
+
 
 def run_golden(spec: RunSpec) -> dict:
     """One golden record: results + every counter + dispatch count."""

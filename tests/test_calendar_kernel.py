@@ -27,7 +27,7 @@ import random
 
 import pytest
 
-from repro.sim.kernel import Event, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.profile import DispatchProfile
 from tests.gen_mode_golden import KERNEL_MATRIX, cell_id, golden, kernel_record
 
@@ -135,15 +135,15 @@ def test_schedule_in_past_raises(sim):
 
 def test_cancelled_events_skipped_but_counted_pending(sim):
     fired = []
-    keep = sim.schedule(5, lambda: fired.append("keep"))
+    sim.schedule(5, lambda: fired.append("keep"))
     drop = sim.schedule(5, lambda: fired.append("drop"))
     far = sim.schedule(50_000, lambda: fired.append("far"))
-    drop.cancel()
-    far.cancel()
+    sim.cancel(drop)
+    sim.cancel(far)
     assert sim.pending() == 3  # cancelled entries stay queued (lazily)
     sim.run()
     assert fired == ["keep"]
-    assert keep.when == 5
+    assert sim.now == 5  # keep's cycle: the cancelled far entry moved nothing
     assert sim.pending() == 0
 
 
@@ -152,7 +152,7 @@ def test_cancelled_tail_leaves_clock_at_last_dispatch(sim):
     clock (run without a limit has no fast-forward)."""
     sim.schedule(5, lambda: None)
     tail = sim.schedule(9_000, lambda: None)
-    tail.cancel()
+    sim.cancel(tail)
     assert sim.run() == 5
     assert sim.now == 5
     # The queue is fully drained; scheduling anywhere >= now still works.
@@ -177,7 +177,7 @@ def test_step_matches_run_semantics(sim):
 def test_step_skips_cancelled_without_advancing_clock(sim):
     sim.schedule(3, lambda: None)
     sim.run()
-    sim.schedule(8, lambda: None).cancel()
+    sim.cancel(sim.schedule(8, lambda: None))
     assert not sim.step()
     assert sim.now == 3
 
@@ -197,9 +197,9 @@ def test_drain_matching_cancels_and_reports(sim):
     fired = []
     for i in range(10):
         sim.schedule(i + 1, lambda i=i: fired.append(i), label=f"e{i}")
-    assert sim.drain_matching(lambda e: e.label in ("e2", "e7")) == 2
+    assert sim.drain_matching(lambda label: label in ("e2", "e7")) == 2
     # Second drain finds nothing new (the dead ones are already dead).
-    assert sim.drain_matching(lambda e: e.label in ("e2", "e7")) == 0
+    assert sim.drain_matching(lambda label: label in ("e2", "e7")) == 0
     sim.run()
     assert fired == [0, 1, 3, 4, 5, 6, 8, 9]
 
@@ -208,7 +208,7 @@ def test_drain_matching_compacts_majority_dead_queue(sim):
     for i in range(100):
         sim.schedule(i + 1, lambda: None, label="bulk")
     sim.schedule(200, lambda: None, label="keep")
-    assert sim.drain_matching(lambda e: e.label == "bulk") == 100
+    assert sim.drain_matching(lambda label: label == "bulk") == 100
     # >50% of the queue is dead: it must have been compacted.
     assert sim.pending() == 1
     sim.run()
@@ -228,7 +228,7 @@ def test_pending_bounded_across_repeated_recovery_drains(sim):
         for i in range(200):
             sim.schedule(base + i, lambda: None, label="inflight")
         sim.run(max_events=20)
-        sim.drain_matching(lambda e: e.label == "inflight")
+        sim.drain_matching(lambda label: label == "inflight")
         peak_between_recoveries.append(sim.pending())
     # Bounded: each recovery leaves only the watchdog plus the current
     # epoch's survivors, never the accumulated cancelled history.
@@ -251,13 +251,26 @@ def test_tracer_times_every_dispatch(sim):
 # Differential fuzz: identical scripts, identical traces
 # ----------------------------------------------------------------------
 
+class _RefEvent:
+    """The reference model's own event record."""
+
+    __slots__ = ("when", "seq", "callback", "label", "cancelled")
+
+    def __init__(self, when, seq, callback, label):
+        self.when = when
+        self.seq = seq
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+
+
 class _ReferenceKernel:
     """A deliberately naive model of the kernel's contract.
 
     Pending events (cancelled ones included, until popped or compacted)
     sit in a flat list scanned for the least ``(when, seq)`` on every
-    pop — no heap, no shared code with :class:`Simulator` beyond
-    :class:`Event`.
+    pop — no heap, and no code shared with :class:`Simulator`.  A
+    cancel just flags the record, wherever it is.
     """
 
     def __init__(self) -> None:
@@ -271,7 +284,7 @@ class _ReferenceKernel:
 
     def schedule(self, when, callback, label=""):
         assert when >= self.now
-        event = Event(when, self._seq, callback, label)
+        event = _RefEvent(when, self._seq, callback, label)
         self._seq += 1
         self.entries.append(event)
         self.peak_pending = max(self.peak_pending, len(self.entries))
@@ -279,6 +292,9 @@ class _ReferenceKernel:
 
     def schedule_after(self, delay, callback, label=""):
         return self.schedule(self.now + delay, callback, label)
+
+    def cancel(self, event):
+        event.cancelled = True
 
     def stop(self, reason=""):
         self._stopped = True
@@ -298,8 +314,12 @@ class _ReferenceKernel:
         self.events_dispatched += 1
 
     def run(self, limit=None, max_events=None):
+        if max_events is not None and max_events < 0:
+            raise SimulationError("negative max_events")
         self._stopped = False
         self.stop_reason = None
+        if max_events == 0 or (limit is not None and limit < self.now):
+            return self.now  # nothing to dispatch; the clock stays put
         fired = 0
         while self.entries and not self._stopped:
             if limit is not None and min(e.when for e in self.entries) > limit:
@@ -310,7 +330,7 @@ class _ReferenceKernel:
                 continue
             self._dispatch(event)
             fired += 1
-            if max_events is not None and fired >= max_events:
+            if fired == max_events:
                 self.stop_reason = "max_events"
                 break
         if (limit is not None and not self.entries and not self._stopped
@@ -330,8 +350,8 @@ class _ReferenceKernel:
         dead = sum(1 for e in self.entries if e.cancelled)
         cancelled = 0
         for event in self.entries:
-            if not event.cancelled and predicate(event):
-                event.cancel()
+            if not event.cancelled and predicate(event.label):
+                event.cancelled = True
                 cancelled += 1
         if (cancelled + dead) * 2 > len(self.entries):
             self.entries = [e for e in self.entries if not e.cancelled]
@@ -340,7 +360,8 @@ class _ReferenceKernel:
 
 def _replay_script(sim, rng, n_ops: int, horizon: int = 1024):
     """Drive ``sim`` through a deterministic random script of schedules,
-    cancels, runs, steps, and drains; return every observable.
+    cancels (spent handles included), runs (limits before now and zero
+    budgets included), steps, and drains; return every observable.
 
     ``horizon`` scales the long top-level delays: a short one packs the
     schedule into same-cycle ties, a long one spreads it out."""
@@ -372,21 +393,22 @@ def _replay_script(sim, rng, n_ops: int, horizon: int = 1024):
                                rng.choice([0, 0, 1, 3, 50, 1_500, 9_000])),
                 f"t{j}"))
         elif op < 0.65 and events:
-            events[rng.randrange(len(events))].cancel()
+            sim.cancel(events[rng.randrange(len(events))])
         elif op < 0.75:
-            limit = sim.now + rng.choice([0, 1, 3, 17, 900, 3_000])
+            limit = sim.now + rng.choice([-7, 0, 1, 3, 17, 900, 3_000])
             trace.append(("run", sim.run(limit=limit), sim.pending()))
         elif op < 0.80:
             trace.append(("runmax",
                           sim.run(limit=sim.now + 10_000,
-                                  max_events=rng.randrange(1, 8)),
+                                  max_events=rng.randrange(0, 8)),
                           sim.stop_reason))
         elif op < 0.88:
             trace.append(("step", sim.step(), sim.now))
         elif op < 0.93:
             k = rng.randrange(3)
             trace.append(("drain",
-                          sim.drain_matching(lambda e, k=k: e.seq % 3 == k)))
+                          sim.drain_matching(
+                              lambda label, k=k: int(label[1:]) % 3 == k)))
         else:
             trace.append(("runfull", sim.run(limit=sim.now + 50_000),
                           sim.pending(), sim.stop_reason))

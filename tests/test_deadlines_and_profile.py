@@ -114,7 +114,7 @@ def test_tracer_counts_every_dispatch_by_label():
         sim.schedule(10 + i, lambda: None, "tick")
     sim.schedule(20, lambda: None, "other")
     cancelled = sim.schedule(30, lambda: None, "never")
-    cancelled.cancel()
+    sim.cancel(cancelled)
     sim.run()
     assert profile.counts == {"tick": 5, "other": 1}
     assert profile.total_dispatches == sim.events_dispatched == 6

@@ -111,6 +111,16 @@ def test_mesi_moesi_bit_identical_to_golden(record):
     _assert_replays_golden(record)
 
 
+def test_backpressure_goldens_stall():
+    """The small-buffer cells pin switch back-pressure: each record's run
+    found a full switch buffer and retried the arrival."""
+    records = [r for r in GOLDEN_RECORDS
+               if "switch_buffer_messages" in r["spec"]["config_overrides"]]
+    assert len(records) == 4
+    for record in records:
+        assert record["counters"]["net.buffer_stalls"] > 0, _golden_id(record)
+
+
 def test_default_spec_hashes_unchanged():
     spec = RunSpec()
     assert spec.spec_hash == DEFAULT_SPEC_HASH

@@ -4,7 +4,7 @@ import heapq
 
 import pytest
 
-from repro.sim.kernel import Event, SimulationError, Simulator, Ticker, quiesce
+from repro.sim.kernel import SimulationError, Simulator, Ticker, quiesce
 from repro.sim.profile import DispatchProfile
 
 
@@ -57,7 +57,7 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
     ev = sim.schedule(10, lambda: fired.append(1))
-    ev.cancel()
+    sim.cancel(ev)
     sim.run()
     assert not fired
 
@@ -99,7 +99,7 @@ def test_drain_matching_cancels_by_label():
     fired = []
     sim.schedule(5, lambda: fired.append("keep"), label="keep")
     sim.schedule(6, lambda: fired.append("drop"), label="net.hop")
-    cancelled = sim.drain_matching(lambda e: e.label.startswith("net."))
+    cancelled = sim.drain_matching(lambda label: label.startswith("net."))
     assert cancelled == 1
     sim.run()
     assert fired == ["keep"]
@@ -162,7 +162,7 @@ def test_step_applies_backwards_time_guard(sim):
     sim.run()
     assert sim.now == 10
     # White-box: smuggle an event past schedule()'s past-guard.
-    heapq.heappush(sim._queue, (5, 10**9, Event(5, 10**9, lambda: None)))
+    heapq.heappush(sim._queue, (5, 10**9, lambda: None, ""))
     with pytest.raises(SimulationError, match="backwards"):
         sim.step()
 
@@ -252,3 +252,131 @@ def test_quiesce_condition_flips_exactly_at_limit(sim):
     state = {"done": False}
     sim.schedule(500, lambda: state.update(done=True))
     assert quiesce(sim, limit=500, check=lambda: state["done"], step=100)
+
+
+# ----------------------------------------------------------------------
+# run() bounds, integer cycles, and the cancel handle's contract
+# ----------------------------------------------------------------------
+
+def test_run_with_past_limit_dispatches_nothing_and_keeps_clock(sim):
+    fired = []
+    sim.schedule(100, lambda: fired.append(100))
+    sim.schedule(150, lambda: fired.append(150))
+    assert sim.run(limit=100) == 100
+    assert sim.run(limit=50) == 100
+    assert sim.now == 100
+    assert fired == [100]
+    assert sim.events_dispatched == 1
+    # The clock did not rewind, so the past guard still holds.
+    with pytest.raises(SimulationError):
+        sim.schedule(60, lambda: None)
+    sim.run()
+    assert fired == [100, 150]
+
+
+def test_run_with_zero_max_events_dispatches_nothing(sim):
+    fired = []
+    sim.schedule(5, lambda: fired.append(5))
+    assert sim.run(max_events=0) == 0
+    assert sim.run(limit=1_000, max_events=0) == 0
+    assert fired == []
+    assert sim.events_dispatched == 0
+    assert sim.pending() == 1
+
+
+def test_run_with_negative_max_events_raises(sim):
+    sim.schedule(5, lambda: None)
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=-1)
+    assert sim.events_dispatched == 0
+    assert sim.now == 0
+
+
+def test_schedule_rejects_non_integer_cycles(sim):
+    sim.schedule(5, lambda: None)
+    sim.run()
+    for when in (5.7, 6.0):
+        with pytest.raises(SimulationError, match="non-integer"):
+            sim.schedule(when, lambda: None)
+    with pytest.raises(SimulationError, match="non-integer"):
+        sim.schedule_after(0.5, lambda: None)
+    assert sim.pending() == 0
+    assert sim.now == 5
+
+
+def test_cancel_twice_is_a_noop(sim):
+    fired = []
+    handle = sim.schedule(5, lambda: fired.append(5))
+    sim.schedule(6, lambda: fired.append(6))
+    sim.cancel(handle)
+    sim.cancel(handle)
+    assert sim.pending() == 2
+    sim.run()
+    assert fired == [6]
+    sim.cancel(handle)  # popped and skipped already
+    assert sim.pending() == 0
+    assert not sim._cancelled
+
+
+def test_cancel_after_fire_is_a_noop(sim):
+    fired = []
+    done = sim.schedule(5, lambda: fired.append(5))
+    sim.run()
+    sim.cancel(done)
+    # Same cycle: a later event cancels one that already fired this cycle.
+    first = sim.schedule(10, lambda: fired.append(10))
+    sim.schedule(10, lambda: sim.cancel(first))
+    sim.schedule(10, lambda: sim.cancel(done))
+    sim.schedule(11, lambda: fired.append(11))
+    sim.run()
+    assert fired == [5, 10, 11]
+    assert sim.events_dispatched == 5
+    assert not sim._cancelled
+
+
+def test_event_cancelling_itself_is_a_noop(sim):
+    handles = []
+    handles.append(sim.schedule(3, lambda: sim.cancel(handles[0])))
+    sim.run()
+    assert sim.events_dispatched == 1
+    assert sim.pending() == 0
+    assert not sim._cancelled
+
+
+def test_ticker_stop_inside_callback_leaves_nothing_behind(sim):
+    ticker = Ticker(sim, period=10, callback=lambda i: ticker.stop())
+    ticker.start()
+    sim.run()
+    assert ticker.ticks == 1
+    ticker.stop()  # stopping a stopped ticker is a no-op too
+    assert sim.pending() == 0
+    assert not sim._cancelled
+
+
+def test_cancelled_entries_count_until_popped(sim):
+    handles = [sim.schedule(i + 1, lambda: None) for i in range(5)]
+    for handle in handles[:3]:
+        sim.cancel(handle)
+    assert sim.pending() == 5
+    assert sim.peak_pending == 5
+    assert sim.step()  # pops the three cancelled entries, fires the fourth
+    assert sim.now == 4
+    assert sim.pending() == 1
+    assert sim.peak_pending == 5
+    sim.run()
+    assert sim.events_dispatched == 2
+    assert sim.pending() == 0
+    assert not sim._cancelled
+
+
+def test_compacted_handle_cancel_is_a_noop(sim):
+    handles = [sim.schedule(i + 1, lambda: None, label="bulk")
+               for i in range(4)]
+    sim.schedule(100, lambda: None, label="keep")
+    assert sim.drain_matching(lambda label: label == "bulk") == 4
+    assert sim.pending() == 1  # compacted
+    sim.cancel(handles[0])
+    assert not sim._cancelled
+    sim.run()
+    assert sim.now == 100
+    assert sim.events_dispatched == 1
