@@ -18,7 +18,6 @@ simulated-cycle metrics.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import List
@@ -112,25 +111,3 @@ def run_once(experiment, benchmark):
     """Run ``experiment`` exactly once under pytest-benchmark."""
     return benchmark.pedantic(experiment, rounds=1, iterations=1,
                               warmup_rounds=0)
-
-
-def record_bench(guard: str, speedup: float, events: int,
-                 wall_s: float, **extra) -> None:
-    """Append one machine-readable guard result to ``$REPRO_BENCH_JSON``.
-
-    The coherence guards call this with their measured ratio; when the
-    environment variable is unset nothing happens.  The file is
-    JSON-lines — one ``{"guard", "speedup", "events", "wall_s", ...}``
-    object per guard per run — so committed ``BENCH_*.json`` data can be
-    regenerated instead of maintained as prose:
-
-        REPRO_BENCH_JSON=BENCH_hotpaths.json pytest benchmarks/test_coherence_hotpath.py
-    """
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    row = {"guard": guard, "speedup": round(speedup, 3),
-           "events": events, "wall_s": round(wall_s, 4)}
-    row.update(extra)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")

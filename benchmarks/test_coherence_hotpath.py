@@ -9,7 +9,7 @@ the same standard as the kernel/network/validation/CPU guards:
   the CPU-hot store stream (E fills + silent-upgrade checks on every
   store burst), must commit the same work in no more simulated cycles
   and no more kernel dispatches.  These are deterministic counts.  The
-  mesi/mosi wall ratio is printed and recorded but not bounded: mesi's
+  mesi/mosi wall ratio is printed but not bounded: mesi's
   silent upgrades save ~40% of the dispatches on this stream, so the
   ratio mostly measures that saving, and on a shared 2-vCPU host it
   ranged 0.79-1.10 between runs of the same tree.
@@ -22,10 +22,6 @@ the same standard as the kernel/network/validation/CPU guards:
   the same committed work; its wall cost appears only under contention,
   so the end-to-end ratio gets a loose regression floor (skipped in
   smoke: sub-second runs are startup-dominated).
-
-``REPRO_BENCH_JSON`` gets one row per guard (``coherence_protocol_
-overhead``, ``coherence_upgrade_traffic``) for the committed
-``BENCH_hotpaths.json`` trajectory.
 """
 
 import time
@@ -35,7 +31,7 @@ from repro.experiments import RunSpec, build_machine
 from repro.system.machine import Machine
 from repro.workloads.base import SyntheticWorkload, WorkloadSpec
 
-from benchmarks.conftest import record_bench, run_once, smoke_mode
+from benchmarks.conftest import run_once, smoke_mode
 
 SMOKE = smoke_mode()
 
@@ -101,11 +97,6 @@ def test_protocol_object_overhead_on_hot_stream(benchmark):
     assert keys["mesi"][0][0] <= keys["mosi"][0][0]
     assert keys["mesi"][1] <= keys["mosi"][1], \
         "mesi dispatched more events than mosi on the hot stream"
-    record_bench("coherence_protocol_overhead", round(1 / overhead, 3),
-                 keys["mosi"][1], best["mosi"],
-                 mesi_wall_s=round(best["mesi"], 4),
-                 mosi_cycles=keys["mosi"][0][0],
-                 mesi_cycles=keys["mesi"][0][0])
 
 
 def _sharing_run(protocol: str):
@@ -117,16 +108,15 @@ def _sharing_run(protocol: str):
     assert result.completed
     networked = sum(n.cache.c_upgrades.value for n in machine.nodes)
     silent = sum(n.cache.c_silent_upgrade.value for n in machine.nodes)
-    return result.cycles, networked, silent, machine.sim.events_dispatched
+    return result.cycles, networked, silent
 
 
 def test_mesi_reduces_upgrade_traffic_and_cycles(benchmark):
     def measure():
         return _sharing_run("mosi"), _sharing_run("mesi")
 
-    (mosi_cycles, mosi_net, mosi_silent, mosi_ev), \
-        (mesi_cycles, mesi_net, mesi_silent, mesi_ev) = \
-        run_once(measure, benchmark)
+    (mosi_cycles, mosi_net, mosi_silent), \
+        (mesi_cycles, mesi_net, mesi_silent) = run_once(measure, benchmark)
     print(f"\nupgrade traffic (apache 4x4, {SHARING_INSTRUCTIONS} "
           f"instr/cpu):"
           f"\n  mosi: {mosi_net} networked upgrades, {mosi_cycles:,} cycles"
@@ -138,10 +128,6 @@ def test_mesi_reduces_upgrade_traffic_and_cycles(benchmark):
         "mesi must convert networked upgrades into silent ones"
     assert mesi_cycles <= mosi_cycles, \
         "mesi slower than mosi on a sharing mix — E state not paying off"
-    record_bench("coherence_upgrade_traffic",
-                 round(mosi_cycles / mesi_cycles, 3), mesi_ev,
-                 0.0, mosi_networked=mosi_net, mesi_networked=mesi_net,
-                 mesi_silent=mesi_silent)
 
 
 def test_arbiter_overhead_end_to_end(benchmark):

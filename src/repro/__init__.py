@@ -19,27 +19,31 @@ Quick start::
     assert not result.crashed          # SafetyNet survives the faults
     print(machine.recovery.stats)
 
-Package layout (see DESIGN.md for the full inventory):
+Package layout:
 
-* ``repro.sim`` - deterministic discrete-event kernel, RNG, statistics;
+* ``repro.sim`` - deterministic discrete-event kernel, statistics and
+  dispatch profiling;
 * ``repro.config`` - Table 2 parameters and the scaled presets;
-* ``repro.core`` - SafetyNet itself (CLBs, checkpoint clock, validation,
-  recovery, output/input commit);
-* ``repro.coherence`` - the MOSI directory protocol substrate;
+* ``repro.core`` - SafetyNet itself (CLBs, checkpoint clock, recovery,
+  output/input commit);
+* ``repro.checkpoint`` - pipelined checkpoint validation (per-node
+  agents, service controllers, the participant protocol);
+* ``repro.coherence`` - the directory protocols (mosi, mesi, moesi) and
+  the snooping variant;
 * ``repro.interconnect`` - the half-switch 2D torus with fault injection;
 * ``repro.detection`` - error codes, checkers, and corruption faults;
 * ``repro.processor`` / ``repro.workloads`` - cores and Table 3 workloads;
-* ``repro.system`` - node/machine assembly and fault campaigns;
+* ``repro.system`` - node and machine assembly;
 * ``repro.experiments`` - the campaign engine: declarative RunSpec/Sweep
   grids, a parallel resumable Runner + JSONL ResultStore, and per-cell
   aggregation (also the ``repro sweep`` CLI subcommand);
+* ``repro.obs`` - structured tracing, sampling and timelines;
 * ``repro.analysis`` - multi-seed normalisation and chart/table rendering;
 * ``repro.cli`` - the ``repro`` / ``python -m repro`` command line.
 """
 
 from repro.config import SystemConfig
 from repro.system.machine import Machine, RunResult
-from repro.system.faults import hard_fault_campaign, transient_fault_campaign
 from repro import workloads
 
 __version__ = "1.0.0"
@@ -48,8 +52,6 @@ __all__ = [
     "SystemConfig",
     "Machine",
     "RunResult",
-    "transient_fault_campaign",
-    "hard_fault_campaign",
     "workloads",
     "__version__",
 ]

@@ -1,17 +1,15 @@
-"""Analysis helpers: multi-seed runs, normalisation, and ASCII rendering."""
+"""Analysis helpers: normalisation and ASCII rendering."""
 
 from repro.analysis.metrics import (
     MeasuredBar,
     extrapolate_transient_overhead,
     normalized_performance,
-    run_many_seeds,
 )
 from repro.analysis.tables import ascii_bar_chart, format_table
 
 __all__ = [
     "MeasuredBar",
     "normalized_performance",
-    "run_many_seeds",
     "extrapolate_transient_overhead",
     "format_table",
     "ascii_bar_chart",

@@ -10,10 +10,10 @@ runtime for fixed work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Sequence
 
 from repro.sim.stats import mean_and_stddev
-from repro.system.machine import Machine, RunResult
+from repro.system.machine import RunResult
 
 
 @dataclass
@@ -33,21 +33,6 @@ class MeasuredBar:
             f"{self.label:<42s} {self.mean:6.3f} +- {self.stddev:5.3f} "
             f"(n={self.samples})"
         )
-
-
-def run_many_seeds(
-    build: Callable[[int], Machine],
-    instructions_per_cpu: int,
-    seeds: Sequence[int],
-    *,
-    max_cycles: Optional[int] = None,
-) -> List[RunResult]:
-    """Build and run one machine per seed (the perturbation methodology)."""
-    results = []
-    for seed in seeds:
-        machine = build(seed)
-        results.append(machine.run(instructions_per_cpu, max_cycles=max_cycles))
-    return results
 
 
 def normalized_performance(

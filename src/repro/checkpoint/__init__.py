@@ -1,9 +1,9 @@
-"""The checkpoint-lifecycle subsystem.
+"""Pipelined checkpoint validation (paper §3.5).
 
-Owns SafetyNet's whole recovery-point protocol in one place — previously
-scattered across ``core/clock.py``, ``core/validation.py``,
-``core/commit.py``, ``core/recovery.py`` and duck-typed hooks in the
-coherence and processor layers:
+Validation decides when a checkpoint becomes the recovery point.  The
+rest of the lifecycle lives in :mod:`repro.core`: the checkpoint clock
+(``core/clock.py``), output/input commit (``core/commit.py``) and
+recovery (``core/recovery.py``).
 
 * :mod:`repro.checkpoint.participant` — the
   :class:`CheckpointParticipant` protocol every in-sphere component
@@ -14,8 +14,8 @@ coherence and processor layers:
   sign-off announcement, with a resync timer as dropped-message
   insurance.
 * :mod:`repro.checkpoint.controllers` — the redundant
-  :class:`ServiceControllers` with incremental running-min sign-off
-  tracking.
+  :class:`ServiceControllers`: collect sign-offs and advance the
+  recovery point to their minimum, recomputed per sign-off.
 """
 
 from repro.checkpoint.agent import ValidationAgent

@@ -783,7 +783,3 @@ class CacheController:
         for block in self.wb_buffer.values():
             out[block.addr] = (block.state, block.data)
         return out
-
-    def valid_state(self) -> Dict[int, Tuple[str, int]]:
-        """All resident blocks -> (state, data)."""
-        return {b.addr: (b.state, b.data) for b in self.resident_blocks()}

@@ -587,8 +587,5 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def memory_image(self) -> Dict[int, int]:
-        return dict(self.values)
-
     def owner_map(self) -> Dict[int, Optional[int]]:
         return {addr: e.owner for addr, e in self.directory.items()}

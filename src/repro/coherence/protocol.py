@@ -6,8 +6,7 @@ cost is tightly coupled to the memory system underneath (Kulkarni et
 al., PAPERS.md).  This module extracts the protocol decisions that were
 hard-wired into :class:`~repro.coherence.cache.CacheController` and
 :class:`~repro.coherence.directory.MemoryController` into a frozen
-:class:`CoherenceProtocol` object behind a registry, following the
-pattern that already worked for ``BACKENDS``:
+:class:`CoherenceProtocol` object, looked up by name in ``PROTOCOLS``:
 
 * ``mosi`` — the original protocol and the bit-identity oracle: a run
   with ``protocol=mosi`` must be byte-identical to the pre-refactor

@@ -13,11 +13,11 @@ number (CCN) and the processor checkpoints its registers.
 
 from __future__ import annotations
 
+import random
 import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.kernel import Simulator
-from repro.sim.rng import DeterministicRng
 
 EdgeCallback = Callable[[int], None]  # receives the new CCN
 
@@ -44,7 +44,7 @@ class CheckpointClock:
         *,
         max_skew: int = 0,
         min_network_latency: int = 1,
-        rng: Optional[DeterministicRng] = None,
+        rng: Optional[random.Random] = None,
     ) -> None:
         if interval <= 0:
             raise ClockConfigError("checkpoint interval must be positive")

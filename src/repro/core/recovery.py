@@ -204,12 +204,7 @@ class RecoveryManager:
         self._watchdog_running = True
         self._watchdog_tick(is_active)
 
-    def stop_watchdog(self) -> None:
-        self._watchdog_running = False
-
     def _watchdog_tick(self, is_active: Callable[[], bool]) -> None:
-        if not self._watchdog_running:
-            return
         if (
             not self.recovering
             and is_active()

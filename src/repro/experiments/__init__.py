@@ -10,8 +10,8 @@ instead of a hand-rolled loop:
 * :mod:`~repro.experiments.runner` — :func:`execute_run` (spec ->
   :class:`RunRecord`) and :class:`Runner` (campaign orchestration:
   resume, retries, quarantine);
-* :mod:`~repro.experiments.backends` — pluggable executor backends
-  (``serial`` / ``pool`` / ``filequeue``) behind a registry, plus the
+* :mod:`~repro.experiments.backends` — the executor backends
+  (``serial`` / ``pool`` / ``filequeue``), plus the
   guarded-cell harness (:func:`run_cell_guarded`) and the elastic
   :func:`run_worker` loop;
 * :mod:`~repro.experiments.journal` — :class:`AttemptJournal`, the
@@ -28,7 +28,8 @@ instead of a hand-rolled loop:
   ``<store>.manifest.json`` record of every campaign's expanded grid and
   hashes (store auditing: orphan records, pending runs);
 * :mod:`~repro.experiments.aggregate` — per-cell means / spreads /
-  confidence intervals across seed replicates, feeding ``repro.analysis``.
+  confidence intervals across seed replicates, rendered as tables by
+  ``repro.analysis.format_table``.
 
 Quick start::
 
@@ -56,14 +57,11 @@ from repro.experiments.backends import (
     CellError,
     CellFailure,
     CellTimeout,
-    ExecutorBackend,
-    get_backend,
-    register_backend,
     resolve_backend,
     run_cell_guarded,
     run_worker,
 )
-from repro.experiments.chaos import CHAOS_ENV, ChaosConfig, ChaosTornWrite
+from repro.experiments.chaos import CHAOS_ENV, ChaosConfig
 from repro.experiments.journal import (
     AttemptJournal,
     default_worker_id,
@@ -103,13 +101,9 @@ __all__ = [
     "CellFailure",
     "CellTimeout",
     "ChaosConfig",
-    "ChaosTornWrite",
-    "ExecutorBackend",
     "default_worker_id",
-    "get_backend",
     "journal_path",
     "list_shards",
-    "register_backend",
     "resolve_backend",
     "run_cell_guarded",
     "run_worker",

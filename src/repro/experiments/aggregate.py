@@ -5,7 +5,7 @@ over several pseudo-randomly perturbed runs with error bars.  This layer
 turns a pile of :class:`~repro.experiments.runner.RunRecord` into one
 summary per *cell* (the spec minus its seed): mean / min / max / sample
 standard deviation and a Student-t 95% confidence half-width for each
-metric, ready for ``repro.analysis`` tables and charts.
+metric, ready for ``repro.analysis.format_table`` (:func:`summary_rows`).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis import MeasuredBar
 from repro.experiments.runner import RunRecord
+from repro.sim.stats import mean_and_stddev
 
 #: Two-sided 95% Student-t critical values by degrees of freedom.
 _T95 = {
@@ -50,15 +50,11 @@ class MetricSummary:
 
 def summarize(values: Sequence[float]) -> MetricSummary:
     vals = [float(v) for v in values]
-    if not vals:
-        return MetricSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0)
     n = len(vals)
-    mean = sum(vals) / n
-    if n < 2:
-        return MetricSummary(mean, min(vals), max(vals), 0.0, 0.0, n)
-    var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-    std = math.sqrt(var)
-    ci = t_critical_95(n - 1) * std / math.sqrt(n)
+    if not n:
+        return MetricSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    mean, std = mean_and_stddev(vals)
+    ci = t_critical_95(n - 1) * std / math.sqrt(n)   # 0 for one replicate
     return MetricSummary(mean, min(vals), max(vals), std, ci, n)
 
 
@@ -80,23 +76,11 @@ class CellSummary:
     cell_hash: str
     n: int
     crashes: int
-    incomplete: int
     seeds: List[int]
     metrics: Dict[str, MetricSummary] = field(default_factory=dict)
 
     def label(self, keys: Sequence[str]) -> str:
         return " ".join(f"{k}={self.cell.get(k)}" for k in keys)
-
-    def to_bar(self, metric: str = "cycles", label: str = "") -> MeasuredBar:
-        """Adapt to the analysis layer's Fig. 5/8 bar shape."""
-        summary = self.metrics[metric]
-        return MeasuredBar(
-            label or self.cell_hash,
-            summary.mean,
-            summary.stddev,
-            crashed=self.crashes > 0 or self.incomplete == self.n,
-            samples=self.n,
-        )
 
 
 def aggregate(
@@ -126,7 +110,6 @@ def aggregate(
             cell_hash=cell_hash,
             n=len(group),
             crashes=sum(1 for r in group if r.crashed),
-            incomplete=sum(1 for r in group if not r.completed),
             seeds=[r.spec.seed for r in group],
         )
         for name, fn in metrics.items():

@@ -2,8 +2,7 @@
 
 The :class:`~repro.experiments.runner.Runner` owns campaign *policy*
 (resume, retry budget, backoff, quarantine); a backend owns cell
-*placement*.  Three ship in the registry, mirroring the kernel-core
-registry in :mod:`repro.sim.kernel`:
+*placement*.  There are three, named in :data:`BACKENDS`:
 
 ``serial``
     In-process, one cell at a time.  The debugging backend, and the last
@@ -38,7 +37,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.chaos import ChaosConfig
 from repro.experiments.journal import AttemptJournal, default_worker_id
@@ -168,21 +167,6 @@ def _pool_cell(spec_dict: Dict[str, Any], timeout: Optional[float],
     return record.to_dict()
 
 
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-BACKENDS: Dict[str, Type["ExecutorBackend"]] = {}
-
-
-def register_backend(name: str):
-    """Class decorator adding an executor backend to the registry."""
-    def wrap(cls: Type["ExecutorBackend"]) -> Type["ExecutorBackend"]:
-        cls.name = name
-        BACKENDS[name] = cls
-        return cls
-    return wrap
-
-
 def resolve_backend(name: str, jobs: int) -> str:
     """``auto`` picks ``pool`` for parallel campaigns, else ``serial``."""
     if name == "auto":
@@ -193,24 +177,11 @@ def resolve_backend(name: str, jobs: int) -> str:
     return name
 
 
-def get_backend(name: str, jobs: int = 1) -> "ExecutorBackend":
-    return BACKENDS[resolve_backend(name, jobs)]()
-
-
-class ExecutorBackend:
-    """Executes a batch of deduplicated, not-yet-done specs for a Runner.
-
-    ``execute`` returns ``{spec_hash: RunRecord}`` covering *every* input
-    spec — quarantined cells included as structured failed records —
-    and calls ``runner._finish`` per record so store persistence and
-    progress lines happen the moment each cell lands.
-    """
-
-    name = "?"
-
-    def execute(self, specs: List[RunSpec],
-                runner) -> Dict[str, RunRecord]:
-        raise NotImplementedError
+def backoff_delay(backoff_s: float, attempt: int) -> float:
+    """Seconds to wait after failed ``attempt`` before the next one:
+    ``backoff_s * 2**(attempt-1)``, capped at 30 s.  Every backend and
+    every ``repro worker`` retries on this one schedule."""
+    return min(backoff_s * 2 ** (attempt - 1), 30.0)
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +224,7 @@ def _quarantine(journal: Optional[AttemptJournal], spec: RunSpec,
     return record
 
 
-@register_backend("serial")
-class SerialBackend(ExecutorBackend):
+class SerialBackend:
     """One cell at a time, in this process, with the full retry policy."""
 
     def execute(self, specs: List[RunSpec],
@@ -290,7 +260,7 @@ class SerialBackend(ExecutorBackend):
                         break
                     if journal is not None:
                         journal.fail(h, exc.summary())
-                    delay = runner.backoff_delay(attempt)
+                    delay = backoff_delay(runner.backoff_s, attempt)
                     runner.progress(
                         f"retry {spec.label()} attempt "
                         f"{attempt}/{runner.max_attempts} failed "
@@ -305,8 +275,7 @@ class SerialBackend(ExecutorBackend):
         return out
 
 
-@register_backend("pool")
-class PoolBackend(ExecutorBackend):
+class PoolBackend:
     """Process-pool fan-out with retry/backoff/quarantine and graceful
     degradation: pool-infrastructure failures fall back to serial, a
     failing cell is recorded and the rest keep draining, and SIGINT
@@ -358,7 +327,7 @@ class PoolBackend(ExecutorBackend):
                 return
             if journal is not None:
                 journal.fail(spec.spec_hash, exc.summary())
-            delay = runner.backoff_delay(attempt)
+            delay = backoff_delay(runner.backoff_s, attempt)
             runner.progress(f"retry {spec.label()} attempt "
                             f"{attempt}/{runner.max_attempts} failed "
                             f"({exc.summary()}); resubmitting in "
@@ -541,10 +510,12 @@ def run_worker(
                         f"{attempt} attempt(s): {exc.summary()}")
                 else:
                     journal.fail(h, exc.summary())
+                    delay = backoff_delay(backoff_s, attempt)
                     say(f"[{wid}] {spec.label()} attempt "
                         f"{attempt}/{max_attempts} failed "
-                        f"({exc.summary()}); requeued")
-                    time.sleep(min(backoff_s * 2 ** (attempt - 1), 10.0))
+                        f"({exc.summary()}); requeued, backing off "
+                        f"{delay:.1f}s")
+                    time.sleep(delay)
                 current = None
                 continue
             if chaos is not None and chaos.should_tear(h, attempt):
@@ -576,8 +547,7 @@ def run_worker(
     return executed
 
 
-@register_backend("filequeue")
-class FileQueueBackend(ExecutorBackend):
+class FileQueueBackend:
     """Directory-queue coordinator: seed the journal, spawn local
     workers, reap expired leases while they run, then merge shards.
 
@@ -670,3 +640,11 @@ class FileQueueBackend(ExecutorBackend):
             out[spec.spec_hash] = record
             runner._finish(record, len(out), total, persist=False)
         return out
+
+
+#: Every backend's ``execute(specs, runner)`` returns ``{spec_hash:
+#: RunRecord}`` covering *every* input spec — quarantined cells included
+#: as structured failed records — and calls ``runner._finish`` per record,
+#: so store persistence and progress lines happen as each cell lands.
+BACKENDS = {"serial": SerialBackend, "pool": PoolBackend,
+            "filequeue": FileQueueBackend}

@@ -43,10 +43,6 @@ from typing import Any, Dict, Mapping, Optional
 CHAOS_ENV = "REPRO_CHAOS"
 
 
-class ChaosTornWrite(Exception):
-    """Raised after a deliberately torn store append (the attempt failed)."""
-
-
 @dataclass(frozen=True)
 class ChaosConfig:
     """Deterministic fault-injection policy for one campaign."""

@@ -315,11 +315,3 @@ class AttemptJournal:
                     continue
             out.append(entry)
         return out
-
-    def attempt_counts(self) -> Dict[str, int]:
-        """spec_hash -> attempts, across every state (retry telemetry)."""
-        out: Dict[str, int] = {}
-        for state in STATES:
-            for entry in self.entries(state):
-                out[entry["spec_hash"]] = int(entry.get("attempts", 0))
-        return out

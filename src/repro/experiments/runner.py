@@ -81,18 +81,16 @@ def build_machine(spec: RunSpec) -> Machine:
     machine = Machine(config, workload, seed=spec.seed,
                       detection_latency=spec.detection_latency,
                       error_code=CRC16 if needs_checker else None)
+    period = 60_000 if spec.fault_period is None else spec.fault_period
     if spec.fault == "transient":
-        machine.inject_transient_faults(spec.fault_period or 60_000,
-                                        first_at=spec.fault_at)
+        machine.inject_transient_faults(period, first_at=spec.fault_at)
     elif spec.fault == "switch":
         machine.inject_switch_kill(
             at_cycle=spec.fault_at if spec.fault_at is not None else 50_000)
     elif spec.fault == "corrupt":
-        machine.inject_corruption_faults(spec.fault_period or 60_000,
-                                         first_at=spec.fault_at)
+        machine.inject_corruption_faults(period, first_at=spec.fault_at)
     elif spec.fault == "misroute":
-        machine.inject_misroute_faults(spec.fault_period or 60_000,
-                                       first_at=spec.fault_at)
+        machine.inject_misroute_faults(period, first_at=spec.fault_at)
     return machine
 
 
@@ -278,7 +276,7 @@ class Runner:
     """Executes a campaign of specs, resumably, fault-tolerantly, and
     (optionally) in parallel.
 
-    ``backend`` names an executor from the registry in
+    ``backend`` names an executor in
     :mod:`repro.experiments.backends` — ``serial``, ``pool``
     (``ProcessPoolExecutor`` with ``jobs`` workers), ``filequeue``
     (elastic directory-queue workers), or ``auto`` (pool when ``jobs >
@@ -292,7 +290,8 @@ class Runner:
       cells are journalled (lease + heartbeat + attempt count) next to
       the manifest so a killed session's cells re-queue on resume;
     * a failed attempt is retried up to ``retries`` times with
-      exponential backoff (``backoff_s * 2**(attempt-1)``);
+      exponential backoff (``backoff_s * 2**(attempt-1)``, capped at
+      30 s: :func:`~repro.experiments.backends.backoff_delay`);
     * ``cell_timeout`` SIGKILLs a cell exceeding its wall-clock budget
       (attempts run in a disposable child process when a timeout or
       chaos policy is set);
@@ -351,10 +350,6 @@ class Runner:
     @property
     def max_attempts(self) -> int:
         return self.retries + 1
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Exponential backoff before re-running a failed attempt."""
-        return min(self.backoff_s * 2 ** (attempt - 1), 30.0)
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[RunRecord]:

@@ -109,6 +109,9 @@ class RunSpec:
             raise ValueError(f"unknown preset {self.preset!r}; one of {PRESETS}")
         if self.instructions <= 0:
             raise ValueError("instructions must be positive")
+        if self.fault_period is not None and self.fault_period <= 0:
+            raise ValueError(
+                f"fault_period must be positive, got {self.fault_period}")
         if (self.torus_width is None) != (self.torus_height is None):
             raise ValueError(
                 "torus_width and torus_height must be set together")

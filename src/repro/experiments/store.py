@@ -157,13 +157,6 @@ class ResultStore:
         self._needs_newline = True
         self._malformed += 1
 
-    def reload(self) -> None:
-        """Re-read the file (a peer — worker, merger — may have written)."""
-        self._records = {}
-        self._malformed = 0
-        self._needs_newline = False
-        self._load()
-
     # ------------------------------------------------------------------
     def merge_shards(self, keep_hashes: Optional[Iterable[str]] = None,
                      *, remove: bool = True) -> Dict[str, int]:

@@ -55,7 +55,6 @@ from repro.obs.trace import (
     TraceRecord,
     chrome_trace,
     counts_table,
-    merge_sorted,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TraceRecord",
     "chrome_trace",
     "counts_table",
-    "merge_sorted",
     "validate_chrome_trace",
     "write_chrome_trace",
     "Sampler",

@@ -26,7 +26,7 @@ attribute load on the (infrequent) lifecycle paths only.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 # Record kinds.  Values double as Chrome-trace event names.
 KIND_EDGE = "ckpt.edge"                  # node reached checkpoint `ccn`
@@ -97,9 +97,6 @@ class TraceLog:
         for r in self.records:
             out[r.kind] = out.get(r.kind, 0) + 1
         return out
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [r.to_dict() for r in self.records]
 
 
 # ----------------------------------------------------------------------
@@ -280,12 +277,3 @@ def counts_table(trace: TraceLog) -> List["tuple[str, int]"]:
     rows = [(kind, counts.pop(kind)) for kind in order if kind in counts]
     rows.extend(sorted(counts.items()))
     return rows
-
-
-def merge_sorted(traces: Iterable[TraceLog]) -> TraceLog:
-    """Combine journals (e.g. per-phase) into one cycle-ordered log."""
-    merged = TraceLog()
-    for trace in traces:
-        merged.records.extend(trace.records)
-    merged.records.sort(key=lambda r: r.cycle)
-    return merged

@@ -8,7 +8,6 @@ schedules work through :class:`~repro.sim.kernel.Simulator`.
 from repro.sim.deadlines import DeadlineTable
 from repro.sim.kernel import Simulator
 from repro.sim.profile import DispatchProfile, ProfileReport, profile_spec
-from repro.sim.rng import DeterministicRng, spawn_streams
 from repro.sim.stats import BandwidthMeter, Counter, Histogram, StatsRegistry
 
 __all__ = [
@@ -17,8 +16,6 @@ __all__ = [
     "DispatchProfile",
     "ProfileReport",
     "profile_spec",
-    "DeterministicRng",
-    "spawn_streams",
     "BandwidthMeter",
     "Counter",
     "Histogram",

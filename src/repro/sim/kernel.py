@@ -24,7 +24,7 @@ so the simpler core is the only one.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -52,7 +52,7 @@ class Simulator:
         self.now: int = 0
         self._queue: List[_Entry] = []
         #: ``seq`` of every queued entry that was cancelled; an entry
-        #: leaves the set when it is popped (or compacted away).
+        #: leaves the set when it is popped.
         self._cancelled: Set[int] = set()
         self._seq: int = 0
         self._events_dispatched: int = 0
@@ -104,13 +104,12 @@ class Simulator:
     def cancel(self, handle: _Entry) -> None:
         """Stop a scheduled event from firing.
 
-        A no-op for a handle that already fired, was already cancelled,
-        or was compacted away (:meth:`drain_matching`).  The entry stays
-        queued — :meth:`pending` and :attr:`peak_pending` count it — until
-        the dispatch loop pops and skips it.  Cancels are rare (a few per
-        thousand dispatches on a full-machine run), so the queue scan
-        that tells a live handle from a spent one costs nothing that
-        shows.
+        A no-op for a handle that already fired or was already
+        cancelled.  The entry stays queued — :meth:`pending` and
+        :attr:`peak_pending` count it — until the dispatch loop pops and
+        skips it.  Cancels are rare (a few per thousand dispatches on a
+        full-machine run), so the queue scan that tells a live handle
+        from a spent one costs nothing that shows.
         """
         seq = handle[1]
         if seq not in self._cancelled and handle in self._queue:
@@ -256,105 +255,3 @@ class Simulator:
             self._events_dispatched += 1
             return True
         return False
-
-    def drain_matching(self, predicate: Callable[[str], bool]) -> int:
-        """Cancel every queued event whose label matches ``predicate``.
-
-        For recovery-style bulk discards of in-flight network/protocol
-        events.  Returns the number of events newly cancelled.
-
-        Cancelled events normally stay queued (lazily skipped on pop), but
-        a caller that drains repeatedly — one drain per recovery on a
-        fault-heavy run — would otherwise grow the queue without bound
-        with tuples that never fire before the far-future deadlines ahead
-        of them.  When more than half the queue is dead after a drain, the
-        queue is compacted in place (drop cancelled entries, re-heapify):
-        O(n), against a scan that was O(n) already.
-        """
-        queue = self._queue
-        dead = self._cancelled
-        before = len(dead)
-        for _, seq, _, label in queue:
-            if seq not in dead and predicate(label):
-                dead.add(seq)
-        cancelled = len(dead) - before
-        if len(dead) * 2 > len(queue):
-            queue[:] = [entry for entry in queue if entry[1] not in dead]
-            heapify(queue)
-            dead.clear()
-        return cancelled
-
-
-class Ticker:
-    """A repeating event helper (e.g. the checkpoint clock).
-
-    The callback receives the tick index.  Re-arms itself unless stopped.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        period: int,
-        callback: Callable[[int], None],
-        *,
-        phase: int = 0,
-        label: str = "ticker",
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"ticker period must be positive, got {period}")
-        self._sim = sim
-        self._period = period
-        self._callback = callback
-        self._label = label
-        self._tick = 0
-        self._running = False
-        self._handle: Optional[_Entry] = None
-        self._phase = phase
-
-    @property
-    def period(self) -> int:
-        return self._period
-
-    @property
-    def ticks(self) -> int:
-        return self._tick
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        first = self._sim.now + self._phase
-        if self._phase == 0:
-            first = self._sim.now + self._period
-        self._handle = self._sim.schedule(first, self._fire, self._label)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._handle is not None:
-            self._sim.cancel(self._handle)
-            self._handle = None
-
-    def _fire(self) -> None:
-        if not self._running:
-            return
-        index = self._tick
-        self._tick += 1
-        self._callback(index)
-        if self._running:
-            self._handle = self._sim.schedule_after(self._period, self._fire,
-                                                    self._label)
-
-
-def quiesce(sim: Simulator, limit: int, check: Callable[[], bool], step: int = 1000) -> bool:
-    """Run the simulator until ``check()`` is true or ``limit`` is reached.
-
-    Polls ``check`` every ``step`` cycles.  Returns True if the condition
-    held before the limit.
-    """
-    while sim.now < limit:
-        if check():
-            return True
-        sim.run(limit=min(limit, sim.now + step))
-        if not sim.pending() and not check():
-            return check()
-    return check()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 
@@ -61,28 +60,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / len(self._samples) if self._samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self._samples, default=0.0)
-
-    @property
-    def minimum(self) -> float:
-        return min(self._samples, default=0.0)
-
-    def stddev(self) -> float:
-        n = len(self._samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / (n - 1))
-
-    def percentile(self, p: float) -> float:
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        k = min(len(ordered) - 1, max(0, int(round(p / 100.0 * (len(ordered) - 1)))))
-        return ordered[k]
 
     def reset(self) -> None:
         self._samples.clear()
@@ -172,25 +149,6 @@ class StatsRegistry:
             h.reset()
         for m in self._meters.values():
             m.reset()
-
-
-@dataclass
-class RunSummary:
-    """End-of-run metrics the analysis layer consumes (one seed, one config)."""
-
-    cycles: int
-    committed_instructions: int
-    reexecuted_instructions: int = 0
-    recoveries: int = 0
-    crashed: bool = False
-    stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def performance(self) -> float:
-        """Useful work per cycle (committed instructions / cycles)."""
-        if self.crashed or self.cycles == 0:
-            return 0.0
-        return self.committed_instructions / self.cycles
 
 
 def mean_and_stddev(values: Iterable[float]) -> Tuple[float, float]:

@@ -1,14 +1,11 @@
-"""System assembly: nodes, the W x H torus machine, and fault campaigns."""
+"""System assembly: nodes and the W x H torus machine."""
 
 from repro.system.node import IoHooks, Node
 from repro.system.machine import Machine, RunResult
-from repro.system.faults import hard_fault_campaign, transient_fault_campaign
 
 __all__ = [
     "Node",
     "IoHooks",
     "Machine",
     "RunResult",
-    "transient_fault_campaign",
-    "hard_fault_campaign",
 ]

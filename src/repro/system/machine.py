@@ -17,6 +17,7 @@ substrate (network, coherence, processors, workload), wires in SafetyNet
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -36,7 +37,6 @@ from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingTable
 from repro.interconnect.topology import HalfSwitchId, TorusTopology
 from repro.sim.kernel import Simulator
-from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
 from repro.system.node import IoHooks, Node
 
@@ -55,11 +55,6 @@ class RunResult:
     lost_instructions: int
     reexecuted_instructions: int
     stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def runtime_for_fixed_work(self) -> Optional[int]:
-        """Cycles to finish the workload (None if it never finished)."""
-        return self.cycles if self.completed else None
 
 
 class Machine:
@@ -89,8 +84,8 @@ class Machine:
         self.sim = Simulator()
         self.stats = StatsRegistry()
         self.protocol = resolve_protocol(config.protocol)
-        rngs = {"skew": DeterministicRng(seed * 7919 + 1),
-                "external": DeterministicRng(seed * 104729 + 2)}
+        rngs = {"skew": random.Random(seed * 7919 + 1),
+                "external": random.Random(seed * 104729 + 2)}
 
         # --- interconnect -------------------------------------------------
         self.topology = TorusTopology(config.torus_width, config.torus_height)

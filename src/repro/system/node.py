@@ -8,6 +8,7 @@ structures.  ``deliver`` is the node's network-interface dispatch.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Optional
 
 from repro.checkpoint import ValidationAgent
@@ -20,7 +21,6 @@ from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.processor.core import Core
 from repro.sim.kernel import Simulator
-from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
 
 _HOME_KINDS = frozenset(
@@ -45,7 +45,7 @@ class IoHooks:
         node_id: int,
         commit: OutputCommitBuffer,
         input_log: InputLog,
-        external_rng: DeterministicRng,
+        external_rng: random.Random,
         *,
         output_period: int = 0,
         input_period: int = 0,

@@ -6,7 +6,6 @@ from repro.analysis.metrics import (
     MeasuredBar,
     extrapolate_transient_overhead,
     normalized_performance,
-    run_many_seeds,
 )
 from repro.analysis.tables import ascii_bar_chart, format_table
 from repro.sim.stats import mean_and_stddev
@@ -76,29 +75,6 @@ def test_extrapolate_transient_overhead():
 
 def test_extrapolate_with_no_recoveries_is_zero():
     assert extrapolate_transient_overhead([result(10_000)]) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# run_many_seeds
-# ---------------------------------------------------------------------------
-def test_run_many_seeds_builds_one_machine_per_seed():
-    built = []
-
-    class FakeMachine:
-        def __init__(self, seed):
-            self.seed = seed
-
-        def run(self, n, max_cycles=None):
-            return result(1000 + self.seed)
-
-    def build(seed):
-        machine = FakeMachine(seed)
-        built.append(seed)
-        return machine
-
-    results = run_many_seeds(build, 100, [3, 5, 9])
-    assert built == [3, 5, 9]
-    assert [r.cycles for r in results] == [1003, 1005, 1009]
 
 
 # ---------------------------------------------------------------------------

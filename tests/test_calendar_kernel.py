@@ -5,13 +5,13 @@ The event calendar is the kernel's set of pending events (the heap in
 schedules exactly what the machine asks for:
 
 * a unit battery through every public semantic (dispatch order, limits,
-  fast-forward, stop, max_events, step, cancellation, drain_matching),
-  run on the plain dispatch loop and on the separate traced loop
-  (a :class:`~repro.sim.profile.DispatchProfile` attached);
+  fast-forward, stop, max_events, step, cancellation), run on the plain
+  dispatch loop and on the separate traced loop (a
+  :class:`~repro.sim.profile.DispatchProfile` attached);
 * a randomised differential fuzz: the kernel and a naive list-scanning
-  reference model replay identical schedule/cancel/run/step/drain
-  scripts and must produce identical observable traces; attaching a
-  tracer must not change the trace;
+  reference model replay identical schedule/cancel/run/step scripts and
+  must produce identical observable traces; attaching a tracer must not
+  change the trace;
 * a seeds x shapes x {clean, transient, switch_kill} machine sweep whose
   runs replay records in ``tests/data/mode_golden.json``.  Those records
   were captured at the last commit that still had a second, calendar-
@@ -193,48 +193,6 @@ def test_peak_pending_high_water(sim):
     assert sim.peak_pending == 10  # never grew past the old mark
 
 
-def test_drain_matching_cancels_and_reports(sim):
-    fired = []
-    for i in range(10):
-        sim.schedule(i + 1, lambda i=i: fired.append(i), label=f"e{i}")
-    assert sim.drain_matching(lambda label: label in ("e2", "e7")) == 2
-    # Second drain finds nothing new (the dead ones are already dead).
-    assert sim.drain_matching(lambda label: label in ("e2", "e7")) == 0
-    sim.run()
-    assert fired == [0, 1, 3, 4, 5, 6, 8, 9]
-
-
-def test_drain_matching_compacts_majority_dead_queue(sim):
-    for i in range(100):
-        sim.schedule(i + 1, lambda: None, label="bulk")
-    sim.schedule(200, lambda: None, label="keep")
-    assert sim.drain_matching(lambda label: label == "bulk") == 100
-    # >50% of the queue is dead: it must have been compacted.
-    assert sim.pending() == 1
-    sim.run()
-    assert sim.now == 200
-
-
-def test_pending_bounded_across_repeated_recovery_drains(sim):
-    """The queue-hygiene regression: a fault-heavy pattern that drains
-    in-flight work every 'recovery' must not grow ``pending()`` without
-    bound just because a far-future deadline keeps cancelled tuples
-    buried.  (Before compaction, the queue grew by ~every cancelled
-    event across the whole run.)"""
-    sim.schedule(10**9, lambda: None, label="watchdog")  # far-future anchor
-    peak_between_recoveries = []
-    for recovery in range(30):
-        base = sim.now + 1
-        for i in range(200):
-            sim.schedule(base + i, lambda: None, label="inflight")
-        sim.run(max_events=20)
-        sim.drain_matching(lambda label: label == "inflight")
-        peak_between_recoveries.append(sim.pending())
-    # Bounded: each recovery leaves only the watchdog plus the current
-    # epoch's survivors, never the accumulated cancelled history.
-    assert max(peak_between_recoveries) <= 401, peak_between_recoveries
-
-
 def test_tracer_times_every_dispatch(sim):
     tracer = DispatchProfile()
     sim.tracer = tracer
@@ -267,10 +225,10 @@ class _RefEvent:
 class _ReferenceKernel:
     """A deliberately naive model of the kernel's contract.
 
-    Pending events (cancelled ones included, until popped or compacted)
-    sit in a flat list scanned for the least ``(when, seq)`` on every
-    pop — no heap, and no code shared with :class:`Simulator`.  A
-    cancel just flags the record, wherever it is.
+    Pending events (cancelled ones included, until popped) sit in a
+    flat list scanned for the least ``(when, seq)`` on every pop — no
+    heap, and no code shared with :class:`Simulator`.  A cancel just
+    flags the record, wherever it is.
     """
 
     def __init__(self) -> None:
@@ -346,22 +304,10 @@ class _ReferenceKernel:
                 return True
         return False
 
-    def drain_matching(self, predicate):
-        dead = sum(1 for e in self.entries if e.cancelled)
-        cancelled = 0
-        for event in self.entries:
-            if not event.cancelled and predicate(event.label):
-                event.cancelled = True
-                cancelled += 1
-        if (cancelled + dead) * 2 > len(self.entries):
-            self.entries = [e for e in self.entries if not e.cancelled]
-        return cancelled
-
-
 def _replay_script(sim, rng, n_ops: int, horizon: int = 1024):
     """Drive ``sim`` through a deterministic random script of schedules,
     cancels (spent handles included), runs (limits before now and zero
-    budgets included), steps, and drains; return every observable.
+    budgets included) and steps; return every observable.
 
     ``horizon`` scales the long top-level delays: a short one packs the
     schedule into same-cycle ties, a long one spreads it out."""
@@ -402,13 +348,8 @@ def _replay_script(sim, rng, n_ops: int, horizon: int = 1024):
                           sim.run(limit=sim.now + 10_000,
                                   max_events=rng.randrange(0, 8)),
                           sim.stop_reason))
-        elif op < 0.88:
-            trace.append(("step", sim.step(), sim.now))
         elif op < 0.93:
-            k = rng.randrange(3)
-            trace.append(("drain",
-                          sim.drain_matching(
-                              lambda label, k=k: int(label[1:]) % 3 == k)))
+            trace.append(("step", sim.step(), sim.now))
         else:
             trace.append(("runfull", sim.run(limit=sim.now + 50_000),
                           sim.pending(), sim.stop_reason))

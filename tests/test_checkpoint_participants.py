@@ -1,5 +1,7 @@
 """The checkpoint-lifecycle subsystem: participant protocol conformance,
-incremental sign-off tracking, and dropped-coordination resilience."""
+sign-off minimum tracking, and dropped-coordination resilience."""
+
+import random
 
 from repro.checkpoint import (
     CheckpointParticipant,
@@ -8,7 +10,6 @@ from repro.checkpoint import (
 )
 from repro.coherence.snooping import SnoopingSystem
 from repro.interconnect.messages import MessageKind
-from repro.sim.rng import DeterministicRng
 from tests.conftest import Driver, tiny_machine
 
 
@@ -63,7 +64,7 @@ def test_controllers_running_min_matches_full_scan():
     controllers = ServiceControllers(
         machine.sim, machine.config, machine.network, 4, machine.stats
     )
-    rng = DeterministicRng(42)
+    rng = random.Random(42)
     for _ in range(500):
         node = rng.randrange(4)
         bump = rng.randrange(3)

@@ -144,6 +144,18 @@ def test_sweep_rejects_bad_grid():
     assert "bad sweep" in text
 
 
+def test_zero_fault_period_is_rejected_not_defaulted():
+    code, text = run_cli(["run", "--instructions", "100", "--scale", "64",
+                          "--fault", "transient", "--period", "0"])
+    assert code == 1
+    assert "bad run" in text and "fault_period" in text
+    code, text = run_cli(["sweep", "--instructions", "100", "--scale", "64",
+                          "--fault", "transient",
+                          "--grid", "fault_period=30000,0"])
+    assert code == 1
+    assert "bad sweep" in text and "fault_period" in text
+
+
 def test_parser_rejects_unknown_workload():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--workload", "tpch"])

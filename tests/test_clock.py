@@ -1,10 +1,11 @@
 """Tests for the checkpoint clock (logical time base)."""
 
+import random
+
 import pytest
 
 from repro.core.clock import CheckpointClock, ClockConfigError
 from repro.sim.kernel import Simulator
-from repro.sim.rng import DeterministicRng
 
 
 def test_edges_advance_ccn_per_node():
@@ -25,7 +26,7 @@ def test_skew_offsets_each_node_edge():
     sim = Simulator()
     clock = CheckpointClock(
         sim, 1000, 4, max_skew=8, min_network_latency=10,
-        rng=DeterministicRng(42),
+        rng=random.Random(42),
     )
     times = {}
     for n in range(4):
@@ -53,7 +54,7 @@ def test_edge_time_inverse():
     sim = Simulator()
     clock = CheckpointClock(
         sim, 500, 2, max_skew=4, min_network_latency=10,
-        rng=DeterministicRng(7),
+        rng=random.Random(7),
     )
     assert clock.edge_time(0, 1) == 0
     assert clock.edge_time(0, 2) == 500 + clock.skews[0]
@@ -68,7 +69,7 @@ def test_logical_time_causality_property():
     interval, min_lat = 1000, 10
     clock = CheckpointClock(
         sim, interval, 2, max_skew=min_lat - 1, min_network_latency=min_lat,
-        rng=DeterministicRng(3),
+        rng=random.Random(3),
     )
     clock.start()
     violations = []

@@ -118,6 +118,18 @@ def test_spec_roundtrips_through_json():
         RunSpec(fault="meteor")
 
 
+def test_spec_rejects_non_positive_fault_period():
+    """A zero period used to fall back to the 60,000-cycle default while
+    the record said 0; a negative one raised only when the machine was
+    built."""
+    for period in (0, -5):
+        with pytest.raises(ValueError, match="fault_period"):
+            RunSpec(fault="transient", fault_period=period)
+        with pytest.raises(ValueError, match="fault_period"):
+            Sweep(base=TINY.with_(fault="transient"),
+                  grid={"fault_period": [30_000, period]}).expand()
+
+
 def test_build_machine_names_unknown_config_overrides():
     """A spec naming a removed SystemConfig flag still loads (stores keep
     old records) but fails to build with every bad key named."""

@@ -287,7 +287,7 @@ def test_run_cell_guarded_chaos_kill_then_clean_retry():
 
 
 # ----------------------------------------------------------------------
-# Backends: registry + retry/quarantine policy
+# Backends: name resolution + retry/quarantine policy
 # ----------------------------------------------------------------------
 def test_backend_registry_resolution():
     assert set(BACKENDS) == {"serial", "pool", "filequeue"}
@@ -448,6 +448,22 @@ def test_run_worker_max_cells_bounds_one_worker(tmp_path):
     journal.seed(_tiny_specs(3))
     assert run_worker(store_path, worker_id="w0", max_cells=1) == 1
     assert journal.outstanding() == 2
+
+
+def test_run_worker_backs_off_on_the_runner_schedule(monkeypatch, tmp_path):
+    """A filequeue worker waits exactly as long between attempts as the
+    serial and pool backends: one schedule, capped at 30 s."""
+    monkeypatch.setattr("repro.experiments.backends.execute_run", _fail_seed3)
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    store_path = str(tmp_path / "r.jsonl")
+    journal = AttemptJournal.for_store(store_path)
+    journal.ensure_dirs()
+    journal.seed([TINY.with_(seed=3)])
+    assert run_worker(store_path, worker_id="w0", retries=5,
+                      backoff_s=4) == 1
+    assert slept == [4, 8, 16, 30, 30]
+    assert journal.counts()["quarantined"] == 1
 
 
 def test_filequeue_backend_matches_serial(tmp_path):

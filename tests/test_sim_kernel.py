@@ -4,7 +4,7 @@ import heapq
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator, Ticker, quiesce
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.profile import DispatchProfile
 
 
@@ -94,57 +94,6 @@ def test_events_can_schedule_more_events():
     assert sim.now == 50
 
 
-def test_drain_matching_cancels_by_label():
-    sim = Simulator()
-    fired = []
-    sim.schedule(5, lambda: fired.append("keep"), label="keep")
-    sim.schedule(6, lambda: fired.append("drop"), label="net.hop")
-    cancelled = sim.drain_matching(lambda label: label.startswith("net."))
-    assert cancelled == 1
-    sim.run()
-    assert fired == ["keep"]
-
-
-def test_ticker_fires_periodically():
-    sim = Simulator()
-    ticks = []
-    ticker = Ticker(sim, period=100, callback=ticks.append)
-    ticker.start()
-    sim.run(limit=550)
-    assert ticks == [0, 1, 2, 3, 4]
-    ticker.stop()
-    sim.schedule(2000, lambda: None)
-    sim.run()
-    assert ticks == [0, 1, 2, 3, 4]
-
-
-def test_ticker_phase_offsets_first_tick():
-    sim = Simulator()
-    times = []
-    ticker = Ticker(sim, period=100, callback=lambda i: times.append(sim.now), phase=7)
-    ticker.start()
-    sim.run(limit=320)
-    assert times == [7, 107, 207, 307]
-
-
-def test_ticker_rejects_bad_period():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Ticker(sim, period=0, callback=lambda i: None)
-
-
-def test_quiesce_polls_until_condition():
-    sim = Simulator()
-    state = {"done": False}
-
-    def finish():
-        state["done"] = True
-
-    sim.schedule(5000, finish)
-    assert quiesce(sim, limit=10_000, check=lambda: state["done"], step=100)
-    assert not quiesce(Simulator(), limit=10, check=lambda: False)
-
-
 def test_max_events_bound():
     sim = Simulator()
     for i in range(10):
@@ -154,7 +103,7 @@ def test_max_events_bound():
 
 
 # ----------------------------------------------------------------------
-# step(), Ticker and quiesce edges, plain and traced dispatch loops
+# step() edges, plain and traced dispatch loops
 # ----------------------------------------------------------------------
 
 def test_step_applies_backwards_time_guard(sim):
@@ -187,71 +136,6 @@ def test_step_run_interleaving_equivalent(sim):
         assert sim.step()
     sim.run()
     assert order == list(range(6))
-
-
-def test_ticker_zero_phase_first_fires_one_period_out(sim):
-    """phase=0 means "aligned to the period", not "fire immediately":
-    started at cycle 50, a period-100 ticker first fires at 150."""
-    sim.schedule(50, lambda: None)
-    sim.run()
-    times = []
-    ticker = Ticker(sim, period=100, callback=lambda i: times.append(sim.now))
-    ticker.start()
-    sim.run(limit=400)
-    assert times == [150, 250, 350]
-    assert ticker.ticks == 3
-
-
-def test_ticker_phase_overrides_first_fire_only(sim):
-    sim.schedule(50, lambda: None)
-    sim.run()
-    times = []
-    ticker = Ticker(sim, period=100, phase=5,
-                    callback=lambda i: times.append(sim.now))
-    ticker.start()
-    sim.run(limit=300)
-    assert times == [55, 155, 255]  # now+phase, then strict periods
-
-
-def test_ticker_stop_inside_callback(sim):
-    ticks = []
-
-    def on_tick(i):
-        ticks.append(i)
-        if i == 2:
-            ticker.stop()
-
-    ticker = Ticker(sim, period=10, callback=on_tick)
-    ticker.start()
-    sim.run(limit=1_000)
-    assert ticks == [0, 1, 2]
-    assert sim.pending() == 0
-
-
-def test_quiesce_true_at_entry_dispatches_nothing(sim):
-    sim.schedule(100, lambda: None)
-    assert quiesce(sim, limit=10_000, check=lambda: True)
-    assert sim.events_dispatched == 0
-    assert sim.now == 0
-    assert sim.pending() == 1
-
-
-def test_quiesce_queue_drains_before_limit(sim):
-    """Once the queue is empty nothing can flip the condition: quiesce
-    must return its final answer without spinning to the limit."""
-    state = {"done": False}
-    sim.schedule(30, lambda: state.update(done=True))
-    assert quiesce(sim, limit=10**9, check=lambda: state["done"], step=100)
-    # And the failing flavour: drained, condition still false.
-    sim2 = Simulator()
-    sim2.schedule(30, lambda: None)
-    assert not quiesce(sim2, limit=10**9, check=lambda: False, step=100)
-
-
-def test_quiesce_condition_flips_exactly_at_limit(sim):
-    state = {"done": False}
-    sim.schedule(500, lambda: state.update(done=True))
-    assert quiesce(sim, limit=500, check=lambda: state["done"], step=100)
 
 
 # ----------------------------------------------------------------------
@@ -343,16 +227,6 @@ def test_event_cancelling_itself_is_a_noop(sim):
     assert not sim._cancelled
 
 
-def test_ticker_stop_inside_callback_leaves_nothing_behind(sim):
-    ticker = Ticker(sim, period=10, callback=lambda i: ticker.stop())
-    ticker.start()
-    sim.run()
-    assert ticker.ticks == 1
-    ticker.stop()  # stopping a stopped ticker is a no-op too
-    assert sim.pending() == 0
-    assert not sim._cancelled
-
-
 def test_cancelled_entries_count_until_popped(sim):
     handles = [sim.schedule(i + 1, lambda: None) for i in range(5)]
     for handle in handles[:3]:
@@ -367,16 +241,3 @@ def test_cancelled_entries_count_until_popped(sim):
     assert sim.events_dispatched == 2
     assert sim.pending() == 0
     assert not sim._cancelled
-
-
-def test_compacted_handle_cancel_is_a_noop(sim):
-    handles = [sim.schedule(i + 1, lambda: None, label="bulk")
-               for i in range(4)]
-    sim.schedule(100, lambda: None, label="keep")
-    assert sim.drain_matching(lambda label: label == "bulk") == 4
-    assert sim.pending() == 1  # compacted
-    sim.cancel(handles[0])
-    assert not sim._cancelled
-    sim.run()
-    assert sim.now == 100
-    assert sim.events_dispatched == 1

@@ -1,15 +1,8 @@
-"""Unit tests for the stats registry and deterministic RNG streams."""
+"""Unit tests for the stats registry."""
 
 import pytest
 
-from repro.sim.rng import DeterministicRng, spawn_streams
-from repro.sim.stats import (
-    BandwidthMeter,
-    Counter,
-    Histogram,
-    RunSummary,
-    StatsRegistry,
-)
+from repro.sim.stats import BandwidthMeter, Counter, Histogram, StatsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -30,18 +23,12 @@ def test_histogram_statistics():
         h.record(v)
     assert h.count == 4
     assert h.mean == 25
-    assert h.minimum == 10 and h.maximum == 40
     assert h.total == 100
-    assert h.stddev() == pytest.approx(12.909, rel=1e-3)
-    assert h.percentile(0) == 10
-    assert h.percentile(100) == 40
 
 
 def test_histogram_empty_is_safe():
     h = Histogram("empty")
     assert h.mean == 0.0
-    assert h.stddev() == 0.0
-    assert h.percentile(50) == 0.0
 
 
 def test_bandwidth_meter_fractions():
@@ -85,45 +72,3 @@ def test_registry_reset_clears_everything():
     assert reg.counter("a").value == 0
     assert reg.histogram("h").count == 0
     assert reg.meter("m").total() == 0
-
-
-def test_run_summary_performance():
-    ok = RunSummary(cycles=100, committed_instructions=50)
-    assert ok.performance == 0.5
-    crash = RunSummary(cycles=100, committed_instructions=50, crashed=True)
-    assert crash.performance == 0.0
-
-
-# ---------------------------------------------------------------------------
-# RNG
-# ---------------------------------------------------------------------------
-def test_rng_snapshot_restore_replays():
-    rng = DeterministicRng(7)
-    _ = [rng.randint(0, 100) for _ in range(5)]
-    state = rng.snapshot()
-    first = [rng.randint(0, 100) for _ in range(5)]
-    rng.restore(state)
-    assert [rng.randint(0, 100) for _ in range(5)] == first
-
-
-def test_same_seed_same_stream():
-    a, b = DeterministicRng(42), DeterministicRng(42)
-    assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
-
-
-def test_spawn_streams_are_independent_and_stable():
-    streams1 = spawn_streams(1, ["net", "workload", "skew"])
-    streams2 = spawn_streams(1, ["net", "workload", "skew"])
-    assert streams1["net"].seed == streams2["net"].seed
-    assert streams1["net"].seed != streams1["workload"].seed
-    # Prefix stability: adding a name later doesn't change earlier seeds.
-    streams3 = spawn_streams(1, ["net", "workload", "skew", "extra"])
-    assert streams3["net"].seed == streams1["net"].seed
-
-
-def test_zipf_index_respects_cdf():
-    rng = DeterministicRng(3)
-    cdf = [0.7, 0.9, 1.0]
-    draws = [rng.zipf_index(3, 1.0, cdf) for _ in range(2000)]
-    assert draws.count(0) > draws.count(1) > draws.count(2)
-    assert set(draws) <= {0, 1, 2}
