@@ -545,6 +545,8 @@ def cmd_sweep(args, out) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
+        if args.retries < 0:
+            raise ValueError("--retries must be >= 0")
         if args.backend == "filequeue" and not args.out:
             raise ValueError("--backend filequeue needs --out (leases and "
                              "shards live next to the store)")

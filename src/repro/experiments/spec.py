@@ -109,6 +109,10 @@ class RunSpec:
             raise ValueError(f"unknown preset {self.preset!r}; one of {PRESETS}")
         if self.instructions <= 0:
             raise ValueError("instructions must be positive")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
         if self.fault_period is not None and self.fault_period <= 0:
             raise ValueError(
                 f"fault_period must be positive, got {self.fault_period}")

@@ -281,10 +281,9 @@ class Network:
         self._epoch = 0
 
         # Pre-bound counters: send/deliver/lose run once per message (and
-        # contention accounting once per hop), so the per-call f-string
-        # construction + registry lookup was itself a measurable hot-path
-        # cost (guarded by the wall-clock floor in
-        # benchmarks/test_validation_hotpath.py).
+        # contention accounting once per hop), so building the name and
+        # looking it up in the registry on every call would put an
+        # f-string and a dict lookup on the hot path.
         self.c_messages_sent = self.stats.counter(f"{name}.messages_sent")
         self.c_bytes_sent = self.stats.counter(f"{name}.bytes_sent")
         self.c_messages_delivered = self.stats.counter(

@@ -13,12 +13,16 @@ includes position) and re-execute".
 Ops run in one burst loop (:meth:`Core._burst`) with the cache hit path
 inlined; a miss leaves the loop and blocks the core until the cache's
 transaction completes, and I/O commit hooks see each retirement that
-crosses an output or input period boundary.
+crosses an output or input period boundary.  The loop reads packed ops
+from a one-window buffer that the workload's ``ops_from`` fills along the
+chain of positions the core retires through; since the stream is pure,
+a buffer whose head is not the core's position (first start, recovery)
+is simply rebuilt.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.coherence.cache import CacheController
@@ -77,6 +81,10 @@ class Core:
         self.throttled = False               # too many outstanding checkpoints
         self._miss_outstanding = False
         self._stall_credit = 0               # pending stall cycles (reg ckpt)
+        # One window of the op stream: (head, ops, k, ops_end) — ops[k] is
+        # the op at position ``head``, and ``ops_end`` the chain position
+        # after the last op.  A head of -1 matches no position.
+        self._op_buf: Tuple[int, Sequence[int], int, int] = (-1, (), 0, 0)
 
         ns = f"node{node_id}.core"
         self.c_executed = stats.counter(f"{ns}.instructions_executed")
@@ -114,7 +122,7 @@ class Core:
     def _burst(self, epoch: int) -> None:
         """Execute ops with the cache hit path inlined.
 
-        Everything hot is a burst local: the workload op stream, the
+        Everything hot is a burst local: the op buffer, the
         cache's set dictionaries, the register file, and the
         position/counter deltas — flushed back in one step at every burst
         exit, so between kernel events all externally visible state
@@ -123,9 +131,11 @@ class Core:
 
         I/O hooks see every retirement that crosses an output or input
         period boundary: the loop's exit test is ``position >= stop`` with
-        ``stop = min(target, next boundary)``, and at a crossing it writes
-        ``position`` back and calls ``on_retire`` for the op that crossed.
-        Without hooks ``stop`` is the target, so no per-op work is added.
+        ``stop = min(target, next boundary, ops_end)``, and at a crossing
+        it writes ``position`` back and calls ``on_retire`` for the op
+        that crossed.  ``ops_end`` is where the op buffer runs out: there
+        the loop refills it from ``ops_from`` and goes on, so neither the
+        hooks nor the buffer add per-op work.
         """
         if epoch != self.epoch or self._blocked():
             return
@@ -144,15 +154,19 @@ class Core:
         logging_on = cache.config.safetynet_enabled
         modified = CacheState.MODIFIED
         silent = cache._silent_upgrade       # E under mesi/moesi, else empty
-        op = self.workload.op_packed
+        op_window = self.workload.ops_from
         nid = self.node_id
         store_tag = (nid + 1) << 44          # _store_value's node component
         registers = self.registers
         target = self.target
         position = self.position
+        head, ops, k, ops_end = self._op_buf
+        if head != position:
+            ops, ops_end = op_window(nid, position, target)
+            k = 0
         io = self.io_hooks
         boundary = io.next_boundary(position) if io is not None else target
-        stop = min(target, boundary)
+        stop = min(target, boundary, ops_end)
         lru = cache._lru_tick
         gap = 0
         loads = 0
@@ -161,6 +175,7 @@ class Core:
 
         def flush() -> None:
             self.position = position
+            self._op_buf = (position, ops, k, ops_end)
             cache._lru_tick = lru
             if executed:
                 self.c_executed.add(executed)
@@ -178,12 +193,16 @@ class Core:
                     self.position = position
                     io.on_retire(self, gap + 1)
                     boundary = io.next_boundary(position)
-                    stop = min(target, boundary)
                 if position >= target:
                     flush()
                     self._schedule_finish(t)
                     return
-            p = op(nid, position)
+                if position >= ops_end:
+                    ops, ops_end = op_window(nid, position, target)
+                    k = 0
+                stop = min(target, boundary, ops_end)
+            p = ops[k]
+            k += 1
             gap = p >> OP_GAP_SHIFT
             is_store = p & OP_STORE_BIT
             addr = p & OP_ADDR_MASK
@@ -191,6 +210,7 @@ class Core:
             if t_issue > edge:
                 # Stop at the checkpoint edge; the edge event (already
                 # queued) fires first and applies the checkpoint stall.
+                k -= 1                       # the op has not retired
                 flush()
                 self._schedule_burst(edge - sim.now)
                 return
@@ -228,6 +248,7 @@ class Core:
                         t = t_issue + extra
                         continue
                     # CLB full: the paper's CPU-throttling backpressure.
+                    k -= 1
                     flush()
                     self.c_store_stall_cycles.add(extra)
                     self._schedule_burst((t_issue - sim.now) + extra)
@@ -244,12 +265,16 @@ class Core:
                         executed += gap + 1
                         t = t_issue + extra
                         continue
+                    k -= 1
                     flush()
                     self.c_store_stall_cycles.add(extra)
                     self._schedule_burst((t_issue - sim.now) + extra)
                     return
             # Miss (including stores to O/S blocks, which need upgrades).
+            # It consumes its op: once the miss retires it, the core's
+            # position is the buffer's head again.
             flush()
+            self._op_buf = (position + gap + 1, ops, k, ops_end)
             self._start_miss_event(addr, bool(is_store), gap, t_issue)
             return
         # Quantum exhausted: yield to other events, resume at time t.

@@ -10,9 +10,12 @@ interval (which sets CLB logging rates, Fig. 6), sharing/migration rates
 (which set ownership-transfer logging), and locality (which sets miss and
 bandwidth rates, Fig. 7).
 
-Generation is positional and pure: ``workload.op(cpu, index)`` is a pure
-function of the seed, so re-execution after a SafetyNet recovery replays
-exactly the same instruction stream with no generator state to checkpoint.
+Generation is positional and pure: the op a CPU issues at position ``p``
+(its retired-instruction count) is a pure function of the seed, ``cpu``
+and ``p``, so re-execution after a SafetyNet recovery replays exactly the
+same instruction stream with no generator state to checkpoint.  Cores
+read it a window at a time through ``workload.ops_from(cpu, p, end)``;
+``workload.op(cpu, p)`` is the readable reference.
 """
 
 from repro.workloads.base import MemOp, SyntheticWorkload, WorkloadSpec, mix64

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.workloads.base import OP_ADDR_MASK, OP_GAP_SHIFT, OP_STORE_BIT
+
 
 def workload_character(
     workload,
@@ -21,9 +23,12 @@ def workload_character(
 ) -> Dict[str, float]:
     """Summarise a workload's memory-reference character.
 
-    Returns per-1000-instruction rates plus distinct-stored-blocks per
-    window (an upper-bound proxy for CLB entries per interval, ignoring
-    coherence transfers).
+    Each CPU's first ``ops_per_cpu`` ops are the ones a core executes:
+    the chain of positions from 0, each op advancing by ``gap + 1``, so
+    position-tied features (phases, allocation streaming) are sampled on
+    the grid the cores run.  Returns per-1000-instruction rates plus
+    distinct-stored-blocks per window (an upper-bound proxy for CLB
+    entries per interval, ignoring coherence transfers).
     """
     instructions = 0
     loads = 0
@@ -36,8 +41,15 @@ def workload_character(
         window_start = 0
         stored_blocks = set()
         cpu_instructions = 0
-        for index in range(ops_per_cpu):
-            gap, is_store, addr = workload.op(cpu, index)
+        ops: List[int] = []
+        position = 0
+        while len(ops) < ops_per_cpu:
+            window, position = workload.ops_from(cpu, position, 1 << 62)
+            ops += window
+        for packed in ops[:ops_per_cpu]:
+            gap = packed >> OP_GAP_SHIFT
+            is_store = packed & OP_STORE_BIT
+            addr = packed & OP_ADDR_MASK
             cpu_instructions += gap + 1
             instructions += gap + 1
             if is_store:

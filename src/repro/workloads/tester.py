@@ -12,13 +12,20 @@ tests combine it with fault injection.
 
 from __future__ import annotations
 
+from array import array
+from typing import Tuple
+
 from repro.workloads.base import (
-    MemOp, OP_ADDR_MASK, OP_GAP_SHIFT, OP_STORE_BIT, mix64,
+    MemOp, OP_GAP_SHIFT, OP_STORE_BIT, chain_hashes, gap_table, mix64,
 )
 
 
 class RandomTester:
-    """Uniform random traffic over a tiny, fully shared block set."""
+    """Uniform random traffic over a tiny, fully shared block set.
+
+    Same stream interface as :class:`~repro.workloads.base.SyntheticWorkload`,
+    with one mix per op.
+    """
 
     BLOCK_SHIFT = 6
 
@@ -33,19 +40,25 @@ class RandomTester:
         self.total_blocks = blocks
         self._t_store = int(store_frac * 65536)
         self._gap_mod = 2 * mean_gap + 1
+        self._gap_of = gap_table(self._gap_mod)
         self.spec = type("Spec", (), {"name": "random_tester"})()
 
     def op(self, cpu: int, index: int) -> MemOp:
-        """Tuple view of :meth:`op_packed` (oracle/compat interface)."""
-        p = self.op_packed(cpu, index)
-        return MemOp(p >> OP_GAP_SHIFT, bool(p & OP_STORE_BIT),
-                     p & OP_ADDR_MASK)
-
-    def op_packed(self, cpu: int, index: int) -> int:
+        """The op at position ``index``: the reference for :meth:`ops_from`."""
         h = mix64(self.seed ^ ((cpu << 40) + index))
-        gap = (h & 0xFF) % self._gap_mod
-        out = (gap << OP_GAP_SHIFT) | (((h >> 24) % self.blocks)
-                                       << self.BLOCK_SHIFT)
-        if ((h >> 8) & 0xFFFF) < self._t_store:
-            out |= OP_STORE_BIT
-        return out
+        return MemOp((h & 0xFF) % self._gap_mod,
+                     ((h >> 8) & 0xFFFF) < self._t_store,
+                     ((h >> 24) % self.blocks) << self.BLOCK_SHIFT)
+
+    def ops_from(self, cpu: int, position: int,
+                 end: int) -> Tuple[array, int]:
+        """Packed ops along the chain from ``position``, one window's worth
+        (the contract of ``SyntheticWorkload.ops_from``)."""
+        offsets, hashes, gaps, next_position = chain_hashes(
+            self.seed, self._gap_of, cpu, position, end)
+        blocks, t_store, shift = self.blocks, self._t_store, self.BLOCK_SHIFT
+        return array("Q", [
+            (gaps[i] << OP_GAP_SHIFT) | (((h >> 24) % blocks) << shift)
+            | (OP_STORE_BIT if ((h >> 8) & 0xFFFF) < t_store else 0)
+            for i, h in zip(offsets, hashes)
+        ]), next_position

@@ -156,6 +156,22 @@ def test_zero_fault_period_is_rejected_not_defaulted():
     assert "bad sweep" in text and "fault_period" in text
 
 
+def test_bad_scale_warmup_and_retries_are_input_errors():
+    for flag, value in (("--scale", "0"), ("--scale", "-4"),
+                        ("--warmup", "-3")):
+        argv = ["--instructions", "100", "--scale", "64", flag, value]
+        code, text = run_cli(["run"] + argv)
+        assert code == 1
+        assert "bad run" in text and flag.lstrip("-") in text
+        code, text = run_cli(["sweep"] + argv)
+        assert code == 1
+        assert "bad sweep" in text and flag.lstrip("-") in text
+    code, text = run_cli(["sweep", "--instructions", "100", "--scale", "64",
+                          "--retries", "-1"])
+    assert code == 1
+    assert "bad sweep" in text and "retries" in text
+
+
 def test_parser_rejects_unknown_workload():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--workload", "tpch"])

@@ -3,12 +3,15 @@
 * :class:`repro.sim.deadlines.DeadlineTable` — many timeouts, one event;
 * the kernel dispatch tracer + :mod:`repro.sim.profile` harness;
 * :class:`repro.sim.stats.Histogram` aggregates;
+* the workloads' window-hashed ``ops_from`` against the reference ``op()``;
 * the optional home-side and snooping request timeouts.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.interconnect.messages import Message, MessageKind
@@ -16,6 +19,8 @@ from repro.sim.deadlines import DeadlineTable
 from repro.sim.kernel import Simulator
 from repro.sim.profile import DispatchProfile, profile_spec
 from repro.sim.stats import Histogram, StatsRegistry
+from repro.workloads import WORKLOAD_NAMES, RandomTester, by_name
+from repro.workloads.base import OP_GAP_SHIFT, OP_STORE_BIT, OP_WINDOW
 from tests.conftest import tiny_machine
 
 
@@ -197,39 +202,76 @@ def test_profile_reports_express_hop_efficiency():
 
 
 # ----------------------------------------------------------------------
-# Flattened SyntheticWorkload.op vs the readable reference helpers
+# Window-hashed ops_from vs the readable reference op()
 # ----------------------------------------------------------------------
+def window(wl, cpu, position, end):
+    """``ops_from``'s result with the ops as a list."""
+    ops, next_position = wl.ops_from(cpu, position, end)
+    return list(ops), next_position
+
+
+def reference_chain(wl, cpu, position, end):
+    """``op()`` walked along the chain from ``position``, packed, up to
+    ``ops_from``'s bound; and the first chain position past it."""
+    bound = min(position + OP_WINDOW, end)
+    ops = []
+    while position < bound:
+        op = wl.op(cpu, position)
+        ops.append((op.gap << OP_GAP_SHIFT) | op.addr
+                   | (OP_STORE_BIT if op.is_store else 0))
+        position += op.gap + 1
+    return ops, position
+
+
+def op_streams():
+    """Every preset plus the random tester: barnes exercises the phase
+    branch, jbb the allocation-streaming store branch."""
+    return [by_name(name, num_cpus=4, scale=32, seed=7)
+            for name in WORKLOAD_NAMES] + [RandomTester(num_cpus=4, seed=7,
+                                                        blocks=5)]
+
+
 def test_flattened_op_matches_reference_helpers():
-    """``op()`` inlines the splitmix64 double-mix and the private-region
-    helper for speed; this is the differential oracle that holds the
-    flattened code to the reference implementation it shadows."""
-    from repro.workloads import by_name
-    from repro.workloads.base import mix64
+    """``ops_from`` hashes a window of positions in one pass over 128-bit
+    lanes and inlines the region helpers; this is the differential oracle
+    that holds it to the reference ``op()`` walked along the chain."""
+    far = 1 << 50
+    for wl in op_streams():
+        for cpu in (0, 3):
+            # Consecutive windows from 0: each starts where the last one's
+            # chain left off, and barnes' 2,000-position phases change
+            # inside the second.
+            position = 0
+            for _ in range(3):
+                got = window(wl, cpu, position, far)
+                assert got == reference_chain(wl, cpu, position, far), (
+                    wl.spec.name, cpu, position)
+                position = got[1]
+            # Unaligned starts, a start above 2**32, a phase boundary
+            # inside the cap, and caps shorter than a window down to one op.
+            for start, end in ((777, far), (2**32 + 5, 2**32 + 300),
+                               (1_990, 2_100), (3_999, 4_001),
+                               (12_345, 12_346)):
+                got = window(wl, cpu, start, end)
+                assert got == reference_chain(wl, cpu, start, end), (
+                    wl.spec.name, cpu, start, end)
+            ops, next_position = window(wl, cpu, 12_345, 12_346)
+            assert len(ops) == 1 and next_position > 12_345
 
-    def reference_op(wl, cpu, index):
-        s = wl.spec
-        h = mix64(wl.seed ^ ((cpu << 40) + index))
-        gap = (h & 0xFF) % wl._gap_mod
-        r_store = (h >> 8) & 0xFFFF
-        r_region = (h >> 24) & 0xFFFF
-        r_addr = (h >> 40) & 0xFFFFFF
-        h2 = mix64(h)
-        r_hot = h2 & 0xFFFF
-        r_addr2 = (h2 >> 16) & 0xFFFFFFFF
-        if s.phase_len and ((index // s.phase_len) & 1):
-            return wl._update_phase_op(cpu, index, gap, r_store, r_addr, r_addr2)
-        if r_region < wl._t_shared:
-            return wl._shared_op(cpu, index, gap, r_store, r_hot, r_addr, r_addr2)
-        return wl._private_op(cpu, index, gap, r_store, r_hot, r_addr, r_addr2)
 
-    # barnes exercises the phase branch; jbb the allocation-streaming
-    # store branch; apache the plain shared/private mix.
-    for name in ("apache", "jbb", "barnes"):
-        wl = by_name(name, num_cpus=4, scale=32, seed=7)
-        for cpu in range(4):
-            for index in range(1_500):
-                assert wl.op(cpu, index) == reference_op(wl, cpu, index), (
-                    name, cpu, index)
+@settings(max_examples=40, deadline=None)
+@given(stream=st.integers(0, len(WORKLOAD_NAMES)), seed=st.integers(0, 2**32),
+       cpu=st.integers(0, 3), position=st.integers(0, 2**40),
+       length=st.integers(1, 2 * OP_WINDOW))
+def test_ops_from_matches_reference_property(stream, seed, cpu, position,
+                                             length):
+    if stream < len(WORKLOAD_NAMES):
+        wl = by_name(WORKLOAD_NAMES[stream], num_cpus=4, scale=32, seed=seed)
+    else:
+        wl = RandomTester(num_cpus=4, seed=seed, blocks=7)
+    end = position + length
+    assert window(wl, cpu, position, end) == reference_chain(
+        wl, cpu, position, end)
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,19 @@ def test_spec_rejects_non_positive_fault_period():
                   grid={"fault_period": [30_000, period]}).expand()
 
 
+def test_spec_rejects_bad_scale_and_warmup():
+    """``scale=0`` used to divide by zero when the machine was built, a
+    negative scale built negative cache sizes and ran until the recovery
+    livelock guard tripped, and a negative warmup ran as zero warmup
+    under a different spec hash."""
+    for field, value in (("scale", 0), ("scale", -4), ("warmup", -3)):
+        with pytest.raises(ValueError, match=field):
+            RunSpec(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            Sweep(base=TINY, grid={field: [1, value]}).expand()
+    assert RunSpec(scale=1, warmup=0).scale == 1
+
+
 def test_build_machine_names_unknown_config_overrides():
     """A spec naming a removed SystemConfig flag still loads (stores keep
     old records) but fails to build with every bad key named."""

@@ -9,16 +9,51 @@ idle, and its clock and validation run only where a test starts them.
 from repro.processor.core import Core
 from repro.sim.stats import StatsRegistry
 from repro.workloads import RandomTester, apache
+from repro.workloads.base import OP_GAP_SHIFT
 from tests.conftest import Driver, tiny_machine
 
 
-def make_core(workload=None, **cfg_kw):
+def make_core(workload=None, io_hooks=None, **cfg_kw):
     workload = workload or apache(num_cpus=4, scale=64, seed=3)
     machine = tiny_machine(workload=workload, **cfg_kw)
     stats = StatsRegistry()
     core = Core(machine.sim, 0, machine.config, machine.nodes[0].cache,
-                workload, stats)
+                workload, stats, io_hooks=io_hooks)
     return machine, core, stats
+
+
+class RetireLog:
+    """I/O hooks with a boundary at every position, so the core reports
+    each retirement: ``steps`` is the retired walk, as (position before,
+    instructions retired), with ``None`` where a recovery rewound it."""
+
+    def __init__(self):
+        self.steps = []
+
+    def next_boundary(self, position):
+        return position + 1
+
+    def on_retire(self, core, retired):
+        self.steps.append((core.position - retired, retired))
+
+    def assert_walks_chain(self, workload, rewound_to, final):
+        """Every retirement retires the reference op at its position and
+        starts where the one before ended, or, after the rewind, at the
+        restored position; the walk ends at ``final``."""
+        position = 0
+        for step in self.steps:
+            if step is None:
+                position = rewound_to
+                continue
+            assert step == (position, workload.op(0, position).gap + 1)
+            position += step[1]
+        assert position == final
+
+
+def op_window_start(core):
+    """The position of the first op in the core's live op buffer."""
+    head, ops, k, _ = core._op_buf
+    return head - sum((op >> OP_GAP_SHIFT) + 1 for op in ops[:k])
 
 
 def retirement_walk(workload, start: int, target: int):
@@ -177,6 +212,60 @@ def test_reexecution_replays_identical_op_stream():
     assert seen <= set(replay)
     assert first_run_end in replay
     assert core.position == walk[-1]
+
+
+def rewind_and_replay(snapshot_at, recover_at, *, during_miss=False):
+    """Snapshot at cycle ``snapshot_at``, recover to it at ``recover_at``
+    (with the core's miss still outstanding if ``during_miss``), and run
+    to the target, logging every retirement.  Returns the workload, the
+    core, the log, the snapshot position and the op window live at the
+    recovery (its first position and ``ops_end``)."""
+    wl = apache(num_cpus=4, scale=64, seed=9)
+    log = RetireLog()
+    machine, core, _ = make_core(wl, io_hooks=log)
+    sim = machine.sim
+    core.start(3_000)
+    sim.run(limit=snapshot_at)
+    core.on_edge(2)
+    snap_pos, _ = core.snapshots[2]
+    sim.run(limit=recover_at)
+    core.freeze()
+    if during_miss:
+        assert core._miss_outstanding
+        # The op the miss consumed never retires: its completion lands
+        # after the rewind and is discarded.
+        retired = len(log.steps)
+        core.recover_to(2)
+        Driver(machine).run_until(lambda: not core.cache.mshrs)
+        assert len(log.steps) == retired
+    else:
+        Driver(machine).run_until(lambda: not core.cache.mshrs)
+        core.recover_to(2)
+    window = (op_window_start(core), core._op_buf[3])
+    log.steps.append(None)
+    core.resume()
+    while not core.done and sim.pending():
+        sim.step()
+    assert core.done
+    return wl, core, log, snap_pos, window
+
+
+def test_rewind_inside_the_live_op_window_replays_the_chain():
+    wl, core, log, snap_pos, (start, end) = rewind_and_replay(2_000, 3_000)
+    assert start <= snap_pos < end
+    log.assert_walks_chain(wl, snap_pos, core.position)
+
+
+def test_rewind_before_the_live_op_window_replays_the_chain():
+    wl, core, log, snap_pos, (start, _) = rewind_and_replay(1_500, 5_000)
+    assert snap_pos < start
+    log.assert_walks_chain(wl, snap_pos, core.position)
+
+
+def test_rewind_during_a_miss_replays_the_chain():
+    wl, core, log, snap_pos, _ = rewind_and_replay(1_500, 3_000,
+                                                   during_miss=True)
+    log.assert_walks_chain(wl, snap_pos, core.position)
 
 
 def test_outstanding_checkpoint_throttle():

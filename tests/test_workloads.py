@@ -138,6 +138,18 @@ def test_character_stats_shape():
     assert stats["distinct_stored_blocks_per_window"] > 0
 
 
+def test_character_walks_the_executed_chain():
+    """The characterised ops are the ones a core retires: their
+    instruction count is the chain position after ``ops_per_cpu`` ops."""
+    for name in ("barnes", "jbb"):
+        wl = by_name(name, num_cpus=2, scale=16)
+        position = 0
+        for _ in range(3_000):
+            position += wl.op(0, position).gap + 1
+        stats = workload_character(wl, cpus=1, ops_per_cpu=3_000)
+        assert stats["instructions"] == position
+
+
 def test_random_tester_false_sharing():
     rt = RandomTester(num_cpus=4, seed=1, blocks=8)
     addrs = {rt.op(c, i).addr for c in range(4) for i in range(500)}
