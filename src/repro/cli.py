@@ -543,22 +543,26 @@ def cmd_sweep(args, out) -> int:
         return cmd_sweep_status(args, out)
     grid = _parse_grid(args.grid)
     try:
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        if args.retries < 0:
-            raise ValueError("--retries must be >= 0")
         if args.backend == "filequeue" and not args.out:
             raise ValueError("--backend filequeue needs --out (leases and "
                              "shards live next to the store)")
         sweep = Sweep(base=_spec_from_args(args), grid=grid, seeds=args.seeds)
         specs = sweep.expand()
+        store = ResultStore(args.out) if args.out else None
+        # The Runner checks jobs, retries, cell timeout and lease TTL:
+        # build it before anything is written next to the store.
+        runner = Runner(jobs=args.jobs, store=store,
+                        progress=lambda line: print(line, file=out),
+                        backend=args.backend, retries=args.retries,
+                        cell_timeout=args.cell_timeout,
+                        lease_ttl=args.lease_ttl,
+                        retry_failed=args.retry_failed)
     except (ValueError, TypeError) as exc:
         print(f"bad sweep: {exc}", file=out)
         return 1
     print(f"campaign: {sweep.cells()} cells x {len(sweep.seed_list())} seeds "
           f"= {len(specs)} runs, jobs={args.jobs}, backend={args.backend}"
           + (f", store={args.out}" if args.out else ""), file=out)
-    store = ResultStore(args.out) if args.out else None
     if store is not None:
         # Record the campaign definition next to the store before running:
         # an interrupted sweep still leaves an auditable manifest.
@@ -569,12 +573,6 @@ def cmd_sweep(args, out) -> int:
             "lease_ttl": args.lease_ttl,
             "jobs": args.jobs,
         })
-    runner = Runner(jobs=args.jobs, store=store,
-                    progress=lambda line: print(line, file=out),
-                    backend=args.backend, retries=args.retries,
-                    cell_timeout=args.cell_timeout,
-                    lease_ttl=args.lease_ttl,
-                    retry_failed=args.retry_failed)
     try:
         records = runner.run(specs)
     except KeyboardInterrupt:
@@ -627,6 +625,10 @@ def cmd_worker(args, out) -> int:
             max_cells=args.max_cells,
             progress=lambda line: print(line, file=out),
         )
+    except ValueError as exc:
+        # run_worker checks its settings before it touches the journal.
+        print(f"bad worker: {exc}", file=out)
+        return 1
     except KeyboardInterrupt:
         print("\nworker interrupted — lease released; the cell will be "
               "re-claimed.", file=out)
@@ -658,8 +660,7 @@ def cmd_profile(args, out) -> int:
 
     if args.json == "-":
         # Machine mode: the report is the whole stdout, so that
-        # `repro profile --json - | python -m json.tool` (or a campaign
-        # aggregator using DispatchProfile.from_dict) can parse it.
+        # `repro profile --json - | python -m json.tool` can parse it.
         print(report.to_json(), file=out)
         return 0 if not report.crashed else 1
 

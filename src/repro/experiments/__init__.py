@@ -11,9 +11,9 @@ instead of a hand-rolled loop:
   :class:`RunRecord`) and :class:`Runner` (campaign orchestration:
   resume, retries, quarantine);
 * :mod:`~repro.experiments.backends` — the executor backends
-  (``serial`` / ``pool`` / ``filequeue``), plus the
-  guarded-cell harness (:func:`run_cell_guarded`) and the elastic
-  :func:`run_worker` loop;
+  (``serial`` / ``pool`` / ``filequeue``: placement only) and the one
+  retry/quarantine rule they share, plus the guarded-cell harness
+  (:func:`run_cell_guarded`) and the elastic :func:`run_worker` loop;
 * :mod:`~repro.experiments.journal` — :class:`AttemptJournal`, the
   durable per-cell lease/attempt state that makes crashed campaigns
   recoverable with exactly-once completion;

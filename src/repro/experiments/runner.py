@@ -7,13 +7,14 @@
 runs (resume), journals in-flight cells in the
 :class:`~repro.experiments.journal.AttemptJournal` (lease, heartbeat,
 attempt count — so a killed worker's cells are re-queued on resume),
-hands the remainder to a pluggable backend from
+and hands the remainder to a backend from
 :mod:`repro.experiments.backends` (``serial`` / ``pool`` /
-``filequeue``), retries failed cells with exponential backoff, and
-finally *quarantines* them as structured failed records instead of
-aborting the sweep.  Results are recorded the moment each cell lands —
-an interrupted campaign loses at most the runs in flight, and Ctrl-C
-releases leases and keeps everything already persisted.
+``filequeue``), which owns placement.  Every backend settles a failed
+cell by one rule: retry with exponential backoff, then *quarantine* it
+as a structured failed record instead of aborting the sweep.  Results
+are recorded the moment each cell lands — an interrupted campaign loses
+at most the runs in flight, and Ctrl-C releases leases and keeps
+everything already persisted.
 
 The pre-fabric runner's behaviour is exactly ``backend="pool",
 retries=0`` — kept as the oracle for equivalence guards.
@@ -245,6 +246,26 @@ def execute_run(spec: RunSpec) -> RunRecord:
     )
 
 
+def check_fabric_settings(*, retries: int, cell_timeout: Optional[float],
+                          lease_ttl: float, backoff_s: float) -> None:
+    """Reject retry and lease settings no campaign can run under.
+
+    Shared by :class:`Runner` and
+    :func:`~repro.experiments.backends.run_worker`, so ``repro sweep``
+    and ``repro worker`` accept the same values.  A zero lease TTL would
+    reap every lease as soon as it is written, and a negative retry
+    count would quarantine every cell unrun.  Raises ``ValueError``.
+    """
+    if not retries >= 0:
+        raise ValueError("retries must be >= 0")
+    if cell_timeout is not None and not cell_timeout > 0:
+        raise ValueError("cell_timeout must be positive seconds")
+    if not lease_ttl > 0:
+        raise ValueError("lease_ttl must be positive seconds")
+    if not backoff_s >= 0:
+        raise ValueError("backoff_s must be >= 0 seconds")
+
+
 def aggregate_telemetry(records: Sequence[RunRecord]) -> Dict[str, float]:
     """Campaign-level execution telemetry over completed records.
 
@@ -280,10 +301,12 @@ class Runner:
     :mod:`repro.experiments.backends` — ``serial``, ``pool``
     (``ProcessPoolExecutor`` with ``jobs`` workers), ``filequeue``
     (elastic directory-queue workers), or ``auto`` (pool when ``jobs >
-    1``).  Per-run results are identical on every backend: each run is
-    an isolated deterministic simulation seeded only from its spec.
+    1``).  A backend owns placement only: where and how many cells run
+    at once.  Per-run results are identical on every backend: each run
+    is an isolated deterministic simulation seeded only from its spec.
 
-    Fabric policy, applied by every backend:
+    Fabric policy, applied by every backend through one retry/quarantine
+    decision:
 
     * with a ``store``, completed runs are skipped on re-entry, fresh
       results are persisted as soon as each run finishes, and in-flight
@@ -303,6 +326,9 @@ class Runner:
 
     While a campaign has runs in flight, a heartbeat line is emitted
     through ``progress`` every ``heartbeat_s`` seconds (``0`` disables).
+    Settings no campaign can run under (see
+    :func:`check_fabric_settings`, plus ``jobs < 1`` and a negative
+    ``heartbeat_s``) raise ``ValueError``.
     """
 
     def __init__(
@@ -325,10 +351,10 @@ class Runner:
 
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive seconds")
+        check_fabric_settings(retries=retries, cell_timeout=cell_timeout,
+                              lease_ttl=lease_ttl, backoff_s=backoff_s)
+        if not heartbeat_s >= 0:
+            raise ValueError("heartbeat_s must be >= 0 seconds")
         self.jobs = jobs
         self.store = store
         self.progress = progress or (lambda line: None)
@@ -384,7 +410,7 @@ class Runner:
         if todo:
             todo = self._prepare_journal(todo, done)
         if todo:
-            fresh = BACKENDS[self.backend]().execute(todo, self)
+            fresh = BACKENDS[self.backend](todo, self)
             done.update(fresh)
         return [done[spec.spec_hash] for spec in specs]
 

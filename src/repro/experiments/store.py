@@ -158,8 +158,8 @@ class ResultStore:
         self._malformed += 1
 
     # ------------------------------------------------------------------
-    def merge_shards(self, keep_hashes: Optional[Iterable[str]] = None,
-                     *, remove: bool = True) -> Dict[str, int]:
+    def merge_shards(self, keep_hashes: Optional[Iterable[str]] = None
+                     ) -> Dict[str, int]:
         """Fold every worker shard into this store, dedup by spec hash.
 
         ``keep_hashes`` (normally the manifest's union of campaign spec
@@ -168,7 +168,7 @@ class ResultStore:
         record already present wins over a shard duplicate (deterministic
         runs make them interchangeable), except that a *real* record
         always displaces a quarantined placeholder.  Merged shards are
-        deleted unless ``remove=False``.  Returns counters for telemetry:
+        deleted.  Returns counters for telemetry:
         shards / merged / duplicates / dropped / torn_lines.
         """
         keep = set(keep_hashes) if keep_hashes is not None else None
@@ -189,6 +189,5 @@ class ResultStore:
                     continue
                 self.append(record)
                 stats["merged"] += 1
-            if remove:
-                os.remove(path)
+            os.remove(path)
         return stats

@@ -92,44 +92,6 @@ class DispatchProfile:
             "labels": self.rows(),
         }
 
-    # ------------------------------------------------------------------
-    # Aggregation: campaign-level histograms from per-cell profiles
-    # ------------------------------------------------------------------
-    def merge(self, other: "DispatchProfile") -> "DispatchProfile":
-        """Fold another profile's counts/seconds into this one (in place).
-
-        With :meth:`from_dict` this turns per-cell ``repro profile
-        --json`` reports from a sweep into one campaign-level histogram
-        instead of leaving each run an island::
-
-            campaign = DispatchProfile()
-            for path in reports:
-                campaign.merge(DispatchProfile.from_dict(
-                    json.load(open(path))["kernel_events"]))
-        """
-        counts = self.counts
-        for label, n in other.counts.items():
-            counts[label] = counts.get(label, 0) + n
-        secs = self.seconds
-        for label, s in other.seconds.items():
-            secs[label] = secs.get(label, 0.0) + s
-        return self
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DispatchProfile":
-        """Rebuild a profile from :meth:`to_dict` output (JSON round-trip).
-
-        Accepts either the full dict or just its ``labels`` rows; the
-        per-label counts and seconds are exact (the ``*_frac`` columns
-        are derived and recomputed on demand).
-        """
-        profile = cls()
-        rows = data["labels"] if isinstance(data, dict) else data
-        for row in rows:
-            profile.counts[row["label"]] = int(row["dispatches"])
-            profile.seconds[row["label"]] = float(row["seconds"])
-        return profile
-
 
 def _function_name(code) -> str:
     """A compact ``file:line(func)`` name for a cProfile entry."""

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import AttemptJournal, RunSpec
 
 
 def run_cli(argv):
@@ -170,6 +171,41 @@ def test_bad_scale_warmup_and_retries_are_input_errors():
                           "--retries", "-1"])
     assert code == 1
     assert "bad sweep" in text and "retries" in text
+
+
+def test_bad_sweep_settings_write_no_manifest(tmp_path):
+    out_path = str(tmp_path / "bad.jsonl")
+    argv = ["sweep", "--instructions", "100", "--scale", "64",
+            "--backend", "filequeue", "--out", out_path]
+    for flag, value, name in (("--cell-timeout", "0", "cell_timeout"),
+                              ("--lease-ttl", "0", "lease_ttl"),
+                              ("--lease-ttl", "-1", "lease_ttl"),
+                              ("--jobs", "0", "jobs")):
+        code, text = run_cli(argv + [flag, value])
+        assert code == 1
+        assert "bad sweep" in text and name in text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_worker_settings_leave_the_journal_untouched(tmp_path):
+    store_path = str(tmp_path / "w.jsonl")
+    journal = AttemptJournal.for_store(store_path)
+    journal.seed([RunSpec(workload="apache", instructions=300, warmup=0,
+                          preset="tiny", scale=64, seed=s) for s in (1, 2)])
+
+    def snapshot():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()}
+
+    before = snapshot()
+    for flag, value, name in (("--retries", "-1", "retries"),
+                              ("--lease-ttl", "0", "lease_ttl"),
+                              ("--cell-timeout", "0", "cell_timeout")):
+        code, text = run_cli(["worker", "--store", store_path, flag, value])
+        assert code == 1
+        assert "bad worker" in text and name in text
+    assert snapshot() == before
+    assert journal.counts()["pending"] == 2
 
 
 def test_parser_rejects_unknown_workload():

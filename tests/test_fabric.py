@@ -512,6 +512,45 @@ def test_external_worker_joins_filequeue_campaign(tmp_path):
     assert local + stats["merged"] >= len(specs)
 
 
+def test_filequeue_coordinator_heartbeats_while_it_waits(tmp_path):
+    # The coordinator waits on its workers; each wait that times out
+    # while a worker is alive prints one heartbeat line.
+    lines = []
+    specs = [TINY.with_(instructions=4_000, seed=s) for s in range(1, 9)]
+    store = ResultStore(str(tmp_path / "fq.jsonl"))
+    runner = Runner(jobs=2, backend="filequeue", store=store,
+                    heartbeat_s=0.05, progress=lines.append)
+    records = runner.run(specs)
+    assert any(line.startswith("heartbeat: ") for line in lines)
+    assert all(r.completed and not r.failed for r in records)
+    assert runner.journal.outstanding() == 0
+
+
+def test_filequeue_coordinator_drains_when_every_worker_dies(monkeypatch,
+                                                             tmp_path):
+    coordinator = os.getpid()
+
+    def dying_worker(*args, **kwargs):
+        if os.getpid() != coordinator:
+            os._exit(0)                 # a local worker dies before claiming
+        return run_worker(*args, **kwargs)
+
+    monkeypatch.setattr("repro.experiments.backends.run_worker",
+                        dying_worker)
+    lines = []
+    specs = _tiny_specs(3)
+    store = ResultStore(str(tmp_path / "fq.jsonl"))
+    runner = Runner(jobs=2, backend="filequeue", store=store,
+                    progress=lines.append)
+    records = runner.run(specs)
+    assert any("draining in-process" in line for line in lines)
+    assert [r.result_key() for r in records] == \
+        [execute_run(s).result_key() for s in specs]
+    assert runner.journal.counts() == {"pending": 0, "leased": 0,
+                                       "quarantined": 0}
+    assert list_shards(store.path) == []
+
+
 # ----------------------------------------------------------------------
 # Runner surface compatibility
 # ----------------------------------------------------------------------
@@ -531,3 +570,20 @@ def test_runner_legacy_surface_unchanged():
         Runner(retries=-1)
     with pytest.raises(ValueError):
         Runner(cell_timeout=0.0)
+
+
+def test_runner_and_worker_reject_bad_settings(tmp_path):
+    store_path = str(tmp_path / "r.jsonl")
+    for bad in (dict(retries=-1), dict(cell_timeout=0.0),
+                dict(cell_timeout=-1.0), dict(lease_ttl=0.0),
+                dict(lease_ttl=-1.0), dict(lease_ttl=float("nan")),
+                dict(backoff_s=-1.0)):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            Runner(**bad)
+        with pytest.raises(ValueError, match=name):
+            run_worker(store_path, **bad)
+    with pytest.raises(ValueError, match="heartbeat_s"):
+        Runner(heartbeat_s=-5)
+    # The worker checks its settings before it creates the journal.
+    assert not AttemptJournal.for_store(store_path).exists()

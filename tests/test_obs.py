@@ -47,7 +47,6 @@ from repro.obs import (
     timeline_summary,
     validate_chrome_trace,
 )
-from repro.sim.profile import DispatchProfile
 from repro.system.machine import Machine
 from repro.workloads import apache
 
@@ -334,32 +333,6 @@ def test_runner_heartbeat_line():
     assert line.startswith("heartbeat: 1/6 done, 5 in flight")
     assert "apache/s2" in line and "+2 more" in line
     assert "sim-cycles/s" in line
-
-
-# ----------------------------------------------------------------------
-# DispatchProfile aggregation (campaign-level histograms)
-# ----------------------------------------------------------------------
-
-def test_dispatch_profile_merge_and_round_trip():
-    a = DispatchProfile()
-    a.record("core.burst", 0.25)
-    a.record("core.burst", 0.25)
-    a.record("net.hop", 0.1)
-    b = DispatchProfile()
-    b.record("core.burst", 0.5)
-    b.record("ckpt.edge", 0.05)
-    merged = a.merge(b)
-    assert merged is a
-    assert a.counts == {"core.burst": 3, "net.hop": 1, "ckpt.edge": 1}
-    assert a.seconds["core.burst"] == pytest.approx(1.0)
-    # JSON round-trip through to_dict preserves counts/seconds exactly.
-    rebuilt = DispatchProfile.from_dict(
-        json.loads(json.dumps(a.to_dict())))
-    assert rebuilt.counts == a.counts
-    assert rebuilt.seconds == pytest.approx(a.seconds)
-    assert rebuilt.total_dispatches == 5
-    # from_dict also accepts the bare rows list.
-    assert DispatchProfile.from_dict(a.rows()).counts == a.counts
 
 
 # ----------------------------------------------------------------------
