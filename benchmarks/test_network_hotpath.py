@@ -8,20 +8,22 @@ are deliberately NOT batched into shared heap entries — that reordered
 hop processing against interleaved non-hop events; see the Network
 docstring):
 
-* **one dispatch per hop** — on a steady 4x4 hop stream, the ``net.hop``
-  dispatch count must equal the number of links the messages cross,
-  exactly (a structural, noise-free check); the stream is also timed
-  and reported.
+* **one dispatch per hop** — on a steady 4x4 hop stream scheduled hop
+  by hop, the ``net.hop`` dispatch count must equal the number of links
+  the messages cross, exactly (a structural, noise-free check); the
+  stream is also timed and reported.
 
 *Express hops* layer on top: when a flight's remaining segment is
-idle, one ``net.express`` dispatch covers the whole segment.  Its guards
+idle, one ``net.express`` dispatch covers the whole segment.  The
+hop-by-hop reference is the same network with one unmatched
+``Network.express_hold()`` before the first event.  The express guards
 live here too:
 
 * **reduction** — on an idle 8x8 stream the per-hop dispatch count
   (``net.hop`` + ``net.express``) must drop >= 1.5x vs hop-by-hop
   scheduling, with an identical delivery sequence in both modes;
 * **equivalence** — full default-4x4 machine runs must produce
-  bit-identical ``RunResult`` fields with express on and off;
+  bit-identical ``RunResult`` fields with and without the hold;
 * **degradation** — on a contended stream express must fall back to
   hop-by-hop (interrupts fire, dispatch counts stay near hop-by-hop's)
   rather than thrash.
@@ -31,7 +33,6 @@ step (see .github/workflows/ci.yml), keeping the structural assertions
 intact.
 """
 
-import dataclasses
 import time
 
 from repro.config import SystemConfig
@@ -66,14 +67,16 @@ class _HopCounter:
                 + self.counts.get("net.express", 0))
 
 
-def _hop_stream(n_messages: int, express: bool = False):
-    """A steady self-refuelling hop stream on a bare 4x4 network.
-    Returns (sim, net, links): ``links[0]`` counts the links the sent
-    messages will cross."""
+def _hop_stream(n_messages: int, hop_by_hop: bool = True):
+    """A steady self-refuelling hop stream on a bare 4x4 network, held
+    hop by hop unless ``hop_by_hop`` is False.  Returns (sim, net,
+    links): ``links[0]`` counts the links the sent messages will cross."""
     sim = Simulator()
     topo = TorusTopology(4, 4)
     routing = RoutingTable(topo)
-    net = Network(sim, topo, routing, express=express)
+    net = Network(sim, topo, routing)
+    if hop_by_hop:
+        net.express_hold()
     remaining = [n_messages]
     links = [0]
 
@@ -118,13 +121,14 @@ def test_hop_dispatch_throughput(benchmark):
 
 
 def _machine_result(workload: str, instructions: int, express: bool):
-    config = dataclasses.replace(SystemConfig.sim_scaled(16),
-                                 express_hops=express)  # default 4x4 machine
+    config = SystemConfig.sim_scaled(16)  # default 4x4 machine
     machine = Machine(
         config,
         by_name(workload, num_cpus=config.num_processors, scale=16, seed=1),
         seed=1,
     )
+    if not express:
+        machine.network.express_hold()
     result = machine.run(instructions, max_cycles=10_000_000)
     return (result.cycles, result.committed_instructions, result.recoveries,
             result.completed, result.crashed,
@@ -146,7 +150,9 @@ def _idle_stream(express: bool, n_messages: int):
     path is idle, so every network-path send is express-eligible."""
     sim = Simulator()
     topo = TorusTopology(8, 8)
-    net = Network(sim, topo, RoutingTable(topo), express=express)
+    net = Network(sim, topo, RoutingTable(topo))
+    if not express:
+        net.express_hold()
     tracer = _HopCounter()
     sim.tracer = tracer
     remaining = [n_messages]
@@ -203,9 +209,9 @@ def test_express_contended_stream_degrades(benchmark):
     n = 1_000 if SMOKE else 5_000
 
     def experiment():
-        sim_e, net_e, _ = _hop_stream(n, express=True)
+        sim_e, net_e, _ = _hop_stream(n, hop_by_hop=False)
         sim_e.run()
-        sim_h, net_h, _ = _hop_stream(n, express=False)
+        sim_h, net_h, _ = _hop_stream(n)
         sim_h.run()
         return (sim_e.events_dispatched, net_e.c_express_interrupts.value,
                 net_e.c_messages_delivered.value, sim_h.events_dispatched,

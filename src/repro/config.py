@@ -72,16 +72,6 @@ class SystemConfig:
 
     # -- fault handling ------------------------------------------------------
     request_timeout: int = 20_000           # cycles before a requestor times out
-    #: Express-hop flight advancement (default): when every switch on a
-    #: message's remaining path segment is provably idle, the network
-    #: computes the segment's arrival time arithmetically and pays one
-    #: kernel dispatch for the whole segment instead of one per hop
-    #: (``net.express`` vs ``net.hop``).  Contention, fault arming, or a
-    #: crossing send materialises the flight back to hop-by-hop at its
-    #: current position.  False keeps one-event-per-hop scheduling as the
-    #: bit-identity oracle (see benchmarks/test_network_hotpath.py and
-    #: tests/test_express_hops.py).
-    express_hops: bool = True
     #: Optional home-side open-transaction timeout (cycles).  None (the
     #: default) preserves the historical behaviour: an orphaned home
     #: transaction is caught only by the requestor's timeout or the

@@ -28,6 +28,9 @@ from repro.interconnect.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
+#: Cycles to undo one CLB entry in a controller's sequential unroll.
+CLB_UNROLL_CYCLES_PER_ENTRY = 8
+
 
 @dataclass
 class RecoveryStats:
@@ -70,7 +73,6 @@ class RecoveryManager:
         *,
         on_crash: Optional[Callable[[str], None]] = None,
         on_recovery_complete: Optional[Callable[[], None]] = None,
-        clb_unroll_cycles_per_entry: int = 8,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -80,7 +82,6 @@ class RecoveryManager:
         self.stats_registry = stats
         self.on_crash = on_crash
         self.on_recovery_complete = on_recovery_complete
-        self.clb_unroll_cycles_per_entry = clb_unroll_cycles_per_entry
 
         self.stats = RecoveryStats()
         self.recovering = False
@@ -171,7 +172,7 @@ class RecoveryManager:
         # sequential CLB unroll.
         unroll_latency = (
             self.config.recovery_fixed_latency
-            + max_entries * self.clb_unroll_cycles_per_entry
+            + max_entries * CLB_UNROLL_CYCLES_PER_ENTRY
         )
         self.sim.schedule_after(
             unroll_latency + self.config.service_broadcast_latency,

@@ -357,67 +357,73 @@ def _run_pool(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
 
     try:
         with pool:
-            for spec in specs:
-                submit(spec, 1)
-            while pending or retries:
-                now = time.monotonic()
-                due = [r for r in retries if r[0] <= now]
-                retries[:] = [r for r in retries if r[0] > now]
-                for _, spec, attempt in due:
-                    submit(spec, attempt + 1)
-                if not pending:
-                    if retries:
-                        time.sleep(max(0.0, min(r[0] for r in retries)
-                                       - time.monotonic()))
-                    continue
-                timeout = min(
-                    [runner.heartbeat_s if runner.heartbeat_s > 0
-                     else 3600.0]
-                    + [max(0.05, r[0] - now) for r in retries])
-                finished, _ = wait(pending, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-                if journal is not None:
-                    for spec, _attempt in pending.values():
-                        journal.heartbeat(spec.spec_hash)
-                if not finished:
-                    if not retries:
-                        runner._heartbeat(pending, done=len(out),
-                                          total=total)
-                    continue
-                for future in finished:
-                    spec, attempt = pending.pop(future)
-                    try:
-                        record = future.result()
-                    except BrokenProcessPool:
-                        raise
-                    except CellFailure as exc:
-                        on_failure(spec, attempt, exc)
+            try:
+                for spec in specs:
+                    submit(spec, 1)
+                while pending or retries:
+                    now = time.monotonic()
+                    due = [r for r in retries if r[0] <= now]
+                    retries[:] = [r for r in retries if r[0] > now]
+                    for _, spec, attempt in due:
+                        submit(spec, attempt + 1)
+                    if not pending:
+                        if retries:
+                            time.sleep(max(0.0, min(r[0] for r in retries)
+                                           - time.monotonic()))
                         continue
-                    except Exception as exc:  # noqa: BLE001
-                        # The task itself could not run or report (a
-                        # pickling error, say): a failed attempt too.
-                        on_failure(spec, attempt,
-                                   CellError(repr(exc),
-                                             traceback.format_exc()))
-                        continue
+                    timeout = min(
+                        [runner.heartbeat_s if runner.heartbeat_s > 0
+                         else 3600.0]
+                        + [max(0.05, r[0] - now) for r in retries])
+                    finished, _ = wait(pending, timeout=timeout,
+                                       return_when=FIRST_COMPLETED)
                     if journal is not None:
-                        journal.complete(spec.spec_hash)
-                    finish(record)
-    except KeyboardInterrupt:
-        # Graceful SIGINT: drop the queue, let the <= jobs in-flight
-        # cells finish and persist, and release every other lease back to
-        # the journal so a resume re-queues it instantly.
-        pool.shutdown(wait=False, cancel_futures=True)
-        wait([f for f in pending if not f.cancelled()], timeout=60.0)
-        for future, (spec, _attempt) in pending.items():
-            if (future.done() and not future.cancelled()
-                    and future.exception() is None):
-                if journal is not None:
-                    journal.complete(spec.spec_hash)
-                finish(future.result())
-            elif journal is not None:
-                journal.release(spec.spec_hash)
-        raise
+                        for spec, _attempt in pending.values():
+                            journal.heartbeat(spec.spec_hash)
+                    if not finished:
+                        if not retries:
+                            runner._heartbeat(pending, done=len(out),
+                                              total=total)
+                        continue
+                    for future in finished:
+                        spec, attempt = pending.pop(future)
+                        try:
+                            record = future.result()
+                        except BrokenProcessPool:
+                            raise
+                        except CellFailure as exc:
+                            on_failure(spec, attempt, exc)
+                            continue
+                        except Exception as exc:  # noqa: BLE001
+                            # The task itself could not run or report (a
+                            # pickling error, say): a failed attempt too.
+                            on_failure(spec, attempt,
+                                       CellError(repr(exc),
+                                                 traceback.format_exc()))
+                            continue
+                        if journal is not None:
+                            journal.complete(spec.spec_hash)
+                        finish(record)
+            except KeyboardInterrupt:
+                # Graceful SIGINT: cancel the queue here, before the
+                # ``with`` exit waits on it (``cancel_futures`` alone
+                # cancels later, unseen by ``wait``), let the <= jobs
+                # in-flight cells finish and persist, and release every
+                # other lease so a resume re-queues it instantly.
+                for future in pending:
+                    future.cancel()
+                pool.shutdown(wait=False, cancel_futures=True)
+                wait([f for f in pending if not f.cancelled()],
+                     timeout=60.0)
+                for future, (spec, _attempt) in pending.items():
+                    if (future.done() and not future.cancelled()
+                            and future.exception() is None):
+                        if journal is not None:
+                            journal.complete(spec.spec_hash)
+                        finish(future.result())
+                    elif journal is not None:
+                        journal.release(spec.spec_hash)
+                raise
     except BrokenProcessPool as exc:
         runner.progress(f"process pool broke ({exc!r}); "
                         "falling back to serial execution")

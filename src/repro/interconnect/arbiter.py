@@ -27,7 +27,9 @@ names to *factories* and every :class:`~repro.interconnect.network.
 Network` gets a fresh instance.  Arbitration composes with express
 hops for free: contention always materialises an in-express flight
 back to hop-by-hop state before the chain is re-resolved, so a policy
-only ever sees true per-hop claims.
+only ever sees true per-hop claims, and a run under any policy equals
+the same run held hop by hop by one
+:meth:`~repro.interconnect.network.Network.express_hold`.
 """
 
 from __future__ import annotations

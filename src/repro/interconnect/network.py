@@ -28,14 +28,13 @@ its delivery injects) against non-hop events of the same cycle — an
 order-dependent tie that changes results once checkpoint-validation
 traffic is completion-triggered.
 
-*Express hops* (``express=True``) recover multi-hop advancement without
-re-opening that wound: when every switch on a flight's remaining path
-segment is idle — no live serialisation entries (the per-switch
-next-free-cycle register answers that in O(1)), no link
-contention, no armed drop hooks — the whole segment's hop times are
-computed arithmetically and ONE ``net.express`` dispatch is scheduled at
-the arrival into the *last* switch, which then runs the ordinary
-arrive/depart for the final hop.  Keeping the final hop ordinary anchors
+*Express hops* recover multi-hop advancement without re-opening that
+wound: when every switch on a flight's remaining path segment is idle —
+no live serialisation entries (the per-switch next-free-cycle register
+answers that in O(1)), no link contention, no armed drop hooks — the
+whole segment's hop times are computed arithmetically and ONE
+``net.express`` dispatch is scheduled at the arrival into the *last*
+switch, which then runs the ordinary arrive/depart for the final hop.  Keeping the final hop ordinary anchors
 the delivery event's insertion at the same cycle as hop-by-hop mode, so
 its heap position relative to everything scheduled at other cycles is
 unchanged.  The skipped intermediate dispatches are pure bookkeeping
@@ -47,7 +46,9 @@ residency/link state hop-by-hop scheduling would have produced at the
 current cycle, then falls back to one event per hop for the rest of the
 path.  Ties at the materialisation cycle resolve observer-first (a hop
 whose arrival is scheduled for *this* cycle has not happened yet) — the
-same deterministic-tie family as the release-cycle rule below.
+same deterministic-tie family as the release-cycle rule below.  The
+hop-by-hop reference (one ``net.hop`` dispatch per switch throughout) is
+one unmatched :meth:`Network.express_hold` before the first event.
 """
 
 from __future__ import annotations
@@ -228,9 +229,7 @@ class Network:
         link_latency: int = 4,
         bytes_per_cycle: float = 6.4,
         buffer_capacity: int = 64,
-        express: bool = True,
         arbiter: "str | ArbiterPolicy" = "fifo",
-        name: str = "net",
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -240,8 +239,6 @@ class Network:
         self.link_latency = link_latency
         self.bytes_per_cycle = bytes_per_cycle
         self.buffer_capacity = buffer_capacity
-        self.express = bool(express)
-        self._name = name
         # Arbitration policy for same-cycle ties (link claims, delivery
         # order); ``fifo`` is message-id order.
         self.arbiter = (arbiter if isinstance(arbiter, ArbiterPolicy)
@@ -268,9 +265,9 @@ class Network:
         # express advancement; results are mode-identical either way, so
         # the gate only shapes wall-clock cost.
         self._express_credit = 32
-        # Folded gate: express enabled AND no holds AND credit left.  Kept
-        # current by the three mutation sites so _depart tests one flag.
-        self._express_on = self.express
+        # Folded gate: no holds AND credit left.  Kept current by the
+        # three mutation sites so _depart tests one flag.
+        self._express_on = True
         # Delivery slotting (see _enqueue_delivery): this cycle's arrived
         # messages, handed to endpoints in msg_id order at end of cycle.
         self._deliver_ready: List[Message] = []
@@ -281,24 +278,23 @@ class Network:
         self._epoch = 0
 
         # Pre-bound counters: send/deliver/lose run once per message (and
-        # contention accounting once per hop), so building the name and
-        # looking it up in the registry on every call would put an
-        # f-string and a dict lookup on the hot path.
-        self.c_messages_sent = self.stats.counter(f"{name}.messages_sent")
-        self.c_bytes_sent = self.stats.counter(f"{name}.bytes_sent")
+        # contention accounting once per hop), so looking each name up in
+        # the registry on every call would put a dict lookup on the hot
+        # path.
+        self.c_messages_sent = self.stats.counter("net.messages_sent")
+        self.c_bytes_sent = self.stats.counter("net.bytes_sent")
         self.c_messages_delivered = self.stats.counter(
-            f"{name}.messages_delivered")
-        self.c_messages_lost = self.stats.counter(f"{name}.messages_lost")
-        self.c_contention_cycles = self.stats.counter(
-            f"{name}.contention_cycles")
-        self.c_buffer_stalls = self.stats.counter(f"{name}.buffer_stalls")
+            "net.messages_delivered")
+        self.c_messages_lost = self.stats.counter("net.messages_lost")
+        self.c_contention_cycles = self.stats.counter("net.contention_cycles")
+        self.c_buffer_stalls = self.stats.counter("net.buffer_stalls")
         # Express-hop telemetry (fed to the `repro profile` efficiency
         # line): flights that went express, hops they advanced without a
         # per-hop dispatch, and interruptions back to hop-by-hop.
-        self.c_express_flights = self.stats.counter(f"{name}.express_flights")
-        self.c_express_hops = self.stats.counter(f"{name}.express_hops")
+        self.c_express_flights = self.stats.counter("net.express_flights")
+        self.c_express_hops = self.stats.counter("net.express_hops")
         self.c_express_interrupts = self.stats.counter(
-            f"{name}.express_interrupts")
+            "net.express_interrupts")
 
     def _reset_tables(self) -> None:
         """(Re)create the per-link and per-vertex state tables."""
@@ -330,8 +326,8 @@ class Network:
         """Hooks run as a message enters a switch; True means drop it.
 
         Express hops skip intermediate switch entries, so a hook can only
-        be trusted to see every switch if express is off while the hook
-        could fire.  A *managed* registrar (e.g.
+        be trusted to see every switch while an :meth:`express_hold` is in
+        place.  A *managed* registrar (e.g.
         :class:`~repro.interconnect.faults.PeriodicArmedFault`) brackets
         its armed windows with :meth:`express_hold` / :meth:`express_release`
         itself; an unmanaged hook pins a hold for the network's lifetime.
@@ -346,7 +342,9 @@ class Network:
     def express_hold(self) -> None:
         """Disable express advancement and materialise every in-express
         flight (so per-switch observers — armed drop hooks above all —
-        see each subsequent switch entry individually)."""
+        see each subsequent switch entry individually).  Holds nest; one
+        unmatched hold gives hop-by-hop scheduling for the network's
+        lifetime."""
         self._express_holds += 1
         self._express_on = False
         if self._express_flights:
@@ -361,7 +359,7 @@ class Network:
         self._refresh_express_on()
 
     def _refresh_express_on(self) -> None:
-        self._express_on = (self.express and not self._express_holds
+        self._express_on = (not self._express_holds
                             and self._express_credit > 0)
 
     def add_lost_listener(self, listener: LostFn) -> None:
@@ -393,12 +391,11 @@ class Network:
         flight = _Flight(msg, path, links, self._epoch, self,
                          self._serialization(msg))
         self._in_flight[msg.msg_id] = flight
-        if self.express:
-            credit = self._express_credit
-            if credit <= 0:
-                self._express_credit = credit + 1  # probe calmer traffic
-                if credit == 0:
-                    self._refresh_express_on()
+        credit = self._express_credit
+        if credit <= 0:
+            self._express_credit = credit + 1  # probe calmer traffic
+            if credit == 0:
+                self._refresh_express_on()
         self.c_messages_sent.add()
         self.c_bytes_sent.add(msg.size_bytes)
         self._depart(flight)

@@ -23,6 +23,10 @@ from repro.sim.stats import StatsRegistry
 
 SnoopFn = Callable[[Message, int], None]  # (message, global order index)
 
+SNOOP_LATENCY = 10          # cycles from arbitration to snoop delivery
+DATA_LATENCY = 40           # cycles of point-to-point data delivery
+DATA_BYTES_PER_CYCLE = 6.4  # data-path bandwidth
+
 
 class OrderedBus:
     """Split-transaction snooping bus: ordered address path + data path."""
@@ -33,18 +37,10 @@ class OrderedBus:
         *,
         stats: Optional[StatsRegistry] = None,
         address_cycles: int = 6,       # bus occupancy per broadcast
-        snoop_latency: int = 10,       # arbitration-to-snoop delivery
-        data_latency: int = 40,        # point-to-point data delivery
-        data_bytes_per_cycle: float = 6.4,
-        name: str = "bus",
     ) -> None:
         self.sim = sim
         self.stats = stats or StatsRegistry()
         self.address_cycles = address_cycles
-        self.snoop_latency = snoop_latency
-        self.data_latency = data_latency
-        self.data_bytes_per_cycle = data_bytes_per_cycle
-        self._name = name
         self._snoopers: List[SnoopFn] = []
         self._data_handlers = {}
         self._addr_free = 0
@@ -75,8 +71,8 @@ class OrderedBus:
         self._addr_free = start + self.address_cycles
         index = self._order
         self._order += 1
-        self.stats.counter(f"{self._name}.broadcasts").add()
-        deliver_at = start + self.address_cycles + self.snoop_latency
+        self.stats.counter("bus.broadcasts").add()
+        deliver_at = start + self.address_cycles + SNOOP_LATENCY
         epoch = self._epoch
         self.sim.schedule(
             deliver_at,
@@ -91,13 +87,13 @@ class OrderedBus:
 
     def send_data(self, msg: Message) -> None:
         """Point-to-point data response (not ordered, bandwidth-limited)."""
-        ser = max(1, round(msg.size_bytes / self.data_bytes_per_cycle))
+        ser = max(1, round(msg.size_bytes / DATA_BYTES_PER_CYCLE))
         start = max(self.sim.now, self._data_free)
         self._data_free = start + ser
-        self.stats.counter(f"{self._name}.data_messages").add()
+        self.stats.counter("bus.data_messages").add()
         epoch = self._epoch
         self.sim.schedule(
-            start + ser + self.data_latency,
+            start + ser + DATA_LATENCY,
             lambda: epoch == self._epoch and self._data_handlers[msg.dst](msg),
             "bus.data",
         )

@@ -262,7 +262,6 @@ def network_efficiency(machine, dispatch: DispatchProfile) -> Dict[str, Any]:
     total_hops = hop_dispatches + express_hops
     total_dispatches = hop_dispatches + express_dispatches
     return {
-        "express_enabled": bool(net.express),
         "hop_dispatches": hop_dispatches,
         "express_dispatches": express_dispatches,
         "express_flights": net.c_express_flights.value,

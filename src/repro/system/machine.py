@@ -97,7 +97,6 @@ class Machine:
             link_latency=config.link_latency,
             bytes_per_cycle=config.link_bandwidth_bytes_per_cycle,
             buffer_capacity=config.switch_buffer_messages,
-            express=config.express_hops,
             arbiter=config.arbiter,
         )
 

@@ -28,6 +28,20 @@ implementation against them:
   node's released outputs, pending outputs, input-log first reads and
   replays, and the final architected state).
 
+The ``express`` section pins the network's express hops, which skip the
+per-switch dispatches of an idle path segment.  Hop-by-hop scheduling
+was once a config flag, ``SystemConfig.express_hops=False``; it is now
+one unmatched ``Network.express_hold()`` before the first event.  The
+section was written at the last commit that still had the flag.  There
+each record was taken from the held run, the default (express) run had
+to equal it in every field but the dispatch counts, and a third run with
+the flag off had to equal it in every field, its dispatch count and peak
+queue depth included; all 25 cells matched.  ``tests/test_express_hops.py``
+replays the default run against each record (the fields, a digest of
+every counter but the three ``net.express_*`` ones, and a dispatch count
+no higher than the hop-by-hop run's) and a few held runs against the
+hop-by-hop counts.
+
 Re-run only to *extend* a matrix, never to "refresh" a record after a
 divergence — that would turn the oracle into a mirror.
 
@@ -56,6 +70,14 @@ VALIDATION_MATRIX = ([(2, 2), (2, 3)], [1, 2],
 #: The I/O-commit sweep adds (output, input) period pairs to each cell.
 IO_MATRIX = ([(2, 2), (2, 3)], [1, 2], ["clean", "transient"])
 IO_PERIODS = [(50, 0), (0, 150), (37, 41)]
+#: The express-hop suite: the kernel shapes plus 8x8, and one extra cell
+#: whose drop windows open while express segments are in the air.
+EXPRESS_MATRIX = ([(2, 2), (4, 4), (4, 8), (8, 8)], [1, 2],
+                  ["clean", "transient", "switch_kill"])
+MID_SEGMENT = ((4, 8), 5, "mid_segment")
+#: Express telemetry, the one thing express and hop-by-hop runs differ in.
+EXPRESS_COUNTERS = ("net.express_flights", "net.express_hops",
+                    "net.express_interrupts")
 
 
 def cell_id(shape, seed: int, scenario: str) -> str:
@@ -96,8 +118,8 @@ def _sha256(value) -> str:
 
 
 def _machine(shape, seed: int, scenario: str, **io_periods) -> Machine:
-    """The kernel and I/O sweeps' machine: apache on odd seeds, jbb on
-    even ones."""
+    """The kernel, I/O and express sweeps' machine: apache on odd seeds,
+    jbb on even ones."""
     config = _config(shape)
     workload = (apache if seed % 2 else jbb)(
         num_cpus=config.num_processors, scale=64, seed=seed)
@@ -106,6 +128,8 @@ def _machine(shape, seed: int, scenario: str, **io_periods) -> Machine:
         machine.inject_transient_faults(period=2_500, first_at=1_200)
     elif scenario == "switch_kill":
         machine.inject_switch_kill(at_cycle=2_000)
+    elif scenario == "mid_segment":
+        machine.inject_transient_faults(period=1_500, first_at=900)
     return machine
 
 
@@ -208,6 +232,63 @@ def io_record(shape, seed: int, scenario: str, periods) -> dict:
     }
 
 
+def express_run(shape, seed: int, scenario: str, *, hold: bool):
+    """One express-suite run; ``hold`` takes one unmatched
+    :meth:`~repro.interconnect.network.Network.express_hold` before the
+    first event, which schedules every hop as its own dispatch."""
+    machine = _machine(shape, seed, scenario)
+    if hold:
+        machine.network.express_hold()
+    if scenario == "mid_segment":
+        instructions = 800
+    elif shape[0] * shape[1] >= 32:
+        instructions = 600   # big tori get a shorter run
+    else:
+        instructions = 2_000
+    return machine, machine.run(instructions, max_cycles=5_000_000)
+
+
+def express_fields(machine: Machine, result) -> dict:
+    """What an express run must share with its hop-by-hop record."""
+    stats = machine.stats
+    counters = stats.counters_matching("")
+    for name in EXPRESS_COUNTERS:
+        del counters[name]
+    return {
+        **_result_fields(result),
+        **_traffic_fields(machine),
+        "messages_lost": stats.counter("net.messages_lost").value,
+        "contention_cycles": stats.counter("net.contention_cycles").value,
+        "buffer_stalls": stats.counter("net.buffer_stalls").value,
+        "cache_loads": stats.sum_counters(".cache.loads"),
+        "cache_stores": stats.sum_counters(".cache.stores"),
+        "cache_misses": stats.sum_counters(".cache.misses"),
+        "rpcn": machine.controllers.rpcn,
+        "counters_sha256": _sha256(counters),
+    }
+
+
+def express_record(shape, seed: int, scenario: str) -> dict:
+    """The held (hop-by-hop) run's fields and dispatch counts, plus the
+    default run's; the two runs must agree on every field."""
+    held, held_result = express_run(shape, seed, scenario, hold=True)
+    machine, result = express_run(shape, seed, scenario, hold=False)
+    record = express_fields(held, held_result)
+    cell = cell_id(shape, seed, scenario)
+    assert express_fields(machine, result) == record, (
+        f"{cell}: express run diverged from hop-by-hop")
+    assert held.stats.counter("net.express_flights").value == 0, (
+        f"{cell}: a flight went express under the hold")
+    return {
+        **record,
+        "hop_by_hop_events": held.sim.events_dispatched,
+        "hop_by_hop_peak_pending": held.sim.peak_pending,
+        "express_events": machine.sim.events_dispatched,
+        "express_flights": machine.stats.counter(
+            "net.express_flights").value,
+    }
+
+
 def _cells(matrix, record) -> dict:
     shapes, seeds, scenarios = matrix
     return {cell_id(shape, seed, scenario): record(shape, seed, scenario)
@@ -215,23 +296,38 @@ def _cells(matrix, record) -> dict:
 
 
 def build() -> dict:
+    """Every section in file order: the first four as sorted once, then
+    each later one appended, so a new section never moves a record."""
     return {
+        "io": {io_cell_id(shape, seed, scenario, periods):
+               io_record(shape, seed, scenario, periods)
+               for scenario in IO_MATRIX[2] for shape in IO_MATRIX[0]
+               for seed in IO_MATRIX[1] for periods in IO_PERIODS},
         "kernel": _cells(KERNEL_MATRIX, kernel_record),
         "timeouts": {
             "cells": _cells(TIMEOUT_MATRIX, timeout_record),
             "first_fault": first_fault(),
         },
         "validation": _cells(VALIDATION_MATRIX, validation_record),
-        "io": {io_cell_id(shape, seed, scenario, periods):
-               io_record(shape, seed, scenario, periods)
-               for scenario in IO_MATRIX[2] for shape in IO_MATRIX[0]
-               for seed in IO_MATRIX[1] for periods in IO_PERIODS},
+        "express": {
+            **_cells(EXPRESS_MATRIX, express_record),
+            cell_id(*MID_SEGMENT): express_record(*MID_SEGMENT),
+        },
     }
 
 
+def _sorted(value):
+    """``value`` with every dict's keys sorted, recursively."""
+    if isinstance(value, dict):
+        return {key: _sorted(value[key]) for key in sorted(value)}
+    return value
+
+
 def main() -> None:
+    sections = build()
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump(build(), fh, indent=1, sort_keys=True)
+        json.dump({name: _sorted(section)
+                   for name, section in sections.items()}, fh, indent=1)
         fh.write("\n")
     print(f"wrote {GOLDEN_PATH}")
 

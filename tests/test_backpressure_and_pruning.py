@@ -20,7 +20,9 @@ def test_switch_buffer_backpressure_delays_but_delivers(express):
     sim = Simulator()
     topo = TorusTopology(4, 4)
     net = Network(sim, topo, RoutingTable(topo), stats=StatsRegistry(),
-                  buffer_capacity=1, express=express)
+                  buffer_capacity=1)
+    if not express:
+        net.express_hold()  # hop-by-hop: one dispatch per switch
     delivered = []
     for n in range(16):
         net.attach(n, delivered.append)

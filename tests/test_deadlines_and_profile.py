@@ -17,7 +17,7 @@ from repro.config import SystemConfig
 from repro.interconnect.messages import Message, MessageKind
 from repro.sim.deadlines import DeadlineTable
 from repro.sim.kernel import Simulator
-from repro.sim.profile import DispatchProfile, profile_spec
+from repro.sim.profile import DispatchProfile, network_efficiency, profile_spec
 from repro.sim.stats import Histogram, StatsRegistry
 from repro.workloads import WORKLOAD_NAMES, RandomTester, by_name
 from repro.workloads.base import OP_GAP_SHIFT, OP_STORE_BIT, OP_WINDOW
@@ -170,17 +170,17 @@ def test_profile_spec_reports_labels_and_json():
 def test_profile_reports_express_hop_efficiency():
     """The network-efficiency block: hop dispatches vs hops advanced,
     express coverage, and its JSON round-trip."""
-    from repro.experiments import RunSpec
+    from repro.experiments import RunSpec, build_machine
 
     spec = RunSpec(workload="apache", instructions=400, preset="tiny",
                    scale=64, max_cycles=2_000_000)
     report = profile_spec(spec, use_cprofile=False)
     net = report.network
-    for field in ("express_enabled", "hop_dispatches", "express_dispatches",
+    for field in ("hop_dispatches", "express_dispatches",
                   "express_flights", "express_hops", "express_interrupts",
                   "hops_per_dispatch", "express_hop_fraction"):
         assert field in net, f"missing network-efficiency field {field}"
-    assert net["express_enabled"] is True
+    assert net["express_flights"] > 0
     assert net["hop_dispatches"] == report.dispatch.counts.get("net.hop", 0)
     assert net["hops_per_dispatch"] >= 1.0
     assert 0.0 <= net["express_hop_fraction"] <= 1.0
@@ -192,13 +192,16 @@ def test_profile_reports_express_hop_efficiency():
     payload = json.loads(report.to_json())
     assert payload["network"] == net
 
-    # Express off: the block must report zero express activity.
-    off = profile_spec(spec.with_(config_overrides=(
-        ("express_hops", False),)), use_cprofile=False)
-    assert off.network["express_enabled"] is False
-    assert off.network["express_flights"] == 0
-    assert off.network["express_hops"] == 0
-    assert off.network["hops_per_dispatch"] in (0.0, 1.0)
+    # Express held off: the block must report zero express activity.
+    machine = build_machine(spec)
+    dispatch = DispatchProfile()
+    machine.sim.tracer = dispatch
+    machine.network.express_hold()
+    machine.run(spec.instructions, max_cycles=spec.max_cycles)
+    off = network_efficiency(machine, dispatch)
+    assert off["express_flights"] == 0
+    assert off["express_hops"] == 0
+    assert off["hops_per_dispatch"] in (0.0, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -148,11 +148,13 @@ def test_build_machine_names_unknown_config_overrides():
     old records) but fails to build with every bad key named."""
     spec = TINY.with_(config_overrides=(("calendar_kernel", False),
                                         ("data_message_bytes", 136),
+                                        ("express_hops", False),
                                         ("max_recoveries", 7),
                                         ("no_such_knob", 1)))
     with pytest.raises(
             ValueError,
-            match="calendar_kernel, data_message_bytes, no_such_knob$"):
+            match="calendar_kernel, data_message_bytes, express_hops, "
+                  "no_such_knob$"):
         build_machine(spec)
 
 

@@ -1,113 +1,94 @@
 """Express hops vs hop-by-hop: bit-identical across seeds, shapes, faults.
 
-``express_hops`` changes how idle path segments are *scheduled* (one
+Express hops change how idle path segments are *scheduled* (one
 ``net.express`` dispatch at segment end vs one ``net.hop`` dispatch per
 switch), never what the network *does*: link claims, switch residency,
 contention, and delivery order must be indistinguishable.  The delivery-
 and claim-slotting rules (see the Network docstring) canonicalise the two
 same-cycle tie classes express advancement would otherwise perturb, so
-every run must replay identically with express on or off — including
-runs where faults land mid-segment and force flights to materialise,
-which is the interesting case: the restored hop-by-hop state must be
-exactly what per-switch scheduling would have produced.
+every run must replay its hop-by-hop run exactly — including runs where
+faults land mid-segment and force flights to materialise, which is the
+interesting case: the restored hop-by-hop state must be exactly what
+per-switch scheduling would have produced.
+
+Hop-by-hop scheduling is one unmatched ``Network.express_hold()`` before
+the first event.  The machine cells replay the ``express`` records in
+``tests/data/mode_golden.json`` (see ``tests/gen_mode_golden.py``), taken
+from held runs: each default run must equal its record in every field
+and in a digest of every counter but the ``net.express_*`` telemetry,
+and dispatch no more kernel events than the hop-by-hop run did (strictly
+fewer whenever a segment went express).  A few held runs must reproduce
+the hop-by-hop dispatch counts, so a hold that silently let a flight go
+express fails here.  The bare-network test compares live against a held
+network.
 
 The idle-stream dispatch-reduction and wall-clock claims live in
 ``benchmarks/test_network_hotpath.py``; this file is the correctness
 sweep.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.config import SystemConfig
 from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingTable
 from repro.interconnect.topology import TorusTopology
 from repro.sim.kernel import Simulator
-from repro.system.machine import Machine
-from repro.workloads import apache, jbb
+from tests.gen_mode_golden import (EXPRESS_MATRIX, MID_SEGMENT, cell_id,
+                                   express_fields, express_run, golden)
 
-SHAPES = [(2, 2), (4, 4), (4, 8), (8, 8)]
-SEEDS = [1, 2]
-SCENARIOS = ["clean", "transient", "switch_kill"]
-
-# Express telemetry is the one legitimate difference between the modes.
-EXPRESS_COUNTERS = ("net.express_flights", "net.express_hops",
-                    "net.express_interrupts")
+SHAPES, SEEDS, SCENARIOS = EXPRESS_MATRIX
 
 
-def _config(shape, express: bool) -> SystemConfig:
-    if shape == (2, 2):
-        return SystemConfig.tiny(express_hops=express)
-    return SystemConfig.from_shape(*shape, preset="tiny",
-                                   express_hops=express)
-
-
-def _run(express: bool, shape, seed: int, scenario: str):
-    config = _config(shape, express)
-    if shape[0] * shape[1] >= 32:
-        # Big tori get a shorter run: the sweep stays O(seconds).
-        instructions, scale = 600, 64
-    else:
-        instructions, scale = 2_000, 64
-    workload = (apache if seed % 2 else jbb)(
-        num_cpus=config.num_processors, scale=scale, seed=seed)
-    machine = Machine(config, workload, seed=seed)
-    if scenario == "transient":
-        machine.inject_transient_faults(period=2_500, first_at=1_200)
-    elif scenario == "switch_kill":
-        machine.inject_switch_kill(at_cycle=2_000)
-    result = machine.run(instructions, max_cycles=5_000_000)
-    fields = (
-        result.cycles,
-        result.committed_instructions,
-        result.completed,
-        result.crashed,
-        result.crash_reason,
-        result.recoveries,
-        result.lost_instructions,
-        result.reexecuted_instructions,
-        machine.stats.counter("net.messages_sent").value,
-        machine.stats.counter("net.messages_delivered").value,
-        machine.stats.counter("net.messages_lost").value,
-        machine.stats.counter("net.bytes_sent").value,
-        machine.stats.counter("net.contention_cycles").value,
-        machine.stats.counter("net.buffer_stalls").value,
-        machine.stats.sum_counters(".cache.loads"),
-        machine.stats.sum_counters(".cache.stores"),
-        machine.stats.sum_counters(".cache.misses"),
-        machine.controllers.rpcn,
-    )
-    express_flights = machine.stats.counter("net.express_flights").value
-    return fields, machine.sim.events_dispatched, express_flights
+def _replay(shape, seed: int, scenario: str, *, hold: bool):
+    """Run one cell and check it against its record's fields; returns
+    (record, machine, result) for the dispatch-count checks."""
+    cell = cell_id(shape, seed, scenario)
+    record = golden("express")[cell]
+    machine, result = express_run(shape, seed, scenario, hold=hold)
+    fields = express_fields(machine, result)
+    expected = {name: record[name] for name in fields}
+    assert fields == expected, (
+        f"{cell}: run diverged from its hop-by-hop record\n"
+        f"  run   : {fields}\n  record: {expected}")
+    return record, machine, result
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_modes_bit_identical(shape, seed, scenario):
-    exp_fields, exp_events, exp_flights = _run(True, shape, seed, scenario)
-    ref_fields, ref_events, ref_flights = _run(False, shape, seed, scenario)
-    assert exp_fields == ref_fields, (
-        f"shape={shape} seed={seed} {scenario}: modes diverged\n"
-        f"  express: {exp_fields}\n  hop-by-hop: {ref_fields}"
-    )
-    assert ref_flights == 0
+    record, machine, _ = _replay(shape, seed, scenario, hold=False)
+    events = machine.sim.events_dispatched
+    assert events == record["express_events"]
+    assert (machine.stats.counter("net.express_flights").value
+            == record["express_flights"])
     # The whole point: same run, never more kernel events (strictly fewer
     # whenever any segment actually went express).
-    assert exp_events <= ref_events
-    if exp_flights:
-        assert exp_events < ref_events
+    assert events <= record["hop_by_hop_events"]
+    if record["express_flights"]:
+        assert events < record["hop_by_hop_events"]
 
 
-def _segment_network(express: bool):
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_held_run_reproduces_hop_by_hop_counts(scenario):
+    """Held from construction, a run is the hop-by-hop run the records
+    came from: no flight goes express, and the dispatch count and peak
+    queue depth are the hop-by-hop ones."""
+    record, machine, _ = _replay((4, 4), 1, scenario, hold=True)
+    assert machine.stats.counter("net.express_flights").value == 0
+    assert machine.sim.events_dispatched == record["hop_by_hop_events"]
+    assert machine.sim.peak_pending == record["hop_by_hop_peak_pending"]
+
+
+def _segment_network(*, hold: bool):
     """A bare 8x8 network carrying one long-haul message (express covers
-    the whole segment) and the hooks to observe it."""
+    the whole segment unless ``hold``) and the hooks to observe it."""
     sim = Simulator()
     topo = TorusTopology(8, 8)
-    net = Network(sim, topo, RoutingTable(topo), express=express)
+    net = Network(sim, topo, RoutingTable(topo))
+    if hold:
+        net.express_hold()
     delivered = []
     for nid in range(64):
         net.attach(nid, lambda m: delivered.append((sim.now, m.src, m.dst)))
@@ -121,7 +102,7 @@ def test_drop_fault_lands_mid_segment_on_correct_switch():
     observed = {}
 
     def reference():
-        sim, net, delivered = _segment_network(express=False)
+        sim, net, delivered = _segment_network(hold=True)
         seen = []
         net.send(Message(MessageKind.GETS, src=0, dst=27))
         sim.run(limit=40)            # mid-flight
@@ -131,7 +112,7 @@ def test_drop_fault_lands_mid_segment_on_correct_switch():
         return seen, delivered
 
     def with_express():
-        sim, net, delivered = _segment_network(express=True)
+        sim, net, delivered = _segment_network(hold=False)
         seen = []
         net.send(Message(MessageKind.GETS, src=0, dst=27))
         sim.run(limit=40)
@@ -154,23 +135,10 @@ def test_drop_fault_lands_mid_segment_on_correct_switch():
 
 
 def test_transient_mid_segment_drop_machine_equivalent():
-    """Machine-level: a drop fault whose armed window opens while express
-    segments are live must produce identical recoveries in both modes.
-    The hold/release protocol brackets each armed window, so the drop
-    lands inside a switch both modes agree on."""
-    results = {}
-    for express in (True, False):
-        config = dataclasses.replace(SystemConfig.from_shape(
-            4, 8, preset="tiny"), express_hops=express)
-        machine = Machine(config, apache(num_cpus=32, scale=64, seed=5),
-                          seed=5)
-        machine.inject_transient_faults(period=1_500, first_at=900)
-        result = machine.run(800, max_cycles=5_000_000)
-        results[express] = (
-            result.cycles, result.committed_instructions,
-            result.recoveries, result.crashed,
-            machine.stats.counter("net.messages_lost").value,
-            machine.stats.counter("net.messages_delivered").value,
-        )
-        assert result.recoveries > 0, "scenario fired no recovery"
-    assert results[True] == results[False]
+    """Machine-level: a drop fault whose armed windows open while express
+    segments are live must replay the hop-by-hop record.  The
+    hold/release protocol brackets each armed window, so each drop lands
+    inside the switch hop-by-hop scheduling puts its victim in."""
+    record, machine, result = _replay(*MID_SEGMENT, hold=False)
+    assert machine.sim.events_dispatched == record["express_events"]
+    assert result.recoveries > 0, "scenario fired no recovery"

@@ -349,6 +349,38 @@ def test_pool_one_poisoned_cell_does_not_abort_in_flight(monkeypatch,
     assert runner.journal.outstanding() == 0
 
 
+def _slow_execute_run(spec):
+    """Module-level (picklable) stand-in: every cell takes a while."""
+    time.sleep(0.3)
+    return _real_execute_run(spec)
+
+
+def test_pool_interrupt_cancels_queued_cells(monkeypatch, tmp_path):
+    """Ctrl-C on a pool sweep drops the queue: the cells already running
+    finish and persist, every other lease goes back to pending, and the
+    interrupt propagates without waiting for the queue to run."""
+    monkeypatch.setattr("repro.experiments.backends.execute_run",
+                        _slow_execute_run)
+    store = ResultStore(str(tmp_path / "r.jsonl"))
+    interrupted = []
+
+    def progress(line):
+        if line.startswith("[") and not interrupted:
+            interrupted.append(line)
+            raise KeyboardInterrupt  # Ctrl-C on the first finished cell
+
+    runner = Runner(jobs=2, backend="pool", store=store, progress=progress)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        runner.run(_tiny_specs(12))
+    assert time.monotonic() - started < 30
+    stored = len(ResultStore(store.path))
+    counts = AttemptJournal.for_store(store.path).counts()
+    assert stored < 12, "the interrupt ran the whole queue"
+    assert stored + counts["pending"] == 12
+    assert counts["leased"] == 0
+
+
 def test_retry_failed_reruns_quarantined_cells(monkeypatch, tmp_path):
     monkeypatch.setattr("repro.experiments.backends.execute_run", _fail_seed3)
     store = ResultStore(str(tmp_path / "r.jsonl"))

@@ -10,11 +10,13 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
 
-def make_net(width=4, height=4, **kwargs):
+def make_net(width=4, height=4, *, hold=False, **kwargs):
     sim = Simulator()
     topo = TorusTopology(width, height)
     routing = RoutingTable(topo)
     net = Network(sim, topo, routing, stats=StatsRegistry(), **kwargs)
+    if hold:
+        net.express_hold()  # hop-by-hop: one dispatch per switch
     return sim, topo, routing, net
 
 
@@ -208,7 +210,7 @@ def test_drop_hook_loses_message_and_notifies():
 def test_kill_switch_loses_buffered_and_future_messages(express):
     # With express on, the message's segment has claimed the victim when
     # it dies: the kill must materialise the flight first.
-    sim, topo, routing, net = make_net(express=express)
+    sim, topo, routing, net = make_net(hold=not express)
     delivered, lost = [], []
     for nid in range(16):
         net.attach(nid, delivered.append)
@@ -236,7 +238,7 @@ def test_kill_switch_loses_buffered_and_future_messages(express):
 
 @pytest.mark.parametrize("express", [True, False])
 def test_drain_discards_in_flight(express):
-    sim, topo, routing, net = make_net(express=express)
+    sim, topo, routing, net = make_net(hold=not express)
     delivered = []
     for nid in range(16):
         net.attach(nid, delivered.append)

@@ -197,7 +197,7 @@ def test_buffer_depth_counts_in_express_flights():
     it advances through arithmetically, so ``Network.buffer_depth`` (and
     therefore the Sampler's ``net_buffer_depth`` series) reconstructs its
     occupancy from the segment timetable.  Depth sampled mid-flight must
-    match a hop-by-hop run cycle for cycle."""
+    match a hop-by-hop (held) run cycle for cycle."""
     from repro.interconnect.messages import Message, MessageKind
     from repro.interconnect.network import Network
     from repro.interconnect.routing import RoutingTable
@@ -207,7 +207,9 @@ def test_buffer_depth_counts_in_express_flights():
     def depth_series(express: bool):
         sim = Simulator()
         topo = TorusTopology(8, 8)
-        net = Network(sim, topo, RoutingTable(topo), express=express)
+        net = Network(sim, topo, RoutingTable(topo))
+        if not express:
+            net.express_hold()
         for nid in range(64):
             net.attach(nid, lambda m: None)
         net.send(Message(MessageKind.GETS, src=0, dst=27))

@@ -15,7 +15,8 @@ Three layers of evidence, matching the refactor's promises:
 3. **Arbiter behaviour** — WRR's rotation schedule actually rotates and
    is stable within a cycle; priority arbitration bounds data starvation
    by the aging limit; express hops stay result-identical to hop-by-hop
-   routing under non-FIFO arbiters.
+   routing (the same machine under one ``Network.express_hold()``) under
+   non-FIFO arbiters.
 """
 
 from __future__ import annotations
@@ -228,9 +229,10 @@ def test_express_hops_equivalent_under_arbiter(arbiter):
     def run(express):
         spec = RunSpec(workload="apache", instructions=1_500, seed=2,
                        scale=64, torus_width=2, torus_height=2,
-                       arbiter=arbiter,
-                       config_overrides=(("express_hops", express),))
+                       arbiter=arbiter)
         machine = build_machine(spec)
+        if not express:
+            machine.network.express_hold()  # hop-by-hop throughout
         result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
         return (result.cycles, result.committed_instructions,
                 result.completed, result.recoveries)
