@@ -27,9 +27,9 @@ def test_home_queue_depth_ablation(benchmark, profile):
             machine = Machine(
                 cfg, oltp(num_cpus=16, scale=profile.scale, seed=4), seed=4
             )
-            result = machine.run_with_warmup(
-                profile.warmup_instructions, profile.measure_instructions,
-                max_cycles=profile.max_cycles,
+            result = machine.run(
+                profile.measure_instructions, max_cycles=profile.max_cycles,
+                warmup=profile.warmup_instructions,
             )
             nacks = machine.stats.sum_counters("home.nacks_sent")
             out[depth] = (result, nacks)

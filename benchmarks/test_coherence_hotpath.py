@@ -58,8 +58,8 @@ def _hot_machine(protocol: str) -> Machine:
 def _hot_run(protocol: str):
     machine = _hot_machine(protocol)
     started = time.perf_counter()
-    result = machine.run_with_warmup(HOT_WARMUP, HOT_INSTRUCTIONS,
-                                     max_cycles=120_000_000)
+    result = machine.run(HOT_INSTRUCTIONS, max_cycles=120_000_000,
+                         warmup=HOT_WARMUP)
     elapsed = time.perf_counter() - started
     assert result.completed and not result.crashed
     key = (result.cycles, result.committed_instructions, result.recoveries)

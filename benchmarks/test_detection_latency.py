@@ -33,9 +33,9 @@ def test_detection_latency_tolerance(benchmark, profile):
             cap = profile.max_cycles
             if intervals_of_latency > cfg.outstanding_checkpoints:
                 cap = min(cap, 4_000_000)
-            result = machine.run_with_warmup(
-                profile.warmup_instructions, profile.measure_instructions,
-                max_cycles=cap,
+            result = machine.run(
+                profile.measure_instructions, max_cycles=cap,
+                warmup=profile.warmup_instructions,
             )
             throttles = machine.stats.sum_counters(".outstanding_ckpt_stalls")
             out[intervals_of_latency] = (result, throttles)

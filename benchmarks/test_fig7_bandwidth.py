@@ -24,9 +24,9 @@ def measure_bandwidth(interval: int, profile):
     cfg = SystemConfig.sim_scaled(profile.scale, checkpoint_interval=interval)
     machine = Machine(cfg, apache(num_cpus=16, scale=profile.scale, seed=1),
                       seed=1)
-    result = machine.run_with_warmup(
-        profile.warmup_instructions, profile.measure_instructions,
-        max_cycles=profile.max_cycles,
+    result = machine.run(
+        profile.measure_instructions, max_cycles=profile.max_cycles,
+        warmup=profile.warmup_instructions,
     )
     assert result.completed and not result.crashed
     totals = {kind: 0 for kind in KINDS}

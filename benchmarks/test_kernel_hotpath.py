@@ -12,9 +12,10 @@ reproduction.  Two kinds of guard live here:
   is set ~4x below the throughput measured on a modest dev machine
   (~1M events/s) so that CI noise never trips it while a real hot-path
   regression still does.
-* **Tracer transparency** — the traced dispatch loop is a separate loop
-  kept free of cost when off; a machine run with a ``DispatchProfile``
-  attached must be bit-identical to the untraced run.
+* **Tracer transparency** — ``Simulator.run`` is the one dispatch loop,
+  and an unattached tracer costs it one test of a local per dispatch;
+  a machine run with a ``DispatchProfile`` attached must be
+  bit-identical to the untraced run.
 """
 
 from time import perf_counter
@@ -74,8 +75,8 @@ def test_no_tracer_pays_no_dispatch_overhead():
     loop must not be slower than the traced loop (which times every
     callback) beyond measurement noise.  This is what keeps observability
     opt-in — a change that folds per-event tracing work into the common
-    path (e.g. collapsing the dual run loops, or hoisting a tracer check
-    into the pop) shows up here as the untraced time approaching the
+    path (e.g. timing every callback, or re-reading the tracer attribute
+    on each pop) shows up here as the untraced time approaching the
     traced one."""
     events = EVENTS // 2
     best = {False: float("inf"), True: float("inf")}
@@ -126,8 +127,9 @@ def test_dense_same_cycle_bursts(benchmark):
 def test_traced_machine_run_bit_identical():
     """A machine run with a ``DispatchProfile`` attached must be
     bit-identical to the untraced run: same RunResult, same counters,
-    same dispatch count and queue depth.  ``_run_traced`` is a separate
-    loop — this is what keeps its semantics from drifting."""
+    same dispatch count and queue depth.  The traced and untraced runs
+    share one loop and differ only in the timing branch; this keeps that
+    branch from changing what is dispatched."""
     from repro.config import SystemConfig
     from repro.system.machine import Machine
     from repro.workloads import apache

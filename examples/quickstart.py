@@ -25,9 +25,7 @@ def main() -> None:
     workload = workloads.apache(num_cpus=16, scale=16, seed=1)
 
     machine = Machine(config, workload, seed=1)
-    result = machine.run_with_warmup(
-        warmup_instructions=10_000, measure_instructions=15_000
-    )
+    result = machine.run(instructions_per_cpu=15_000, warmup=10_000)
 
     print(f"\nRan {result.committed_instructions:,} instructions "
           f"in {result.cycles:,} cycles "

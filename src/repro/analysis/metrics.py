@@ -15,6 +15,9 @@ from typing import Sequence
 from repro.sim.stats import mean_and_stddev
 from repro.system.machine import RunResult
 
+#: The paper's transient-fault period: ten faults per second at 1 GHz.
+PAPER_FAULT_PERIOD = 100_000_000.0
+
 
 @dataclass
 class MeasuredBar:
@@ -54,11 +57,7 @@ def normalized_performance(
     return MeasuredBar(label, mean, std, samples=len(results))
 
 
-def extrapolate_transient_overhead(
-    results: Sequence[RunResult],
-    *,
-    paper_fault_period: float = 100_000_000.0,
-) -> float:
+def extrapolate_transient_overhead(results: Sequence[RunResult]) -> float:
     """Extrapolate measured per-recovery cost to the paper's fault rate.
 
     Scaled runs compress the fault period to see several recoveries in a
@@ -72,4 +71,4 @@ def extrapolate_transient_overhead(
         return 0.0
     total_lost = sum(r.lost_instructions for r in results)
     lost_per_recovery = total_lost / total_recoveries
-    return lost_per_recovery / paper_fault_period
+    return lost_per_recovery / PAPER_FAULT_PERIOD

@@ -42,6 +42,7 @@ from __future__ import annotations
 import sys
 from typing import List, Optional, Sequence
 
+from repro.checkpoint.controllers import CONTROLLER_NODE
 from repro.checkpoint.participant import CheckpointParticipant
 from repro.config import SystemConfig
 from repro.interconnect.messages import Message, MessageKind
@@ -68,7 +69,6 @@ class ValidationAgent:
         participants: Sequence[CheckpointParticipant],
         *,
         edge_time,
-        controller_node: int = 0,
         detection_latency: int = 0,
         stats: Optional[StatsRegistry] = None,
     ) -> None:
@@ -78,7 +78,6 @@ class ValidationAgent:
         self.network = network
         self.participants: List[CheckpointParticipant] = list(participants)
         self.edge_time = edge_time
-        self.controller_node = controller_node
         self.detection_latency = detection_latency
         self.rpcn = 1
         self._announced = 0
@@ -87,9 +86,6 @@ class ValidationAgent:
         self._announce_pending = False
         self._resync_armed = False
         self._detect_armed_for = 0
-        #: Optional :class:`repro.obs.trace.TraceLog` (wired by
-        #: ``Machine.attach_tracer``); None keeps the lifecycle untraced.
-        self.trace = None
         for participant in self.participants:
             participant.on_readiness_changed = self._on_readiness_changed
         stats = stats or StatsRegistry()
@@ -191,13 +187,13 @@ class ValidationAgent:
         self._announced = k
         self._last_send = self.sim.now
         self.c_announces.add()
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "validate.announce", self.node_id,
                        k=k, rpcn=self.rpcn)
         self.network.send(
             Message(MessageKind.VALIDATE_READY, src=self.node_id,
-                    dst=self.controller_node, ack_count=k)
+                    dst=CONTROLLER_NODE, ack_count=k)
         )
         self._arm_resync()
 
@@ -257,7 +253,7 @@ class ValidationAgent:
         lag = min(p.ccn for p in self.participants) - rpcn
         if lag > 0:
             self.c_lag.add(lag)
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "rpcn.apply", self.node_id,
                        rpcn=rpcn, lag=lag)

@@ -20,6 +20,10 @@ from repro.interconnect.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
+#: The node whose network interface hosts the service controllers: every
+#: VALIDATE_READY is addressed to it and every RPCN broadcast leaves it.
+CONTROLLER_NODE = 0
+
 
 class ServiceControllers:
     """Collects VALIDATE_READY sign-offs; broadcasts RPCN advances."""
@@ -31,21 +35,15 @@ class ServiceControllers:
         network: Network,
         num_nodes: int,
         stats: StatsRegistry,
-        *,
-        home_node: int = 0,
     ) -> None:
         self.sim = sim
         self.config = config
         self.network = network
         self.num_nodes = num_nodes
         self.stats = stats
-        self.home_node = home_node
         self.rpcn = 1
         self.ready: Dict[int, int] = {n: 1 for n in range(num_nodes)}
         self.last_advance_cycle = 0
-        #: Optional :class:`repro.obs.trace.TraceLog` (wired by
-        #: ``Machine.attach_tracer``).
-        self.trace = None
         self.c_advances = stats.counter("controllers.rpcn_advances")
         self.c_broadcasts = stats.counter("controllers.broadcasts")
 
@@ -59,7 +57,7 @@ class ServiceControllers:
         if old is None or k <= old:
             return  # unknown node or duplicate/stale sign-off: min unchanged
         self.ready[node] = k
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "validate.signoff", node,
                        k=k, previous=old)
@@ -69,7 +67,6 @@ class ServiceControllers:
             self.rpcn = min_ready
             self.last_advance_cycle = self.sim.now
             self.c_advances.add()
-            trace = self.trace
             if trace is not None:
                 trace.emit(self.sim.now, "rpcn.advance",
                            rpcn=self.rpcn, previous=previous)
@@ -79,7 +76,7 @@ class ServiceControllers:
         self.c_broadcasts.add()
         for node in range(self.num_nodes):
             self.network.send(
-                Message(MessageKind.RPCN_BROADCAST, src=self.home_node,
+                Message(MessageKind.RPCN_BROADCAST, src=CONTROLLER_NODE,
                         dst=node, ack_count=rpcn)
             )
 

@@ -56,11 +56,10 @@ from repro.experiments import (
     summary_rows,
     varied_keys,
 )
+from repro.experiments.spec import FAULT_KINDS
 from repro.obs import fabric_summary, load_fabric_events
 from repro.system.machine import Machine
 from repro.workloads import WORKLOAD_NAMES, by_name, workload_character
-
-FAULTS = ["none", "transient", "switch", "corrupt", "misroute"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--arbiter", choices=ARBITER_NAMES, default=None,
                        help="network arbitration policy (default: fifo); "
                             "also a sweep axis, --grid arbiter=fifo,wrr")
-        p.add_argument("--fault", choices=FAULTS, default="none")
+        p.add_argument("--fault", choices=FAULT_KINDS, default="none")
         p.add_argument("--period", type=int, default=period,
                        help="cycles between transient faults")
         p.add_argument("--fault-at", type=int, default=None,
@@ -263,7 +262,7 @@ def _spec_from_args(args, *, seed: Optional[int] = None) -> RunSpec:
 
 def _build_machine(args) -> Machine:
     spec = _spec_from_args(args)
-    # `run` measures warmup separately (run_with_warmup below); the spec
+    # `run` measures warmup separately (Machine.run's warmup=); the spec
     # here only describes machine construction.
     return build_machine(spec)
 
@@ -274,11 +273,8 @@ def cmd_run(args, out) -> int:
     except ValueError as exc:
         print(f"bad run: {exc}", file=out)
         return 1
-    if args.warmup > 0:
-        result = machine.run_with_warmup(args.warmup, args.instructions,
-                                         max_cycles=args.max_cycles)
-    else:
-        result = machine.run(args.instructions, max_cycles=args.max_cycles)
+    result = machine.run(args.instructions, max_cycles=args.max_cycles,
+                         warmup=args.warmup)
 
     if result.crashed:
         print(f"CRASH: {result.crash_reason}", file=out)
@@ -749,11 +745,8 @@ def cmd_trace(args, out) -> int:
             print(f"bad run: {exc}", file=out)
             return 1
         sampler.start()
-    if args.warmup > 0:
-        result = machine.run_with_warmup(args.warmup, args.instructions,
-                                         max_cycles=args.max_cycles)
-    else:
-        result = machine.run(args.instructions, max_cycles=args.max_cycles)
+    result = machine.run(args.instructions, max_cycles=args.max_cycles,
+                         warmup=args.warmup)
     if sampler is not None:
         sampler.stop()
 

@@ -410,11 +410,15 @@ class SnoopingMemory:
         return unrolled
 
 
+#: Capacity of every CLB in a :class:`SnoopingSystem` (caches and memory).
+SNOOP_CLB_ENTRIES = 4096
+
+
 class SnoopingSystem:
     """A small SafetyNet-protected snooping multiprocessor (footnote 1)."""
 
     def __init__(self, num_caches: int = 4, *, requests_per_checkpoint: int = 64,
-                 clb_entries: int = 4096, request_timeout: Optional[int] = None,
+                 request_timeout: Optional[int] = None,
                  on_fault: Optional[Callable[[str], None]] = None,
                  protocol: str = "mosi") -> None:
         reset_txn_ids()
@@ -427,7 +431,7 @@ class SnoopingSystem:
         self.caches = [
             SnoopingCache(
                 self.sim, i, self.bus,
-                CheckpointLogBuffer(clb_entries, name=f"snoop{i}.clb"),
+                CheckpointLogBuffer(SNOOP_CLB_ENTRIES, name=f"snoop{i}.clb"),
                 self.stats, requests_per_checkpoint=requests_per_checkpoint,
                 request_timeout=request_timeout, on_fault=on_fault,
                 protocol=self.protocol,
@@ -436,7 +440,7 @@ class SnoopingSystem:
         ]
         self.memory = SnoopingMemory(
             self.sim, self.bus, self.caches,
-            CheckpointLogBuffer(clb_entries, name="snoopmem.clb"),
+            CheckpointLogBuffer(SNOOP_CLB_ENTRIES, name="snoopmem.clb"),
             requests_per_checkpoint=requests_per_checkpoint,
             protocol=self.protocol,
         )

@@ -65,10 +65,6 @@ class CheckpointClock:
         self._callbacks: Dict[int, List[EdgeCallback]] = {n: [] for n in range(num_nodes)}
         self._ccn: List[int] = [1] * num_nodes
         self._started = False
-        #: Optional :class:`repro.obs.trace.TraceLog`; wired by
-        #: ``Machine.attach_tracer``.  None (default) costs one attribute
-        #: load per edge and nothing else.
-        self.trace = None
 
     def on_edge(self, node: int, callback: EdgeCallback) -> None:
         """Register a component callback for node-local edges."""
@@ -97,7 +93,7 @@ class CheckpointClock:
     def _edge(self, node: int) -> None:
         self._ccn[node] += 1
         ccn = self._ccn[node]
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "ckpt.edge", node, ccn=ccn)
         for callback in self._callbacks[node]:

@@ -86,10 +86,6 @@ class RecoveryManager:
         self.stats = RecoveryStats()
         self.recovering = False
         self._watchdog_running = False
-        #: Optional :class:`repro.obs.trace.TraceLog` (wired by
-        #: ``Machine.attach_tracer``): detection, rollback begin/restore,
-        #: and restart records with sim-cycle timestamps.
-        self.trace = None
         self.h_recovery_latency = stats.histogram("recovery.latency_cycles")
         self.h_lost_work = stats.histogram("recovery.lost_instructions")
 
@@ -100,7 +96,7 @@ class RecoveryManager:
         """A component detected a fault (timeout, bad CRC, watchdog...)."""
         self.stats.faults_reported += 1
         self.stats.fault_log.append(f"@{self.sim.now}: {reason}")
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "detect.fault", reason=reason,
                        subsumed=self.recovering)
@@ -157,7 +153,7 @@ class RecoveryManager:
         self.stats.total_entries_unrolled += episode_entries
         self.stats.total_lost_instructions += lost
         self.h_lost_work.record(lost)
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "recovery.restore", rpcn=rpcn,
                        messages_discarded=discarded,
@@ -186,7 +182,7 @@ class RecoveryManager:
         latency = self.sim.now - started
         self.stats.recovery_latencies.append(latency)
         self.h_recovery_latency.record(latency)
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "recovery.end",
                        latency=latency, recovery=self.stats.recoveries)

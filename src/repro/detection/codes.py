@@ -33,13 +33,13 @@ class ErrorCode:
         if self.check_latency < 0:
             raise ValueError("check latency cannot be negative")
 
-    def detects(self, msg_id: int, salt: int = 0) -> bool:
+    def detects(self, msg_id: int) -> bool:
         """Deterministic per-message detection draw (reproducible runs)."""
         if self.coverage >= 1.0:
             return True
         if self.coverage <= 0.0:
             return False
-        draw = mix64(msg_id * 0x9E37 + salt) % (1 << 30)
+        draw = mix64(msg_id * 0x9E37) % (1 << 30)
         return draw < int(self.coverage * (1 << 30))
 
 

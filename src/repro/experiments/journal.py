@@ -132,15 +132,13 @@ class AttemptJournal:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def seed(self, specs, skip_hashes=()) -> int:
-        """Queue every spec not already journalled or in ``skip_hashes``."""
+    def seed(self, specs) -> int:
+        """Queue every spec not already journalled."""
         self.ensure_dirs()
-        skip = set(skip_hashes)
         added = 0
         for spec in specs:
             h = spec.spec_hash
-            if h in skip or any(os.path.exists(self._file(s, h))
-                                for s in STATES):
+            if any(os.path.exists(self._file(s, h)) for s in STATES):
                 continue
             self._write(self._file("pending", h),
                         {"spec": spec.canonical(), "attempts": 0,

@@ -204,11 +204,8 @@ def execute_run(spec: RunSpec) -> RunRecord:
     """Build, run, and summarise one spec (the process-pool work unit)."""
     started = time.perf_counter()
     machine = build_machine(spec)
-    if spec.warmup > 0:
-        result = machine.run_with_warmup(spec.warmup, spec.instructions,
-                                         max_cycles=spec.max_cycles)
-    else:
-        result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
+    result = machine.run(spec.instructions, max_cycles=spec.max_cycles,
+                         warmup=spec.warmup)
     metrics: Dict[str, float] = {
         suffix: machine.stats.sum_counters("." + suffix)
         for suffix in _METRIC_SUFFIXES

@@ -30,6 +30,9 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.experiments.runner import RunRecord
 
+#: Share of a record's line that :meth:`ResultStore.append_torn` writes.
+TORN_FRACTION = 0.5
+
 
 def shard_path(store_path: str, worker_id: str) -> str:
     """The sharded store one worker appends to (same JSONL format)."""
@@ -138,15 +141,16 @@ class ResultStore:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def append_torn(self, record: RunRecord, fraction: float = 0.5) -> None:
-        """Append only a prefix of the record's line, with no newline —
-        the write pattern of a process killed mid-append.  Used by the
-        chaos harness (and crash-realism tests) to prove the loader
-        seals torn tails instead of corrupting the next record.  The
-        record is deliberately NOT registered in memory: it was lost.
+    def append_torn(self, record: RunRecord) -> None:
+        """Append only a prefix (:data:`TORN_FRACTION`) of the record's
+        line, with no newline — the write pattern of a process killed
+        mid-append.  Used by the chaos harness (and crash-realism tests)
+        to prove the loader seals torn tails instead of corrupting the
+        next record.  The record is deliberately NOT registered in
+        memory: it was lost.
         """
         line = json.dumps(record.to_dict(), sort_keys=True)
-        cut = max(1, int(len(line) * fraction))
+        cut = max(1, int(len(line) * TORN_FRACTION))
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:

@@ -61,9 +61,6 @@ class PeriodicArmedFault:
         self._stopped = False
         # Switch entries seen this cycle while armed: (msg, vertex).
         self._candidates: list = []
-        #: Optional :class:`repro.obs.trace.TraceLog` (wired by
-        #: ``Machine.attach_tracer``): each injection is journalled.
-        self.trace = None
         # Managed: express advancement stays enabled outside the armed
         # windows; _arm/_hook bracket each window with hold/release so the
         # hook observes every switch a message traverses while armed.
@@ -106,7 +103,7 @@ class PeriodicArmedFault:
         self._armed = False
         self.network.express_release()
         self.injected += 1
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "fault.inject",
                        fault=type(self).__name__, at=str(vertex[1]),
@@ -143,8 +140,6 @@ class KillSwitchFault:
         self.half = half
         self.fired = False
         self.messages_lost_in_switch = 0
-        #: Optional :class:`repro.obs.trace.TraceLog` (see Machine).
-        self.trace = None
         self._handle = sim.schedule(at_cycle, self._fire, "fault.kill_switch")
 
     def stop(self) -> None:
@@ -156,7 +151,7 @@ class KillSwitchFault:
     def _fire(self) -> None:
         self.fired = True
         self.messages_lost_in_switch = self.network.kill_half_switch(self.half)
-        trace = self.trace
+        trace = self.sim.trace
         if trace is not None:
             trace.emit(self.sim.now, "fault.inject",
                        fault=type(self).__name__, at=str(self.half),

@@ -69,7 +69,6 @@ from repro.sim.stats import StatsRegistry
 
 DeliverFn = Callable[[Message], None]
 DropHook = Callable[[Message, Vertex], bool]
-LostFn = Callable[[Message, str], None]
 
 # Hot-path event labels, interned once per process: the hop label alone is
 # attached to the majority of all kernel events in a full-machine run
@@ -274,7 +273,6 @@ class Network:
         self._deliver_cycle = -1
         self._in_flight: Dict[int, _Flight] = {}
         self._drop_hooks: List[DropHook] = []
-        self._lost_listeners: List[LostFn] = []
         self._epoch = 0
 
         # Pre-bound counters: send/deliver/lose run once per message (and
@@ -361,10 +359,6 @@ class Network:
     def _refresh_express_on(self) -> None:
         self._express_on = (not self._express_holds
                             and self._express_credit > 0)
-
-    def add_lost_listener(self, listener: LostFn) -> None:
-        """Called whenever a message is lost (fault injection or dead switch)."""
-        self._lost_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Injection
@@ -862,8 +856,12 @@ class Network:
         flight.dropped = True
         self._in_flight.pop(flight.mid, None)
         self.c_messages_lost.add()
-        for listener in self._lost_listeners:
-            listener(flight.msg, reason)
+        trace = self.sim.trace
+        if trace is not None:
+            msg = flight.msg
+            trace.emit(self.sim.now, "net.lost", msg.dst,
+                       msg_kind=msg.kind.name, src=msg.src, dst=msg.dst,
+                       reason=reason)
 
     # ------------------------------------------------------------------
     # Faults and recovery support

@@ -10,26 +10,30 @@ and the rollback at cycle 55k?" — this package can:
 * :mod:`~repro.obs.trace` — :class:`TraceLog`, a typed event journal fed
   by explicit instrumentation points in the checkpoint clock, validation
   agents, service controllers, recovery manager, network, and fault
-  injectors (wired up by :meth:`Machine.attach_tracer
-  <repro.system.machine.Machine.attach_tracer>`), exportable as
-  Chrome-trace/Perfetto JSON with one track per node/subsystem;
+  injectors.  It hangs off the run's simulator as
+  :attr:`Simulator.trace <repro.sim.kernel.Simulator.trace>` (set by
+  :meth:`Machine.attach_tracer
+  <repro.system.machine.Machine.attach_tracer>`), where each of those
+  points reads it, and exports as Chrome-trace/Perfetto JSON with one
+  track per node/subsystem;
 * :mod:`~repro.obs.sampler` — :class:`Sampler`, a configurable-cadence
   time-series capture of CLB occupancy, network buffer depth,
   outstanding transactions, and deadline-table population;
 * :mod:`~repro.obs.timeline` — the per-epoch availability timeline
   (edge cycle, sign-off lag) and recovery-episode extraction that powers
-  the ROADMAP recovery-latency / validation fan-in science;
+  the ROADMAP recovery-latency / validation fan-in science, and the one
+  reader of a journal: the Chrome-trace duration slices are its rows;
 * :mod:`~repro.obs.fabric` — the campaign fabric's flight recorder:
   parse ``<store>.journal/events.jsonl`` (lease claims, requeues,
   quarantines, chaos injections) and summarise campaign health for
   ``repro sweep --status``.
 
 Everything here is observation only: a :class:`TraceLog` never schedules
-kernel events and never touches RNG state, so a traced run is
-bit-identical to an untraced one, and the tracer-off path costs nothing
-(guarded by ``tests/test_obs.py`` and the no-tracer floor in
-``benchmarks/test_kernel_hotpath.py``).  The ``repro trace`` CLI
-subcommand drives all three pieces on one run.
+kernel events and never touches RNG state, and reading it back never
+changes it, so a traced run is bit-identical to an untraced one, and the
+tracer-off path costs nothing (guarded by ``tests/test_obs.py`` and the
+no-tracer floor in ``benchmarks/test_kernel_hotpath.py``).  The ``repro
+trace`` CLI subcommand drives all three pieces on one run.
 """
 
 from repro.obs.fabric import FABRIC_EVENTS, fabric_summary, load_fabric_events

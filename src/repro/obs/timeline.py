@@ -83,6 +83,7 @@ def recovery_episodes(trace: TraceLog) -> List[Dict[str, Any]]:
     last_inject = None
     last_detect = None
     begin = None
+    restore: Dict[str, Any] = {}
     trigger_inject = None
     trigger_detect = None
     for record in trace.records:
@@ -92,16 +93,13 @@ def recovery_episodes(trace: TraceLog) -> List[Dict[str, Any]]:
             last_detect = record
         elif record.kind == KIND_RECOVERY_BEGIN:
             begin = record
+            restore = {}
             # Snapshot the trigger now: detections reported *during* the
             # episode are subsumed by it, not its cause.
             trigger_inject = last_inject
             trigger_detect = last_detect
         elif record.kind == KIND_RECOVERY_RESTORE and begin is not None:
-            begin.data.setdefault("rpcn", record.data.get("rpcn"))
-            begin.data.setdefault("entries_unrolled",
-                                  record.data.get("entries_unrolled"))
-            begin.data.setdefault("lost_instructions",
-                                  record.data.get("lost_instructions"))
+            restore = record.data
         elif record.kind == KIND_RECOVERY_END and begin is not None:
             detect_cycle = (trigger_detect.cycle
                             if trigger_detect is not None else begin.cycle)
@@ -117,9 +115,9 @@ def recovery_episodes(trace: TraceLog) -> List[Dict[str, Any]]:
                                      if inject_cycle is not None
                                      and inject_cycle <= detect_cycle
                                      else None),
-                "rpcn": begin.data.get("rpcn"),
-                "entries_unrolled": begin.data.get("entries_unrolled"),
-                "lost_instructions": begin.data.get("lost_instructions"),
+                "rpcn": restore.get("rpcn"),
+                "entries_unrolled": restore.get("entries_unrolled"),
+                "lost_instructions": restore.get("lost_instructions"),
                 "reason": begin.data.get("reason"),
             })
             begin = None

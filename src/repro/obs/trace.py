@@ -14,19 +14,21 @@ directly, with one process per node (clock + validation tracks) and a
 ``system`` process for the controllers, recovery, network, and fault
 injectors.  Recovery episodes and validated epochs are emitted as
 duration (``ph: "X"``) slices so a rollback's width — and the sign-off
-lag of every epoch — is visually inspectable.
+lag of every epoch — is visually inspectable; the slices are the rows
+:mod:`repro.obs.timeline` derives, not a second derivation.
 
-Emission is guarded at every instrumentation point by a plain
-``is not None`` test on an attribute that defaults to None; no kernel
-events are scheduled and no RNG state is touched, so traced runs are
-bit-identical to untraced ones and the tracer-off path costs a single
-attribute load on the (infrequent) lifecycle paths only.
+The journal hangs off the simulator as :attr:`Simulator.trace
+<repro.sim.kernel.Simulator.trace>`.  Every instrumentation point reads
+``sim.trace`` and emits only when it is not None; no kernel events are
+scheduled and no RNG state is touched, so traced runs are bit-identical
+to untraced ones and the tracer-off path costs one attribute load on
+the (infrequent) lifecycle paths only.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 # Record kinds.  Values double as Chrome-trace event names.
 KIND_EDGE = "ckpt.edge"                  # node reached checkpoint `ccn`
@@ -161,52 +163,38 @@ def chrome_trace(trace: TraceLog, *, num_nodes: int) -> Dict[str, Any]:
     ``ts`` is the raw sim cycle (1 cycle = 1 ns of simulated time; the
     viewer's time unit is nominally µs, which only scales the axis
     labels).  Instant events carry every lifecycle record; two families
-    of duration slices make availability readable at a glance:
+    of duration slices, read from :mod:`repro.obs.timeline`, make
+    availability readable at a glance:
 
-    * one ``recovery episode`` slice per rollback, from the triggering
-      detection to the two-phase restart, on the system/recovery track;
-    * one ``epoch k`` slice per validated checkpoint, from its (last)
-      edge to the RPCN advance covering it, on the controllers track —
-      the slice width *is* the sign-off lag.
+    * one ``recovery episode`` slice per :func:`recovery_episodes` row,
+      from the rollback decision to the two-phase restart, on the
+      system/recovery track;
+    * one ``epoch k`` slice per validated :func:`availability_timeline`
+      row, from its closing edge to the RPCN advance covering it, on the
+      controllers track — the slice width *is* the sign-off lag.
+
+    Each slice's ``args`` is its timeline row.
     """
+    # Imported here, not at the top: repro.obs.timeline imports this
+    # module for the record kinds.
+    from repro.obs.timeline import availability_timeline, recovery_episodes
+
     events: List[Dict[str, Any]] = list(_metadata_events(num_nodes))
-    episode_begin: Optional[TraceRecord] = None
-    edge_done: Dict[int, int] = {}      # ccn -> cycle the last node edged
-    edge_seen: Dict[int, int] = {}      # ccn -> nodes seen so far
-    validated_through = 0
+    for episode in recovery_episodes(trace):
+        events.append({
+            "name": "recovery episode", "cat": "recovery", "ph": "X",
+            "ts": episode["begin_cycle"], "dur": max(1, episode["span"]),
+            "pid": _SYS_PID, "tid": _TID_RECOVERY, "args": episode,
+        })
+    for row in availability_timeline(trace, num_nodes=num_nodes):
+        if row["signoff_lag"] is None:
+            continue
+        events.append({
+            "name": f"epoch {row['epoch']}", "cat": "validation", "ph": "X",
+            "ts": row["edge_cycle"], "dur": max(1, row["signoff_lag"]),
+            "pid": _SYS_PID, "tid": _TID_CONTROLLERS, "args": row,
+        })
     for record in trace.records:
-        if record.kind == KIND_RECOVERY_BEGIN:
-            episode_begin = record
-        elif record.kind == KIND_RECOVERY_END and episode_begin is not None:
-            events.append({
-                "name": "recovery episode", "cat": "recovery", "ph": "X",
-                "ts": episode_begin.cycle,
-                "dur": max(1, record.cycle - episode_begin.cycle),
-                "pid": _SYS_PID, "tid": _TID_RECOVERY,
-                "args": {**episode_begin.data, **record.data},
-            })
-            episode_begin = None
-        elif record.kind == KIND_EDGE:
-            ccn = record.data.get("ccn", 0)
-            edge_seen[ccn] = edge_seen.get(ccn, 0) + 1
-            if edge_seen[ccn] >= num_nodes:
-                edge_done[ccn] = record.cycle
-        elif record.kind == KIND_RPCN_ADVANCE:
-            rpcn = record.data.get("rpcn", 0)
-            # Epoch k is validated once the RPCN reaches k + 1 (every
-            # participant signed off on everything before edge k + 1).
-            for epoch in range(validated_through + 1, rpcn):
-                if epoch + 1 not in edge_done:
-                    continue
-                events.append({
-                    "name": f"epoch {epoch}", "cat": "validation",
-                    "ph": "X", "ts": edge_done[epoch + 1],
-                    "dur": max(1, record.cycle - edge_done[epoch + 1]),
-                    "pid": _SYS_PID, "tid": _TID_CONTROLLERS,
-                    "args": {"epoch": epoch,
-                             "signoff_lag": record.cycle - edge_done[epoch + 1]},
-                })
-            validated_through = max(validated_through, rpcn - 1)
         pid, tid = _pid_tid(record)
         events.append({
             "name": record.kind, "cat": record.kind.split(".", 1)[0],

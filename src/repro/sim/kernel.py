@@ -20,6 +20,16 @@ recycling) was tried against the heap on the canonical end-to-end
 benchmark and was a wash — ahead on the network-bound 8x8 run, behind on
 the CPU-bound 2x2 one, with identical dispatch counts and queue depths —
 so the simpler core is the only one.
+
+:meth:`Simulator.run` is the one dispatch loop; :meth:`Simulator.step`
+is ``run(max_events=1)``.  An attached :attr:`Simulator.tracer` is read
+once per ``run`` call, so an untraced dispatch pays one test of a local
+for it.  A separate untraced copy of the loop was measured against this
+one and the difference stayed inside run-to-run noise (a 200k-event
+self-scheduling chain and full 8x8 and 2x2 machine runs on a 2-vCPU
+host).  The run observes through two hooks that live here:
+:attr:`Simulator.tracer` for per-dispatch timing and
+:attr:`Simulator.trace` for the SafetyNet lifecycle journal.
 """
 
 from __future__ import annotations
@@ -62,13 +72,19 @@ class Simulator:
         #: how deep the event queue ever got.  Harvested into campaign
         #: telemetry (``RunRecord.telemetry["peak_pending_events"]``).
         self.peak_pending: int = 0
-        #: Optional dispatch profiler: any object with a
+        #: Optional per-dispatch profiler: any object with a
         #: ``record(label, seconds)`` method (see
         #: :class:`repro.sim.profile.DispatchProfile`).  When set,
-        #: :meth:`run` times every callback and attributes its exclusive
-        #: wall-clock to the event's label.  None (the default) keeps the
-        #: run loop untouched — tracing costs nothing unless asked for.
+        #: :meth:`run` times every callback and reports its wall-clock
+        #: against the event's label.  The canonical benchmark
+        #: (``perfbench/layers.py``) sets it by this name.
         self.tracer = None
+        #: Optional lifecycle journal: any object with an
+        #: ``emit(cycle, kind, node, **data)`` method (see
+        #: :class:`repro.obs.trace.TraceLog`).  Components that own a
+        #: SafetyNet lifecycle step emit through it when it is set; the
+        #: kernel itself never reads it.
+        self.trace = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -144,6 +160,11 @@ class Simulator:
         alone, as does ``max_events=0``; a negative ``max_events`` raises
         :class:`SimulationError`.  Returns the cycle at which the run
         loop stopped.
+
+        This is the kernel's only dispatch loop.  With a :attr:`tracer`
+        attached, each callback is timed and reported as
+        ``record(label, seconds)``; without one, the per-dispatch cost is
+        a single test of a local.
         """
         if max_events is not None and max_events < 0:
             raise SimulationError(f"negative max_events {max_events}")
@@ -151,51 +172,7 @@ class Simulator:
         self._stop_reason = None
         if max_events == 0 or (limit is not None and limit < self.now):
             return self.now
-        if self.tracer is not None:
-            return self._run_traced(limit, max_events)
-        queue = self._queue
-        cancelled = self._cancelled
-        budget = -1 if max_events is None else max_events
-        dispatched = 0
-        now = self.now
-        try:
-            while queue and not self._stopped:
-                when = queue[0][0]
-                if limit is not None and when > limit:
-                    self.now = limit
-                    break
-                _, seq, callback, _ = heappop(queue)
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
-                if when < now:
-                    raise SimulationError("event queue went backwards in time")
-                self.now = now = when
-                callback()
-                dispatched += 1
-                if dispatched == budget:
-                    self._stop_reason = "max_events"
-                    break
-        finally:
-            self._events_dispatched += dispatched
-        # Queue drained before the limit: fast-forward the clock ("nothing
-        # can happen until then").  NOT when stop() fired — a stopped run
-        # halts at the current cycle, whether or not later events remained
-        # (deadline tables legitimately leave the queue empty at the stop).
-        if (limit is not None and not queue and not self._stopped
-                and self.now < limit):
-            self.now = limit
-        return self.now
-
-    def _run_traced(self, limit: Optional[int],
-                    max_events: Optional[int]) -> int:
-        """The :meth:`run` loop with per-dispatch label timing.
-
-        A separate loop so the common (untraced) path pays nothing; kept
-        line-for-line parallel with :meth:`run` — same stop conditions,
-        same cancelled-entry handling, same return value.
-        """
-        record = self.tracer.record
+        record = self.tracer.record if self.tracer is not None else None
         queue = self._queue
         cancelled = self._cancelled
         budget = -1 if max_events is None else max_events
@@ -214,44 +191,30 @@ class Simulator:
                 if when < now:
                     raise SimulationError("event queue went backwards in time")
                 self.now = now = when
-                started = perf_counter()
-                callback()
-                record(label, perf_counter() - started)
+                if record is None:
+                    callback()
+                else:
+                    started = perf_counter()
+                    callback()
+                    record(label, perf_counter() - started)
                 dispatched += 1
                 if dispatched == budget:
                     self._stop_reason = "max_events"
                     break
         finally:
             self._events_dispatched += dispatched
+        # Queue drained before the limit: fast-forward the clock ("nothing
+        # can happen until then").  NOT when stop() fired — a stopped run
+        # halts at the current cycle, whether or not later events remained
+        # (deadline tables legitimately leave the queue empty at the stop).
         if (limit is not None and not queue and not self._stopped
                 and self.now < limit):
             self.now = limit
         return self.now
 
     def step(self) -> bool:
-        """Dispatch exactly one (non-cancelled) event.  Returns False when
-        the queue is empty.
-
-        Same dispatch semantics as :meth:`run` — the backwards-time guard
-        and the optional tracer timing apply here too, so stepping through
-        a run observes exactly what running it would.
-        """
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue:
-            when, seq, callback, label = heappop(queue)
-            if seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            if when < self.now:
-                raise SimulationError("event queue went backwards in time")
-            self.now = when
-            if self.tracer is not None:
-                started = perf_counter()
-                callback()
-                self.tracer.record(label, perf_counter() - started)
-            else:
-                callback()
-            self._events_dispatched += 1
-            return True
-        return False
+        """Dispatch exactly one (non-cancelled) event: ``run(max_events=1)``.
+        Returns False when the queue held no live event."""
+        before = self._events_dispatched
+        self.run(max_events=1)
+        return self._events_dispatched > before

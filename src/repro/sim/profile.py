@@ -182,11 +182,8 @@ def profile_spec(spec, *, use_cprofile: bool = True,
     started = perf_counter()
     if prof is not None:
         prof.enable()
-    if spec.warmup > 0:
-        result = machine.run_with_warmup(spec.warmup, spec.instructions,
-                                         max_cycles=spec.max_cycles)
-    else:
-        result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
+    result = machine.run(spec.instructions, max_cycles=spec.max_cycles,
+                         warmup=spec.warmup)
     if prof is not None:
         prof.disable()
     wall = perf_counter() - started

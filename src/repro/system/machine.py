@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.checkpoint import ServiceControllers
+from repro.checkpoint.controllers import CONTROLLER_NODE, ServiceControllers
 from repro.coherence.cache import reset_txn_ids
 from repro.coherence.protocol import resolve_protocol
 from repro.coherence.state import CacheState
@@ -39,6 +39,9 @@ from repro.interconnect.topology import HalfSwitchId, TorusTopology
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.system.node import IoHooks, Node
+
+#: Cycle budget :meth:`Machine.quiesce` gives a machine to drain.
+QUIESCE_MAX_WAIT_CYCLES = 1_000_000
 
 
 @dataclass
@@ -69,7 +72,6 @@ class Machine:
         detection_latency: int = 0,
         io_output_period: int = 0,
         io_input_period: int = 0,
-        controller_node: int = 0,
         error_code: Optional[ErrorCode] = None,
     ) -> None:
         self.config = config
@@ -118,7 +120,7 @@ class Machine:
 
         # --- service controllers & nodes -----------------------------------
         self.controllers = ServiceControllers(
-            self.sim, config, self.network, n, self.stats, home_node=controller_node
+            self.sim, config, self.network, n, self.stats
         )
         self._done_count = 0
         self.crashed = False
@@ -147,13 +149,12 @@ class Machine:
                 self.home_of, self._on_fault,
                 next_edge_time=make_next_edge(node_id),
                 edge_time_of=(lambda k, nid=node_id: self.clock.edge_time(nid, k)),
-                controller_node=controller_node,
                 detection_latency=detection_latency,
                 on_target_reached=self._on_core_done,
                 io_hooks_factory=io_factory if (io_output_period or io_input_period) else None,
                 on_validate_ready=(
                     self.controllers.on_validate_ready
-                    if node_id == controller_node
+                    if node_id == CONTROLLER_NODE
                     else None
                 ),
                 protocol=self.protocol,
@@ -178,41 +179,27 @@ class Machine:
             on_recovery_complete=lambda: self._on_core_done(-1),
         )
         self._faults: List = []
-        #: Optional structured trace journal (``repro.obs.trace.TraceLog``),
-        #: wired through every subsystem by :meth:`attach_tracer`.
-        self.trace = None
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def attach_tracer(self, trace) -> None:
-        """Wire a :class:`repro.obs.trace.TraceLog` (or any object with an
-        ``emit(cycle, kind, node=..., **data)`` method) through every
-        SafetyNet lifecycle instrumentation point: checkpoint edges,
+        """Journal this run's SafetyNet lifecycle into ``trace``, a
+        :class:`repro.obs.trace.TraceLog` or any object with an
+        ``emit(cycle, kind, node=..., **data)`` method: checkpoint edges,
         validation announcements and sign-offs, RPCN advances/applies,
         fault injections, detections, rollback begin/restore/end, and
         message losses.
 
-        Observation only — the journal never schedules kernel events or
-        touches RNG streams, so a traced run is bit-identical to an
-        untraced one (``tests/test_obs.py`` holds this).  Injectors
-        created after this call are wired by the ``inject_*`` methods.
+        The journal hangs off the simulator (:attr:`Simulator.trace
+        <repro.sim.kernel.Simulator.trace>`), where every emitter reads
+        it, so it may be attached at any point before :meth:`run` —
+        before or after the ``inject_*`` calls.  Observation only: the
+        journal never schedules kernel events or touches RNG streams, so
+        a traced run is bit-identical to an untraced one
+        (``tests/test_obs.py`` holds this).
         """
-        self.trace = trace
-        self.clock.trace = trace
-        self.controllers.trace = trace
-        self.recovery.trace = trace
-        for node in self.nodes:
-            node.validation.trace = trace
-        for fault in self._faults:
-            fault.trace = trace
-        self.network.add_lost_listener(
-            lambda msg, reason: trace.emit(
-                self.sim.now, "net.lost", msg.dst,
-                msg_kind=msg.kind.name, src=msg.src, dst=msg.dst,
-                reason=reason,
-            )
-        )
+        self.sim.trace = trace
 
     # ------------------------------------------------------------------
     # Fault injection (the paper's two experiments)
@@ -223,7 +210,6 @@ class Machine:
         cycles (the paper: every 100 million cycles)."""
         fault = DropMessageFault(self.sim, self.network, period,
                                 first_at=first_at, count=count)
-        fault.trace = self.trace
         self._faults.append(fault)
         return fault
 
@@ -236,7 +222,6 @@ class Machine:
             half = HalfSwitchId("ew", 1 % self.config.torus_width, 0)
         self.topology.switch_id(half)  # reject it now, not at at_cycle
         fault = KillSwitchFault(self.sim, self.network, half, at_cycle)
-        fault.trace = self.trace
         self._faults.append(fault)
         return fault
 
@@ -248,7 +233,6 @@ class Machine:
         constructor to enable checking."""
         fault = CorruptMessageFault(self.sim, self.network, period,
                                     first_at=first_at, count=count)
-        fault.trace = self.trace
         self._faults.append(fault)
         return fault
 
@@ -259,7 +243,6 @@ class Machine:
         endpoint's illegal-message detection (needs ``error_code=``)."""
         fault = MisrouteMessageFault(self.sim, self.network, period,
                                      first_at=first_at, count=count)
-        fault.trace = self.trace
         self._faults.append(fault)
         return fault
 
@@ -314,38 +297,39 @@ class Machine:
             for node in self.nodes
         )
 
-    def run_with_warmup(self, warmup_instructions: int,
-                        measure_instructions: int,
-                        max_cycles: Optional[int] = None) -> RunResult:
-        """The paper's methodology: warm caches first, then measure.
-
-        Statistics (and the measured cycle count) cover only the
-        measurement phase; positions/architected state carry over.
-        """
-        warm = self.run(warmup_instructions, max_cycles=max_cycles)
-        if warm.crashed or not warm.completed:
-            return warm
-        self.stats.reset()
-        start_cycle = self.sim.now
-        start_committed = sum(node.core.position for node in self.nodes)
-        start_lost = self.recovery.stats.total_lost_instructions
-        start_recoveries = self.recovery.stats.recoveries
-        result = self.run(
-            warmup_instructions + measure_instructions, max_cycles=max_cycles
-        )
-        result.cycles = self.sim.now - start_cycle
-        result.committed_instructions -= start_committed
-        result.target_instructions = measure_instructions * len(self.nodes)
-        result.lost_instructions = (
-            self.recovery.stats.total_lost_instructions - start_lost
-        )
-        result.recoveries = self.recovery.stats.recoveries - start_recoveries
-        return result
-
     def run(self, instructions_per_cpu: int,
-            max_cycles: Optional[int] = None) -> RunResult:
+            max_cycles: Optional[int] = None, *,
+            warmup: int = 0) -> RunResult:
         """Run until every CPU retires the target instruction count (the
-        paper's fixed-work methodology), a crash, or ``max_cycles``."""
+        paper's fixed-work methodology), a crash, or ``max_cycles`` (an
+        absolute cycle).
+
+        With ``warmup`` > 0 the run follows the paper's methodology: each
+        CPU first retires ``warmup`` instructions to warm the caches, the
+        statistics reset, and ``instructions_per_cpu`` more are measured.
+        The result (cycles, committed and lost work, recoveries, stats)
+        covers only the measured phase; positions and architected state
+        carry over.  A warm-up that crashes or stops short is returned
+        as it is.
+        """
+        if warmup > 0:
+            warm = self.run(warmup, max_cycles)
+            if warm.crashed or not warm.completed:
+                return warm
+            self.stats.reset()
+            start_cycle = self.sim.now
+            start_committed = sum(node.core.position for node in self.nodes)
+            start_lost = self.recovery.stats.total_lost_instructions
+            start_recoveries = self.recovery.stats.recoveries
+            result = self.run(warmup + instructions_per_cpu, max_cycles)
+            result.cycles = self.sim.now - start_cycle
+            result.committed_instructions -= start_committed
+            result.target_instructions = instructions_per_cpu * len(self.nodes)
+            result.lost_instructions = (
+                self.recovery.stats.total_lost_instructions - start_lost
+            )
+            result.recoveries = self.recovery.stats.recoveries - start_recoveries
+            return result
         target = instructions_per_cpu
         self._done_count = 0
         if self.config.safetynet_enabled:
@@ -383,7 +367,7 @@ class Machine:
     # ------------------------------------------------------------------
     # Whole-machine invariants and state (tests, analysis)
     # ------------------------------------------------------------------
-    def quiesce(self, max_wait_cycles: int = 1_000_000) -> bool:
+    def quiesce(self) -> bool:
         """Freeze the cores and drain all protocol/recovery activity.
 
         Coherence invariants are only meaningful on a quiesced machine:
@@ -391,7 +375,7 @@ class Machine:
         pointing at requestors whose data is still in flight.  Fault
         injectors are disarmed first — a machine wounded faster than it
         can recover never drains.  Returns True if the machine fully
-        drained within the budget.
+        drained within :data:`QUIESCE_MAX_WAIT_CYCLES`.
         """
         self.disarm_faults()
         for node in self.nodes:
@@ -405,7 +389,7 @@ class Machine:
                     return False
             return True
 
-        deadline = self.sim.now + max_wait_cycles
+        deadline = self.sim.now + QUIESCE_MAX_WAIT_CYCLES
         while not drained() and self.sim.now < deadline and self.sim.pending():
             self.sim.run(limit=min(deadline, self.sim.now + 1_000))
             # A recovery completing mid-drain resumes the cores; re-freeze.

@@ -108,7 +108,6 @@ class Node:
         *,
         next_edge_time: Callable[[], int],
         edge_time_of: Callable[[int], int],
-        controller_node: int = 0,
         detection_latency: int = 0,
         on_target_reached: Optional[Callable[[int], None]] = None,
         io_hooks_factory: Optional[Callable[["Node"], Optional[IoHooks]]] = None,
@@ -152,7 +151,6 @@ class Node:
         self.validation = ValidationAgent(
             sim, node_id, config, network, participants,
             edge_time=edge_time_of,
-            controller_node=controller_node,
             detection_latency=detection_latency,
             stats=stats,
         )

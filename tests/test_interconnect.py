@@ -6,6 +6,7 @@ from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingError, RoutingTable
 from repro.interconnect.topology import HalfSwitchId, TorusTopology, node_vertex
+from repro.obs import KIND_LOST, TraceLog
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
@@ -193,8 +194,7 @@ def test_contention_delays_second_message():
 
 def test_drop_hook_loses_message_and_notifies():
     sim, topo, routing, net = make_net()
-    lost = []
-    net.add_lost_listener(lambda m, why: lost.append((m, why)))
+    sim.trace = TraceLog()
     net.add_drop_hook(lambda m, v: True)  # drop everything at first switch
     delivered = []
     for nid in range(16):
@@ -202,8 +202,15 @@ def test_drop_hook_loses_message_and_notifies():
     net.send(Message(MessageKind.GETS, src=0, dst=5))
     sim.run(limit=10_000)
     assert not delivered
+    lost = sim.trace.of_kind(KIND_LOST)
     assert len(lost) == 1
     assert net.stats.counter("net.messages_lost").value == 1
+    # The network journals the loss itself, against the destination.
+    (record,) = lost
+    assert record.node == 5
+    assert {k: record.data[k] for k in ("msg_kind", "src", "dst")} == \
+        {"msg_kind": "GETS", "src": 0, "dst": 5}
+    assert record.data["reason"].startswith("fault injection at ")
 
 
 @pytest.mark.parametrize("express", [True, False])
@@ -211,10 +218,10 @@ def test_kill_switch_loses_buffered_and_future_messages(express):
     # With express on, the message's segment has claimed the victim when
     # it dies: the kill must materialise the flight first.
     sim, topo, routing, net = make_net(hold=not express)
-    delivered, lost = [], []
+    delivered = []
     for nid in range(16):
         net.attach(nid, delivered.append)
-    net.add_lost_listener(lambda m, why: lost.append(why))
+    sim.trace = TraceLog()
     victim = HalfSwitchId("ew", 1, 0)
     # This message's dimension-order route 0->2 crosses ew(1,0).
     net.send(Message(MessageKind.GETS, src=0, dst=2))
@@ -224,11 +231,11 @@ def test_kill_switch_loses_buffered_and_future_messages(express):
     # Either it was resident in the switch when killed, or it arrived at the
     # dead switch afterwards; both must lose it.
     assert not delivered
-    assert len(lost) == 1
+    assert len(sim.trace.of_kind(KIND_LOST)) == 1
     # New messages routed over the stale tables also die...
     net.send(Message(MessageKind.GETS, src=0, dst=2))
     sim.run(limit=20_000)
-    assert not delivered and len(lost) == 2
+    assert not delivered and len(sim.trace.of_kind(KIND_LOST)) == 2
     # ...until reconfiguration routes around the corpse.
     net.reconfigure()
     net.send(Message(MessageKind.GETS, src=0, dst=2))

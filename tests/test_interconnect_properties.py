@@ -8,6 +8,7 @@ from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingError, RoutingTable
 from repro.interconnect.topology import HalfSwitchId, TorusTopology
+from repro.obs import KIND_LOST, TraceLog
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
@@ -92,12 +93,12 @@ def test_message_conservation(pairs, data):
 def test_message_accounting_with_switch_kill(seed, kill_after, half):
     """With a dead switch: delivered + lost == sent, exactly."""
     sim = Simulator()
+    sim.trace = TraceLog()
     topo = TorusTopology(4, 4)
     net = Network(sim, topo, RoutingTable(topo), stats=StatsRegistry())
-    delivered, lost = [], []
+    delivered = []
     for n in range(16):
         net.attach(n, delivered.append)
-    net.add_lost_listener(lambda m, why: lost.append(m))
     import random
     rng = random.Random(seed)
     sent = 0
@@ -108,5 +109,6 @@ def test_message_accounting_with_switch_kill(seed, kill_after, half):
             sent += 1
     sim.schedule(kill_after, lambda: net.kill_half_switch(half))
     sim.run(limit=1_000_000)
+    lost = sim.trace.of_kind(KIND_LOST)
     assert len(delivered) + len(lost) == sent
     assert net.in_flight_count == 0

@@ -55,7 +55,7 @@ def test_safetynet_overhead_is_small_fault_free():
 
 def test_run_with_warmup_measures_only_steady_state():
     machine = tiny_machine(seed=6)
-    result = machine.run_with_warmup(3_000, 3_000, max_cycles=1_000_000)
+    result = machine.run(3_000, max_cycles=1_000_000, warmup=3_000)
     assert result.completed
     assert result.committed_instructions >= 4 * 3_000
     # Warmed stats: misses per instruction drop well below cold-start rates.

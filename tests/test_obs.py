@@ -143,6 +143,54 @@ def test_chrome_trace_passes_its_own_schema_check():
               and e["name"] == "recovery episode"]
     assert len(slices) == result.recoveries
     assert "ckpt.edge" in names and "fault.inject" in names
+    # One slice per validated epoch, each at least a cycle wide.
+    epochs = [e for e in events if e["ph"] == "X"
+              and e["name"].startswith("epoch ")]
+    assert epochs
+    assert len({e["args"]["epoch"] for e in epochs}) == len(epochs)
+    assert all(e["dur"] >= 1 for e in epochs)
+
+
+def test_reading_the_journal_back_leaves_it_unchanged():
+    """The timeline functions and the Chrome-trace export are readers: a
+    faulted run's records, and the export built from them, are the same
+    before and after :func:`recovery_episodes` and
+    :func:`timeline_summary` walk the journal."""
+    _, result, trace, _ = _traced_run()
+    assert result.recoveries > 0
+
+    def snapshot():
+        return ([r.to_dict() for r in trace.records],
+                json.dumps(chrome_trace(trace, num_nodes=4), sort_keys=True))
+
+    before = snapshot()
+    recovery_episodes(trace)
+    timeline_summary(trace, num_nodes=4)
+    assert snapshot() == before
+
+
+def test_attach_tracer_before_or_after_injecting():
+    """The journal lives on the simulator, so a tracer attached before the
+    injectors exist records the same injections and losses as one
+    attached after them."""
+    def journal(attach_first: bool):
+        machine = _machine(faulted=False)
+        trace = TraceLog()
+        if attach_first:
+            machine.attach_tracer(trace)
+        machine.inject_transient_faults(period=2_500, first_at=1_200)
+        machine.inject_switch_kill(at_cycle=3_000)
+        if not attach_first:
+            machine.attach_tracer(trace)
+        machine.run(2_000, max_cycles=5_000_000)
+        return [r.to_dict() for r in trace.records
+                if r.kind in (KIND_INJECT, KIND_LOST)]
+
+    first = journal(attach_first=True)
+    faults = {r["fault"] for r in first if r["kind"] == KIND_INJECT}
+    assert faults == {"DropMessageFault", "KillSwitchFault"}
+    assert any(r["kind"] == KIND_LOST for r in first)
+    assert first == journal(attach_first=False)
 
 
 def test_validate_chrome_trace_rejects_bad_payloads():
