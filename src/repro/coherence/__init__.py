@@ -16,33 +16,3 @@ Which protocol the controllers speak (mosi / mesi / moesi) is a
 :class:`~repro.coherence.protocol.CoherenceProtocol` chosen through the
 ``PROTOCOLS`` registry; checkpoint/recovery machinery is shared by all.
 """
-
-from repro.coherence.state import (
-    CacheBlock,
-    CacheState,
-    DirEntry,
-    MEMORY_OWNER,
-    ProtocolError,
-)
-from repro.coherence.cache import CacheController
-from repro.coherence.directory import MemoryController
-from repro.coherence.protocol import (
-    CoherenceProtocol,
-    PROTOCOL_NAMES,
-    PROTOCOLS,
-    resolve_protocol,
-)
-
-__all__ = [
-    "CacheBlock",
-    "CacheState",
-    "DirEntry",
-    "MEMORY_OWNER",
-    "ProtocolError",
-    "CacheController",
-    "MemoryController",
-    "CoherenceProtocol",
-    "PROTOCOLS",
-    "PROTOCOL_NAMES",
-    "resolve_protocol",
-]

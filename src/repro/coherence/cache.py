@@ -4,12 +4,13 @@ Models one node's coherent cache hierarchy (the paper's L1+L2, merged into
 one coherent level — see DESIGN.md) plus the SafetyNet hooks:
 
 * per-block checkpoint numbers (CN) and the once-per-interval logging rule
-  for store overwrites and ownership transfers (paper §3.3, Fig. 4);
+  (:func:`repro.core.clb.needs_log`) for store overwrites and ownership
+  transfers (paper §3.3, Fig. 4);
 * a Checkpoint Log Buffer written on the first update-action per interval;
 * CPU throttling when a store would log into a full CLB, and stalling of
   forwarded requests that would log into a full CLB (backpressure instead
   of overflow — CLBs are sized for performance, not correctness);
-* local log unroll + invalidation of unvalidated blocks on recovery.
+* local log rollback + invalidation of unvalidated blocks on recovery.
 
 The CPU side has two entries: hits resolve synchronously (the common
 case the paper stresses has zero added latency) and :meth:`start_miss`
@@ -27,8 +28,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.config import SystemConfig
 from repro.coherence.protocol import (CoherenceProtocol, NULL_COUNTER,
                                       resolve_protocol)
-from repro.coherence.state import CacheBlock, CacheState, ProtocolError
-from repro.core.clb import CheckpointLogBuffer
+from repro.coherence.state import (CacheBlock, CacheState, ProtocolError,
+                                   schedule_in_epoch)
+from repro.core.clb import CheckpointLogBuffer, needs_log
 from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.sim.deadlines import DeadlineTable
@@ -151,7 +153,7 @@ class CacheController:
         self.mshrs: Dict[int, Mshr] = {}
         self.wb_buffer: Dict[int, CacheBlock] = {}
         self.wb_txns: Dict[int, Mshr] = {}      # addr -> PUTM mshr
-        self._stalled_fwds: List[Tuple[Message, bool]] = []
+        self._stalled_fwds: List[Message] = []
 
         ns = f"node{node_id}.cache"
         self.c_loads = stats.counter(f"{ns}.loads")
@@ -215,10 +217,7 @@ class CacheController:
     # SafetyNet logging primitives
     # ------------------------------------------------------------------
     def _needs_log(self, block: CacheBlock) -> bool:
-        """The paper's rule: log iff CCN >= CN (null CN always logs)."""
-        if not self.config.safetynet_enabled:
-            return False
-        return block.cn is None or self.ccn >= block.cn
+        return self.config.safetynet_enabled and needs_log(block.cn, self.ccn)
 
     def _log_block(self, block: CacheBlock) -> None:
         self.clb.append(self.ccn, block.addr, (block.state, block.data, block.cn))
@@ -275,27 +274,21 @@ class CacheController:
             self.bw.add("hits", self.config.block_size)
             return ("hit", 0)
         if block.state == CacheState.MODIFIED:
-            status = self._apply_store(block, value)
-            if status[0] == "clb_full":
-                self.c_store_throttles.add()
-                return ("throttle", self.config.store_throttle_delay)
-            return ("hit", status[1])
+            return self._store_hit_logged(block, value)
         if block.state in self._silent_upgrade:
-            status = self._apply_store(block, value)
-            if status[0] == "clb_full":
-                self.c_store_throttles.add()
-                return ("throttle", self.config.store_throttle_delay)
-            self.c_silent_upgrade.add()
-            return ("hit", status[1])
+            result = self._store_hit_logged(block, value)
+            if result[0] == "hit":
+                self.c_silent_upgrade.add()
+            return result
         return ("miss", 0)
 
     def _store_hit_logged(self, block: CacheBlock, value: int) -> Tuple[str, int]:
-        """The burst loop's slow case: a store hit that must log.
+        """A store hit on an M block, or an E block upgrading silently.
 
-        Delegates to :meth:`_apply_store` (one copy of the logging rule;
-        this path is rare, so nothing is deferred) and maps its result to
-        ``fast_access``'s return shape.  The common no-log store hit is
-        inlined in ``Core._burst`` instead.
+        Delegates to :meth:`_apply_store` (one copy of the logging rule)
+        and maps its result to ``fast_access``'s return shape.  The burst
+        loop calls it for a store hit that must log; its common no-log
+        store hit is inlined in ``Core._burst`` instead.
         """
         status, extra = self._apply_store(block, value)
         if status == "clb_full":
@@ -453,28 +446,20 @@ class CacheController:
     # ------------------------------------------------------------------
     # Network message handling
     # ------------------------------------------------------------------
-    def handle_message(self, msg: Message) -> None:
-        kind = msg.kind
-        if kind in (MessageKind.DATA, MessageKind.DATA_OWNER):
-            self._on_data(msg)
-        elif kind == MessageKind.ACK_COUNT:
-            self._on_ack_count(msg)
-        elif kind == MessageKind.INV_ACK:
-            self._on_inv_ack(msg)
-        elif kind == MessageKind.INV:
-            self._on_inv(msg)
-        elif kind == MessageKind.FWD_GETS:
-            self._on_fwd(msg, exclusive=False)
-        elif kind == MessageKind.FWD_GETM:
-            self._on_fwd(msg, exclusive=True)
-        elif kind == MessageKind.WB_ACK:
-            self._on_wb_ack(msg, stale=False)
-        elif kind == MessageKind.WB_STALE:
-            self._on_wb_ack(msg, stale=True)
-        elif kind == MessageKind.NACK:
-            self._on_nack(msg)
-        else:
-            raise ProtocolError(f"cache got unexpected {msg}")
+    def routes(self) -> Dict[MessageKind, Callable[[Message], None]]:
+        """The message kinds the cache serves, each with its handler."""
+        return {
+            MessageKind.DATA: self._on_data,
+            MessageKind.DATA_OWNER: self._on_data,
+            MessageKind.ACK_COUNT: self._on_ack_count,
+            MessageKind.INV_ACK: self._on_inv_ack,
+            MessageKind.INV: self._on_inv,
+            MessageKind.FWD_GETS: self._on_fwd,
+            MessageKind.FWD_GETM: self._on_fwd,
+            MessageKind.WB_ACK: self._on_wb_ack,
+            MessageKind.WB_STALE: self._on_wb_ack,
+            MessageKind.NACK: self._on_nack,
+        }
 
     # -- responses to our own requests ----------------------------------
     def _on_data(self, msg: Message) -> None:
@@ -522,11 +507,9 @@ class CacheController:
                 self.c_fill_e.add()
             if block is None:
                 # No way free (eviction blocked on CLB space); retry soon.
-                epoch = self.epoch
-                self.sim.schedule_after(
-                    self.config.store_throttle_delay,
-                    lambda: epoch == self.epoch and self._maybe_complete(mshr),
-                    "cache.fill_retry",
+                schedule_in_epoch(
+                    self, self.config.store_throttle_delay,
+                    lambda: self._maybe_complete(mshr), "cache.fill_retry",
                 )
                 return
         else:
@@ -541,12 +524,10 @@ class CacheController:
         if mshr.is_store:
             status = self._apply_store(block, mshr.value)
             if status[0] == "clb_full":
-                epoch = self.epoch
                 self.c_store_throttles.add()
-                self.sim.schedule_after(
-                    self.config.store_throttle_delay,
-                    lambda: epoch == self.epoch and self._maybe_complete(mshr),
-                    "cache.store_retry",
+                schedule_in_epoch(
+                    self, self.config.store_throttle_delay,
+                    lambda: self._maybe_complete(mshr), "cache.store_retry",
                 )
                 return
         else:
@@ -573,15 +554,13 @@ class CacheController:
             return
         self.c_nacks.add()
         mshr.retries += 1
-        epoch = self.epoch
-        self.sim.schedule_after(
-            self.config.nack_retry_delay,
-            lambda: self._retry_request(mshr, epoch),
-            "cache.nack_retry",
+        schedule_in_epoch(
+            self, self.config.nack_retry_delay,
+            lambda: self._retry_request(mshr), "cache.nack_retry",
         )
 
-    def _retry_request(self, mshr: Mshr, epoch: int) -> None:
-        if epoch != self.epoch or self.mshrs.get(mshr.addr) is not mshr:
+    def _retry_request(self, mshr: Mshr) -> None:
+        if self.mshrs.get(mshr.addr) is not mshr:
             return
         # Re-classify: an UPGRADE may have lost its O copy to a racing FWD.
         if mshr.kind == "UPGRADE":
@@ -605,20 +584,20 @@ class CacheController:
                     addr=msg.addr, txn_id=msg.txn_id)
         )
 
-    def _on_fwd(self, msg: Message, exclusive: bool) -> None:
+    def _on_fwd(self, msg: Message) -> None:
         block = self.lookup(msg.addr) or self.wb_buffer.get(msg.addr)
         if block is None or not block.is_owner():
             raise ProtocolError(
                 f"node{self.node_id}: forwarded {msg} but not owner ({block})"
             )
-        if exclusive:
+        if msg.kind == MessageKind.FWD_GETM:
             ok, out_cn = self._transfer_out(block)
             if not ok:
                 # CLB full: stall the forward until validation frees space
                 # (deadlock-free: earlier checkpoints can still validate,
                 # and the watchdog recovery is the backstop).
                 self.c_fwd_stalls.add()
-                self._stalled_fwds.append((msg, True))
+                self._stalled_fwds.append(msg)
                 return
             requestor = msg.payload["requestor"]
             self.network.send(
@@ -642,7 +621,7 @@ class CacheController:
             ok, out_cn = self._transfer_out(block)
             if not ok:
                 self.c_fwd_stalls.add()
-                self._stalled_fwds.append((msg, False))
+                self._stalled_fwds.append(msg)
                 return
             self.c_downgrade.add()
             block.state = CacheState.SHARED
@@ -675,7 +654,8 @@ class CacheController:
                         cn=block.cn, grant="S")
             )
 
-    def _on_wb_ack(self, msg: Message, stale: bool) -> None:
+    def _on_wb_ack(self, msg: Message) -> None:
+        """WB_ACK or WB_STALE: either way the writeback is over."""
         mshr = self.wb_txns.pop(msg.addr, None)
         if mshr is None or mshr.txn_id != msg.txn_id:
             if mshr is not None:
@@ -689,8 +669,8 @@ class CacheController:
         if not self._stalled_fwds:
             return
         pending, self._stalled_fwds = self._stalled_fwds, []
-        for msg, exclusive in pending:
-            self._on_fwd(msg, exclusive=exclusive)
+        for msg in pending:
+            self._on_fwd(msg)
 
     # ------------------------------------------------------------------
     # SafetyNet checkpoint lifecycle (CheckpointParticipant)
@@ -737,12 +717,10 @@ class CacheController:
         self.wb_buffer.clear()
         self._stalled_fwds.clear()
         self._timeout_table.clear()
-        unrolled = 0
-        for entry in self.clb.unroll_from(rpcn):
+        entries = self.clb.rollback(rpcn)
+        for entry in entries:
             state, data, cn = entry.payload
             self._install_for_recovery(entry.addr, state, data, cn)
-            unrolled += 1
-        self.clb.clear_from(rpcn)
         # Invalidate everything written or received in an unvalidated
         # interval (non-null CN above the recovery point); normalise the rest.
         for bucket in self._sets.values():
@@ -752,7 +730,7 @@ class CacheController:
             for block in bucket.values():
                 block.cn = None
         self.rpcn = rpcn
-        return unrolled
+        return len(entries)
 
     def _install_for_recovery(self, addr: int, state: str, data: int,
                               cn: Optional[int]) -> None:

@@ -3,12 +3,19 @@
 Each node is the home for an interleaved slice of physical memory.  The
 home serialises coherence transactions per block (busy + bounded queue +
 NACK), logs every memory-value and ownership change into its CLB under the
-once-per-interval rule, and — for three-hop transactions — keeps the log
-entry *provisional* until the requestor's FINAL_ACK reveals the true point
-of atomicity, then retags it (paper §2.3/§3.7: the final acknowledgment
-informs the directory of the transaction's point of atomicity; home-side
-and owner-side undo records must share that interval or recovery would
-leave the directory and the caches disagreeing about ownership).
+once-per-interval rule (:func:`repro.core.clb.needs_log`), and — for
+three-hop transactions — keeps the log entry *provisional* until the
+requestor's FINAL_ACK reveals the true point of atomicity, then retags it
+(paper §2.3/§3.7: the final acknowledgment informs the directory of the
+transaction's point of atomicity; home-side and owner-side undo records
+must share that interval or recovery would leave the directory and the
+caches disagreeing about ownership).
+
+:meth:`MemoryController.routes` names the message kinds the home serves.
+Each reply has one path: every refusal goes out through ``_nack``, every
+reply after a memory or directory latency through
+:func:`~repro.coherence.state.schedule_in_epoch` (a recovery in between
+drops it), and PUTM and PUTE share ``_process_writeback``.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.coherence.protocol import CoherenceProtocol, resolve_protocol
-from repro.coherence.state import DirEntry, MEMORY_OWNER, ProtocolError
-from repro.core.clb import CheckpointLogBuffer, LogEntry
+from repro.coherence.state import DirEntry, MEMORY_OWNER, schedule_in_epoch
+from repro.core.clb import CheckpointLogBuffer, LogEntry, needs_log
 from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.sim.deadlines import DeadlineTable
@@ -120,10 +127,8 @@ class MemoryController:
         return self.values.get(addr, 0)
 
     def _needs_log(self, addr: int, tag: int) -> bool:
-        if not self.config.safetynet_enabled:
-            return False
-        cn = self.block_cn.get(addr)
-        return cn is None or tag >= cn
+        return (self.config.safetynet_enabled
+                and needs_log(self.block_cn.get(addr), tag))
 
     def _log_home(self, addr: int, tag: int, force: bool = False) -> Optional[LogEntry]:
         """Log the pre-action (value, owner, sharers, cn) under the
@@ -151,20 +156,30 @@ class MemoryController:
         self.block_cn[addr] = tag + 1
         return entry
 
+    def _log_transfer_here(self, addr: int) -> Optional[int]:
+        """Log a two-hop ownership transfer out of memory, whose point of
+        atomicity is here, now (exact tag, no provisional entry).  Returns
+        the CN the data reply carries (None with SafetyNet disabled)."""
+        if not self.config.safetynet_enabled:
+            return None
+        self._log_home(addr, self.ccn)
+        out_cn = self.ccn + 1
+        self.block_cn[addr] = max(self.block_cn.get(addr) or 0, out_cn)
+        return out_cn
+
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
-    def handle_message(self, msg: Message) -> None:
-        kind = msg.kind
-        if kind in (MessageKind.GETS, MessageKind.GETM, MessageKind.PUTM,
-                    MessageKind.PUTE):
-            self._accept_request(msg)
-        elif kind == MessageKind.FINAL_ACK:
-            self._on_final_ack(msg)
-        elif kind == MessageKind.COPYBACK:
-            self._on_copyback(msg)
-        else:
-            raise ProtocolError(f"home got unexpected {msg}")
+    def routes(self) -> Dict[MessageKind, Callable[[Message], None]]:
+        """The message kinds the home serves, each with its handler."""
+        return {
+            MessageKind.GETS: self._accept_request,
+            MessageKind.GETM: self._accept_request,
+            MessageKind.PUTM: self._accept_request,
+            MessageKind.PUTE: self._accept_request,
+            MessageKind.FINAL_ACK: self._on_final_ack,
+            MessageKind.COPYBACK: self._on_copyback,
+        }
 
     def _accept_request(self, msg: Message) -> None:
         self.c_requests.add()
@@ -172,11 +187,7 @@ class MemoryController:
         if addr in self.busy:
             queue = self.queues.setdefault(addr, deque())
             if len(queue) >= self.config.home_queue_depth:
-                self.c_nacks_sent.add()
-                self.network.send(
-                    Message(MessageKind.NACK, src=self.node_id, dst=msg.src,
-                            addr=addr, txn_id=msg.txn_id)
-                )
+                self._nack(msg)
                 return
             queue.append(msg)
             return
@@ -187,10 +198,17 @@ class MemoryController:
             self._process_gets(msg)
         elif msg.kind == MessageKind.GETM:
             self._process_getm(msg)
-        elif msg.kind == MessageKind.PUTE:
-            self._process_pute(msg)
         else:
-            self._process_putm(msg)
+            self._process_writeback(msg)
+
+    def _nack(self, msg: Message) -> None:
+        """Refuse a request (its block's queue is full, or the CLB has no
+        room to log it); the requestor retries after a delay."""
+        self.c_nacks_sent.add()
+        self.network.send(
+            Message(MessageKind.NACK, src=self.node_id, dst=msg.src,
+                    addr=msg.addr, txn_id=msg.txn_id)
+        )
 
     def _open_txn(self, addr: int, txn: _BusyTxn) -> None:
         """Open the per-block serialisation window (and, when the home
@@ -235,10 +253,12 @@ class MemoryController:
         self._open_txn(addr, txn)
         if entry.owner is MEMORY_OWNER:
             entry.sharers.add(requestor)
-            epoch = self.epoch
-            self.sim.schedule_after(
-                self.config.memory_latency,
-                lambda: epoch == self.epoch and self._send_data_s(addr, requestor, msg.txn_id),
+            # The CN is read when the reply fires: an RPCN broadcast during
+            # the memory latency may null it.
+            schedule_in_epoch(
+                self, self.config.memory_latency,
+                lambda: self._send_data(addr, requestor, msg.txn_id, "S",
+                                        self.block_cn.get(addr)),
                 "home.mem_read",
             )
         else:
@@ -246,10 +266,9 @@ class MemoryController:
             entry.sharers.add(requestor)
             txn.needs_copyback = self.protocol.copyback_on_read
             self.c_forwards.add()
-            epoch = self.epoch
-            self.sim.schedule_after(
-                self.config.directory_latency,
-                lambda: epoch == self.epoch and self.network.send(
+            schedule_in_epoch(
+                self, self.config.directory_latency,
+                lambda: self.network.send(
                     Message(MessageKind.FWD_GETS, src=self.node_id, dst=owner,
                             addr=addr, txn_id=msg.txn_id,
                             payload={"requestor": requestor})
@@ -265,44 +284,26 @@ class MemoryController:
         entry: the point of atomicity is here, now)."""
         addr, requestor = msg.addr, msg.src
         if self._needs_log(addr, self.ccn) and self.clb.is_full():
-            self.c_nacks_sent.add()
-            self.network.send(
-                Message(MessageKind.NACK, src=self.node_id, dst=requestor,
-                        addr=addr, txn_id=msg.txn_id)
-            )
+            self._nack(msg)
             return
         txn = _BusyTxn(msg.txn_id, requestor, msg.kind, self.ccn)
         self._open_txn(addr, txn)
-        if self.config.safetynet_enabled:
-            self._log_home(addr, self.ccn)
-            out_cn = self.ccn + 1
-            self.block_cn[addr] = max(self.block_cn.get(addr) or 0, out_cn)
-        else:
-            out_cn = None
+        out_cn = self._log_transfer_here(addr)
         entry.owner = requestor
-        epoch = self.epoch
-        self.sim.schedule_after(
-            self.config.memory_latency,
-            lambda: epoch == self.epoch and self._send_data_e(
-                addr, requestor, msg.txn_id, out_cn),
+        schedule_in_epoch(
+            self, self.config.memory_latency,
+            lambda: self._send_data(addr, requestor, msg.txn_id, "E", out_cn),
             "home.mem_read",
         )
 
-    def _send_data_e(self, addr: int, requestor: int, txn_id: int,
-                     out_cn: Optional[int]) -> None:
+    def _send_data(self, addr: int, requestor: int, txn_id: int, grant: str,
+                   cn: Optional[int]) -> None:
+        """A GETS data reply from memory (S, or exclusive-clean E)."""
         self.c_data_served.add()
         self.network.send(
             Message(MessageKind.DATA, src=self.node_id, dst=requestor,
                     addr=addr, txn_id=txn_id, data=self.value_of(addr),
-                    cn=out_cn, grant="E")
-        )
-
-    def _send_data_s(self, addr: int, requestor: int, txn_id: int) -> None:
-        self.c_data_served.add()
-        self.network.send(
-            Message(MessageKind.DATA, src=self.node_id, dst=requestor,
-                    addr=addr, txn_id=txn_id, data=self.value_of(addr),
-                    cn=self.block_cn.get(addr), grant="S")
+                    cn=cn, grant=grant)
         )
 
     # ------------------------------------------------------------------
@@ -319,27 +320,17 @@ class MemoryController:
         if entry.owner is MEMORY_OWNER:
             # Two-hop: the point of atomicity is here, now (home CCN).
             if self._needs_log(addr, self.ccn) and self.clb.is_full():
-                self.c_nacks_sent.add()
-                self.network.send(
-                    Message(MessageKind.NACK, src=self.node_id, dst=requestor,
-                            addr=addr, txn_id=msg.txn_id)
-                )
+                self._nack(msg)
                 return
             self._open_txn(addr, txn)
-            if self.config.safetynet_enabled:
-                self._log_home(addr, self.ccn)
-                out_cn = self.ccn + 1
-                self.block_cn[addr] = max(self.block_cn.get(addr) or 0, out_cn)
-            else:
-                out_cn = None
+            out_cn = self._log_transfer_here(addr)
             entry.owner = requestor
             entry.sharers = set()
             self._send_invs(addr, invalidatees, requestor, msg.txn_id)
-            epoch = self.epoch
             acks = len(invalidatees)
-            self.sim.schedule_after(
-                self.config.memory_latency,
-                lambda: epoch == self.epoch and self.network.send(
+            schedule_in_epoch(
+                self, self.config.memory_latency,
+                lambda: self.network.send(
                     Message(MessageKind.DATA, src=self.node_id, dst=requestor,
                             addr=addr, txn_id=msg.txn_id, data=self.value_of(addr),
                             cn=out_cn, grant="M", ack_count=acks)
@@ -350,11 +341,7 @@ class MemoryController:
             # Three-hop: atomicity is at the owner; log provisionally (always
             # — see _log_home) and retag when the FINAL_ACK tells us the truth.
             if self.clb.is_full():
-                self.c_nacks_sent.add()
-                self.network.send(
-                    Message(MessageKind.NACK, src=self.node_id, dst=requestor,
-                            addr=addr, txn_id=msg.txn_id)
-                )
+                self._nack(msg)
                 return
             self._open_txn(addr, txn)
             owner = entry.owner
@@ -368,11 +355,10 @@ class MemoryController:
             invalidatees.discard(owner)
             self._send_invs(addr, invalidatees, requestor, msg.txn_id)
             self.c_forwards.add()
-            epoch = self.epoch
             acks = len(invalidatees)
-            self.sim.schedule_after(
-                self.config.directory_latency,
-                lambda: epoch == self.epoch and self.network.send(
+            schedule_in_epoch(
+                self, self.config.directory_latency,
+                lambda: self.network.send(
                     Message(MessageKind.FWD_GETM, src=self.node_id, dst=owner,
                             addr=addr, txn_id=msg.txn_id, ack_count=acks,
                             payload={"requestor": requestor})
@@ -389,11 +375,10 @@ class MemoryController:
         invalidatees = entry.sharers - {requestor}
         entry.sharers = set()
         self._send_invs(addr, invalidatees, requestor, msg.txn_id)
-        epoch = self.epoch
         acks = len(invalidatees)
-        self.sim.schedule_after(
-            self.config.directory_latency,
-            lambda: epoch == self.epoch and self.network.send(
+        schedule_in_epoch(
+            self, self.config.directory_latency,
+            lambda: self.network.send(
                 Message(MessageKind.ACK_COUNT, src=self.node_id, dst=requestor,
                         addr=addr, txn_id=msg.txn_id, ack_count=acks)
             ),
@@ -409,14 +394,15 @@ class MemoryController:
             )
 
     # ------------------------------------------------------------------
-    # PUTM (writeback)
+    # PUTM / PUTE (writeback; a PUTE returns exclusive-clean ownership
+    # without data)
     # ------------------------------------------------------------------
-    def _process_putm(self, msg: Message) -> None:
+    def _process_writeback(self, msg: Message) -> None:
         addr, sender = msg.addr, msg.src
         entry = self.dir_entry(addr)
         if entry.owner != sender:
             # The owner changed underneath (a FWD beat this writeback);
-            # the data already went to the new owner.  Discard.
+            # ownership, and any data, already went to the new owner.
             self.c_stale_writebacks.add()
             self.network.send(
                 Message(MessageKind.WB_STALE, src=self.node_id, dst=sender,
@@ -427,64 +413,27 @@ class MemoryController:
         # SafetyNet disabled the message carries no CN.
         tag = (msg.cn - 1) if msg.cn is not None else self.ccn
         if self._needs_log(addr, tag) and self.clb.is_full():
-            self.c_nacks_sent.add()
-            self.network.send(
-                Message(MessageKind.NACK, src=self.node_id, dst=sender,
-                        addr=addr, txn_id=msg.txn_id)
-            )
+            self._nack(msg)
             return
         self._log_home(addr, tag)
-        self.c_writebacks.add()
-        self.values[addr] = msg.data
+        if msg.kind == MessageKind.PUTM:
+            self.c_writebacks.add()
+            self.values[addr] = msg.data
+            delay, label = self.config.memory_latency, "home.mem_write"
+        else:
+            # The block was exclusive-clean: memory's value is already
+            # current, so only the directory changes (no memory write).
+            delay, label = self.config.directory_latency, "home.dir_write"
         if msg.cn is not None:
             self.block_cn[addr] = max(self.block_cn.get(addr) or 0, msg.cn)
         entry.owner = MEMORY_OWNER
-        epoch = self.epoch
-        self.sim.schedule_after(
-            self.config.memory_latency,
-            lambda: epoch == self.epoch and self.network.send(
+        schedule_in_epoch(
+            self, delay,
+            lambda: self.network.send(
                 Message(MessageKind.WB_ACK, src=self.node_id, dst=sender,
                         addr=addr, txn_id=msg.txn_id)
             ),
-            "home.mem_write",
-        )
-
-    # ------------------------------------------------------------------
-    # PUTE (clean eviction: ownership returns, no data)
-    # ------------------------------------------------------------------
-    def _process_pute(self, msg: Message) -> None:
-        addr, sender = msg.addr, msg.src
-        entry = self.dir_entry(addr)
-        if entry.owner != sender:
-            # A FWD beat this eviction; ownership already moved on.
-            self.c_stale_writebacks.add()
-            self.network.send(
-                Message(MessageKind.WB_STALE, src=self.node_id, dst=sender,
-                        addr=addr, txn_id=msg.txn_id)
-            )
-            return
-        tag = (msg.cn - 1) if msg.cn is not None else self.ccn
-        if self._needs_log(addr, tag) and self.clb.is_full():
-            self.c_nacks_sent.add()
-            self.network.send(
-                Message(MessageKind.NACK, src=self.node_id, dst=sender,
-                        addr=addr, txn_id=msg.txn_id)
-            )
-            return
-        self._log_home(addr, tag)
-        # The block was exclusive-clean: memory's value is already
-        # current, so only the directory changes (no memory write).
-        if msg.cn is not None:
-            self.block_cn[addr] = max(self.block_cn.get(addr) or 0, msg.cn)
-        entry.owner = MEMORY_OWNER
-        epoch = self.epoch
-        self.sim.schedule_after(
-            self.config.directory_latency,
-            lambda: epoch == self.epoch and self.network.send(
-                Message(MessageKind.WB_ACK, src=self.node_id, dst=sender,
-                        addr=addr, txn_id=msg.txn_id)
-            ),
-            "home.dir_write",
+            label,
         )
 
     # ------------------------------------------------------------------
@@ -571,18 +520,16 @@ class MemoryController:
         self.queues.clear()
         if self._timeout_table is not None:
             self._timeout_table.clear()
-        unrolled = 0
-        for entry in self.clb.unroll_from(rpcn):
-            value, owner, sharers, cn = entry.payload
+        entries = self.clb.rollback(rpcn)
+        for entry in entries:
+            value, owner, sharers, _cn = entry.payload
             self.values[entry.addr] = value
             self.directory[entry.addr] = DirEntry(owner, set(sharers))
-            unrolled += 1
-        self.clb.clear_from(rpcn)
         # Everything that survives is, by construction, state as of the
         # recovery point: all checkpoint numbers become null.
         self.block_cn.clear()
         self.rpcn = rpcn
-        return unrolled
+        return len(entries)
 
     # ------------------------------------------------------------------
     # Introspection

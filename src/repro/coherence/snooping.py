@@ -26,7 +26,7 @@ from repro.coherence.protocol import (
     resolve_protocol,
 )
 from repro.coherence.state import CacheBlock, CacheState, ProtocolError
-from repro.core.clb import CheckpointLogBuffer
+from repro.core.clb import CheckpointLogBuffer, needs_log
 from repro.interconnect.messages import Message, MessageKind, reset_msg_ids
 from repro.interconnect.ordered import OrderedBus
 from repro.sim.deadlines import DeadlineTable
@@ -112,7 +112,7 @@ class SnoopingCache:
     # SafetyNet primitives (same rules as the directory variant)
     # ------------------------------------------------------------------
     def _needs_log(self, block: CacheBlock) -> bool:
-        return block.cn is None or self.ccn >= block.cn
+        return needs_log(block.cn, self.ccn)
 
     def _log_block(self, block: CacheBlock) -> None:
         self.clb.append(self.ccn, block.addr, (block.state, block.data, block.cn))
@@ -277,19 +277,17 @@ class SnoopingCache:
         self.pending.clear()
         if self._timeout_table is not None:
             self._timeout_table.clear()
-        unrolled = 0
-        for entry in self.clb.unroll_from(rpcn):
+        entries = self.clb.rollback(rpcn)
+        for entry in entries:
             state, data, cn = entry.payload
             self.blocks[entry.addr] = CacheBlock(entry.addr, state, data, cn)
-            unrolled += 1
-        self.clb.clear_from(rpcn)
         for addr in [a for a, b in self.blocks.items()
                      if b.cn is not None and b.cn > rpcn]:
             del self.blocks[addr]
         for block in self.blocks.values():
             block.cn = None
         self.rpcn = rpcn
-        return unrolled
+        return len(entries)
 
     def owned_state(self) -> Dict[int, Tuple[str, int]]:
         return {a: (b.state, b.data) for a, b in self.blocks.items()
@@ -340,7 +338,7 @@ class SnoopingMemory:
         """Log-on-change: capture the pre-change (value, owner) pair once
         per interval, exactly like the caches' ``_log_block``."""
         cn = self.block_cn.get(addr)
-        if cn is None or self.ccn >= cn:
+        if needs_log(cn, self.ccn):
             self.clb.append(self.ccn, addr, (self.value_of(addr), owner, cn))
             self.block_cn[addr] = self.ccn + 1
 
@@ -398,16 +396,14 @@ class SnoopingMemory:
             del self.block_cn[addr]
 
     def recover_to(self, rpcn: int) -> int:
-        unrolled = 0
-        for entry in self.clb.unroll_from(rpcn):
-            value, owner, cn = entry.payload
+        entries = self.clb.rollback(rpcn)
+        for entry in entries:
+            value, owner, _cn = entry.payload
             self.values[entry.addr] = value
             self.owner[entry.addr] = owner
-            unrolled += 1
-        self.clb.clear_from(rpcn)
         self.block_cn.clear()
         self.rpcn = rpcn
-        return unrolled
+        return len(entries)
 
 
 #: Capacity of every CLB in a :class:`SnoopingSystem` (caches and memory).

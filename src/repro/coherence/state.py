@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set
+from typing import Any, Callable, Optional, Set
+
+
+def schedule_in_epoch(controller: Any, delay: int, action: Callable[[], Any],
+                      label: str) -> None:
+    """Run ``action`` ``delay`` cycles from now on ``controller.sim``,
+    unless the controller recovers first.
+
+    Recovery bumps ``controller.epoch``, so an action scheduled before it
+    does nothing when it fires.  An action that sends a message builds it
+    when it fires: message ids are allocated at construction, and their
+    order settles same-cycle link claims and deliveries.
+    """
+    epoch = controller.epoch
+    controller.sim.schedule_after(
+        delay, lambda: epoch == controller.epoch and action(), label)
 
 
 class ProtocolError(RuntimeError):

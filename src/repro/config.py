@@ -97,9 +97,10 @@ class SystemConfig:
     #: onto the existing O machinery.  Checkpoint/recovery is
     #: protocol-agnostic (see tests/test_protocols.py).
     protocol: str = "mosi"
-    #: Network arbitration policy (``repro.interconnect.ARBITERS``).  The
-    #: default ``fifo`` keeps the historical message-id order on link
-    #: claims and end-of-cycle deliveries (the bit-identity oracle);
+    #: Network arbitration policy
+    #: (``repro.interconnect.arbiter.ARBITERS``).  The default ``fifo``
+    #: keeps the historical message-id order on link claims and
+    #: end-of-cycle deliveries (the bit-identity oracle);
     #: ``wrr`` rotates fairness across input directions per contended
     #: cycle; ``priority`` serves coherence-class (control) messages
     #: before data, with aging as a starvation bound.
@@ -117,6 +118,10 @@ class SystemConfig:
             raise ValueError("need at least one outstanding checkpoint")
         if self.clb_entry_bytes < self.block_size + 8:
             raise ValueError("CLB entry must hold an address plus a block")
+        if self.clb_size_bytes < self.clb_entry_bytes:
+            raise ValueError(
+                f"CLB of {self.clb_size_bytes} bytes holds no "
+                f"{self.clb_entry_bytes}-byte entry")
         # Lazy imports: repro.coherence.cache / repro.interconnect.network
         # import this module, so validating eagerly at module scope would
         # be circular.

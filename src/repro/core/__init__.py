@@ -15,18 +15,3 @@ The pipelined two-phase checkpoint validation (agent, service
 controllers, and the participant protocol) lives in
 :mod:`repro.checkpoint`.
 """
-
-from repro.core.clb import CheckpointLogBuffer, LogEntry
-from repro.core.clock import CheckpointClock
-from repro.core.commit import InputLog, OutputCommitBuffer
-from repro.core.recovery import RecoveryManager, RecoveryStats
-
-__all__ = [
-    "CheckpointLogBuffer",
-    "LogEntry",
-    "CheckpointClock",
-    "OutputCommitBuffer",
-    "InputLog",
-    "RecoveryManager",
-    "RecoveryStats",
-]

@@ -3,9 +3,13 @@
 A CLB incrementally checkpoints memory and coherence state: whenever an
 update-action (store overwrite or transfer of ownership) might have to be
 undone, the old state is appended to the log, tagged with the checkpoint
-interval the action belongs to.  The once-per-block-per-interval filter
-(via per-block checkpoint numbers) lives in the controllers; the CLB only
-stores, retags, frees, and unrolls entries.
+interval the action belongs to.  This module states SafetyNet's two
+logging rules once for every controller in the sphere of recovery:
+:func:`needs_log` is the once-per-block-per-interval filter (read against
+the block's checkpoint number, which each controller keeps), and
+:meth:`CheckpointLogBuffer.rollback` removes the entries a recovery must
+undo, newest first.  The controllers decide what an entry holds and how
+to apply it.
 
 Indexing convention (matches the paper's Fig. 4):
 
@@ -20,6 +24,15 @@ Indexing convention (matches the paper's Fig. 4):
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+
+def needs_log(cn: Optional[int], tag: int) -> bool:
+    """The once-per-interval rule (paper §3.3, Fig. 4): an update-action
+    in interval ``tag`` logs the block's old state unless the block's
+    checkpoint number ``cn`` shows it was already logged in this interval
+    (a null ``cn`` — the block belongs to the recovery point — always
+    logs)."""
+    return cn is None or tag >= cn
 
 
 class LogEntry:
@@ -130,14 +143,15 @@ class CheckpointLogBuffer:
             for entry in reversed(self._segments[tag]):
                 yield entry
 
-    def clear_from(self, recovery_point: int) -> int:
-        """Drop entries tagged >= recovery point (after they were unrolled)."""
-        dropped = 0
+    def rollback(self, recovery_point: int) -> List[LogEntry]:
+        """Remove and return the entries tagged ``>= recovery_point`` in
+        :meth:`unroll_from` order: applying them in turn restores the
+        state at checkpoint ``recovery_point``."""
+        entries = list(self.unroll_from(recovery_point))
         for tag in [t for t in self._segments if t >= recovery_point]:
-            dropped += len(self._segments[tag])
             del self._segments[tag]
-        self._count -= dropped
-        return dropped
+        self._count -= len(entries)
+        return entries
 
     # ------------------------------------------------------------------
     # Introspection

@@ -15,19 +15,3 @@ This package models that detection layer:
 * :mod:`repro.detection.faults` — the corresponding injectors: corrupt a
   message in a switch buffer, or misroute it to the wrong endpoint.
 """
-
-from repro.detection.codes import CRC8, CRC16, CRC32, PARITY, SECDED, ErrorCode
-from repro.detection.checker import MessageChecker
-from repro.detection.faults import CorruptMessageFault, MisrouteMessageFault
-
-__all__ = [
-    "ErrorCode",
-    "PARITY",
-    "SECDED",
-    "CRC8",
-    "CRC16",
-    "CRC32",
-    "MessageChecker",
-    "CorruptMessageFault",
-    "MisrouteMessageFault",
-]

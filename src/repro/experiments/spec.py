@@ -116,6 +116,16 @@ class RunSpec:
         if self.fault_period is not None and self.fault_period <= 0:
             raise ValueError(
                 f"fault_period must be positive, got {self.fault_period}")
+        if self.fault_at is not None and self.fault_at < 0:
+            raise ValueError(f"fault_at must be >= 0, got {self.fault_at}")
+        if self.interval is not None and self.interval <= 0:
+            raise ValueError(f"interval must be positive, got {self.interval}")
+        if self.clb_bytes is not None and self.clb_bytes <= 0:
+            raise ValueError(
+                f"clb_bytes must be positive, got {self.clb_bytes}")
+        if self.detection_latency < 0:
+            raise ValueError(
+                f"detection_latency must be >= 0, got {self.detection_latency}")
         if (self.torus_width is None) != (self.torus_height is None):
             raise ValueError(
                 "torus_width and torus_height must be set together")

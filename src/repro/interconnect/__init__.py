@@ -7,30 +7,3 @@ switch element does not partition the machine.  This package models the topology
 recomputation around dead elements, per-link serialisation/contention, and
 the two fault types used in the evaluation (dropped message, failed switch).
 """
-
-from repro.interconnect.messages import Message, MessageKind
-from repro.interconnect.topology import HalfSwitchId, TorusTopology
-from repro.interconnect.routing import RoutingTable
-from repro.interconnect.network import Network
-from repro.interconnect.arbiter import (
-    ARBITER_NAMES,
-    ARBITERS,
-    ArbiterPolicy,
-    resolve_arbiter,
-)
-from repro.interconnect.faults import DropMessageFault, KillSwitchFault
-
-__all__ = [
-    "Message",
-    "MessageKind",
-    "HalfSwitchId",
-    "TorusTopology",
-    "RoutingTable",
-    "Network",
-    "ARBITERS",
-    "ARBITER_NAMES",
-    "ArbiterPolicy",
-    "resolve_arbiter",
-    "DropMessageFault",
-    "KillSwitchFault",
-]

@@ -7,7 +7,3 @@ numbers, not the qualitative results).  :class:`~repro.processor.core.Core`
 reproduces that model and adds SafetyNet's register checkpoints (shadow
 copies taken at each checkpoint-clock edge, a conservative 100 cycles).
 """
-
-from repro.processor.core import Core
-
-__all__ = ["Core"]

@@ -230,6 +230,8 @@ class Core:
                     continue
                 if block.state == modified:
                     value = store_tag ^ position
+                    # repro.core.clb.needs_log, inlined: this test runs
+                    # on every store hit.
                     if not (logging_on
                             and (block.cn is None or ccn >= block.cn)):
                         # Store hit, already logged this interval.
@@ -255,7 +257,8 @@ class Core:
                     return
                 if block.state in silent:
                     # Silent E→M upgrade: a store hit with no network
-                    # transaction (mirrors fast_access's branch).
+                    # transaction (the same _store_hit_logged call, and
+                    # counter, as fast_access's E branch).
                     value = store_tag ^ position
                     status, extra = cache._store_hit_logged(block, value)
                     if status == "hit":

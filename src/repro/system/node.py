@@ -3,7 +3,10 @@
 A node bundles a processor core, a coherent cache hierarchy with its CLB,
 a memory controller (home for an interleaved slice of the address space)
 with its CLB, the node's validation agent, and optional I/O commit
-structures.  ``deliver`` is the node's network-interface dispatch.
+structures.  ``deliver`` is the node's network-interface dispatch: one
+lookup in a table of handlers built with the node from its controllers'
+``routes()`` (bound methods: a test that patches a handler patches the
+class before the machine is built).
 """
 
 from __future__ import annotations
@@ -22,11 +25,6 @@ from repro.interconnect.network import Network
 from repro.processor.core import Core
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
-
-_HOME_KINDS = frozenset(
-    {MessageKind.GETS, MessageKind.GETM, MessageKind.PUTM, MessageKind.PUTE,
-     MessageKind.FINAL_ACK, MessageKind.COPYBACK}
-)
 
 
 class IoHooks:
@@ -119,10 +117,10 @@ class Node:
         self.on_validate_ready = on_validate_ready
 
         self.cache_clb = CheckpointLogBuffer(
-            max(1, config.clb_entries), name=f"node{node_id}.cache_clb"
+            config.clb_entries, name=f"node{node_id}.cache_clb"
         )
         self.home_clb = CheckpointLogBuffer(
-            max(1, config.clb_entries), name=f"node{node_id}.home_clb"
+            config.clb_entries, name=f"node{node_id}.home_clb"
         )
         self.cache = CacheController(
             sim, node_id, config, network, self.cache_clb, stats, home_of,
@@ -154,6 +152,13 @@ class Node:
             detection_latency=detection_latency,
             stats=stats,
         )
+        self._routes = {
+            **self.cache.routes(),
+            **self.home.routes(),
+            MessageKind.VALIDATE_READY: self._on_validate_ready,
+            MessageKind.RPCN_BROADCAST: (
+                lambda msg: self.validation.on_rpcn_broadcast(msg.ack_count)),
+        }
 
     # ------------------------------------------------------------------
     def on_edge(self, new_ccn: int) -> None:
@@ -164,16 +169,11 @@ class Node:
 
     def deliver(self, msg: Message) -> None:
         """Network-interface dispatch for everything addressed to us."""
-        kind = msg.kind
-        if kind in _HOME_KINDS:
-            self.home.handle_message(msg)
-        elif kind == MessageKind.VALIDATE_READY:
-            if self.on_validate_ready is None:
-                raise RuntimeError(
-                    f"node {self.node_id} is not a service-controller node"
-                )
-            self.on_validate_ready(msg.src, msg.ack_count)
-        elif kind == MessageKind.RPCN_BROADCAST:
-            self.validation.on_rpcn_broadcast(msg.ack_count)
-        else:
-            self.cache.handle_message(msg)
+        self._routes[msg.kind](msg)
+
+    def _on_validate_ready(self, msg: Message) -> None:
+        if self.on_validate_ready is None:
+            raise RuntimeError(
+                f"node {self.node_id} is not a service-controller node"
+            )
+        self.on_validate_ready(msg.src, msg.ack_count)

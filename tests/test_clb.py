@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clb import CheckpointLogBuffer, ClbFullError, LogEntry
+from repro.core.clb import CheckpointLogBuffer, ClbFullError, LogEntry, needs_log
 
 
 def test_append_and_occupancy():
@@ -65,9 +65,14 @@ def test_clear_from_after_recovery():
     clb.append(1, 0xA, "keep")
     clb.append(2, 0xB, "drop")
     clb.append(3, 0xC, "drop")
-    dropped = clb.clear_from(2)
-    assert dropped == 2
+    clb.append(3, 0xD, "drop")
+    expected = list(clb.unroll_from(2))
+    dropped = clb.rollback(2)
+    assert dropped == expected
+    assert [e.addr for e in dropped] == [0xD, 0xC, 0xB]
     assert clb.occupancy == 1
+    assert [e.payload for e in clb.unroll_from(1)] == ["keep"]
+    assert clb.segment_sizes() == {1: 1}
 
 
 def test_retag_moves_entry_to_later_interval():
@@ -130,8 +135,9 @@ def test_segment_sizes():
     recovery_point=st.integers(min_value=1, max_value=8),
 )
 def test_unroll_restores_state_at_any_checkpoint(ops, edges, recovery_point):
-    """Simulate the paper's logging rule on a toy memory, then recover to
-    an arbitrary checkpoint and compare against the reference snapshot."""
+    """Apply the paper's logging rule (``needs_log``) on a toy memory,
+    then roll back to an arbitrary checkpoint and compare against the
+    reference snapshot."""
     clb = CheckpointLogBuffer(10_000)
     memory = {b: 0 for b in range(8)}
     cn = {b: None for b in range(8)}
@@ -141,11 +147,12 @@ def test_unroll_restores_state_at_any_checkpoint(ops, edges, recovery_point):
         if i in edges:
             ccn += 1
             snapshots[ccn] = dict(memory)
-        if cn[block] is None or ccn >= cn[block]:
+        if needs_log(cn[block], ccn):
             clb.append(ccn, block, memory[block])
             cn[block] = ccn + 1
         memory[block] = value
     r = min(recovery_point, ccn)
-    for entry in clb.unroll_from(r):
+    for entry in clb.rollback(r):
         memory[entry.addr] = entry.payload
     assert memory == snapshots[r]
+    assert all(tag < r for tag in clb.segment_sizes())

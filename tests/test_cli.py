@@ -173,6 +173,28 @@ def test_bad_scale_warmup_and_retries_are_input_errors():
     assert "bad sweep" in text and "retries" in text
 
 
+def test_negative_fault_cycle_is_a_bad_run():
+    """It used to end in the kernel's traceback when the fault was armed."""
+    for fault in ("transient", "switch"):
+        code, text = run_cli(["run", "--instructions", "500", "--warmup", "0",
+                              "--scale", "64", "--torus", "2x2",
+                              "--fault", fault, "--fault-at", "-5"])
+        assert code == 1
+        assert "bad run" in text and "fault_at" in text
+
+
+def test_zero_interval_is_a_bad_sweep(tmp_path):
+    """It used to run, fail and quarantine the cell on every attempt."""
+    out_path = str(tmp_path / "zero.jsonl")
+    code, text = run_cli(["sweep", "--instructions", "500", "--warmup", "0",
+                          "--scale", "64", "--torus", "2x2",
+                          "--grid", "interval=0", "--retries", "1",
+                          "--out", out_path])
+    assert code == 1
+    assert "bad sweep" in text and "interval" in text
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_sweep_settings_write_no_manifest(tmp_path):
     out_path = str(tmp_path / "bad.jsonl")
     argv = ["sweep", "--instructions", "100", "--scale", "64",

@@ -62,6 +62,15 @@ def test_clb_entry_must_fit_block_plus_address():
         SystemConfig(clb_entry_bytes=32)
 
 
+def test_clb_must_hold_one_entry():
+    """A CLB smaller than one entry used to be clamped to one entry when
+    the nodes were built."""
+    for size in (0, 71):
+        with pytest.raises(ValueError, match="CLB"):
+            SystemConfig(clb_size_bytes=size)
+    assert SystemConfig(clb_size_bytes=72).clb_entries == 1
+
+
 def test_with_overrides_returns_modified_copy():
     cfg = SystemConfig.paper()
     cfg2 = cfg.with_overrides(clb_size_bytes=256 * 1024)

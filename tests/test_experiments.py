@@ -143,6 +143,21 @@ def test_spec_rejects_bad_scale_and_warmup():
     assert RunSpec(scale=1, warmup=0).scale == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("fault_at", -5), ("interval", 0), ("clb_bytes", 0),
+    ("detection_latency", -100),
+])
+def test_spec_rejects_out_of_range_run_inputs(field, value):
+    """A negative ``fault_at`` used to raise inside the kernel when the
+    fault was armed, a zero interval failed every attempt of its sweep
+    cell, a zero CLB was clamped to one entry and livelocked, and a
+    negative detection latency ran as zero under a different spec hash."""
+    with pytest.raises(ValueError, match=field):
+        RunSpec(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        Sweep(base=TINY, grid={field: [value]}).expand()
+
+
 def test_build_machine_names_unknown_config_overrides():
     """A spec naming a removed SystemConfig flag still loads (stores keep
     old records) but fails to build with every bad key named."""

@@ -58,6 +58,17 @@ def test_node_routes_home_kinds_to_home():
     assert node.home.c_requests.value == before + 1
 
 
+def test_node_routes_every_kind_to_one_controller():
+    """The node's table merges its controllers' routes: no kind may be
+    claimed twice (the merge would silently keep one) or by nobody."""
+    node = tiny_machine().nodes[0]
+    cache_kinds = set(node.cache.routes())
+    home_kinds = set(node.home.routes())
+    assert not cache_kinds & home_kinds
+    node_kinds = {MessageKind.VALIDATE_READY, MessageKind.RPCN_BROADCAST}
+    assert cache_kinds | home_kinds | node_kinds == set(MessageKind)
+
+
 def test_node_routes_cache_kinds_to_cache():
     machine = tiny_machine()
     node = machine.nodes[1]

@@ -3,13 +3,16 @@
 The exact-state test quiesces the machine (so physical state equals the
 logical checkpoint state), pins the recovery point, lets execution run on,
 then forces a recovery and compares every component's architected state
-against the pinned checkpoint.
+against the pinned checkpoint.  The skipped-log tests run the same
+scenario with a controller that never logs, and show the comparison fails.
 """
 
-from typing import Dict
+from typing import Dict, Set
 
 import pytest
 
+from repro.coherence.cache import CacheController
+from repro.coherence.directory import MemoryController
 from repro.config import SystemConfig
 from repro.interconnect.topology import HalfSwitchId
 from repro.system.machine import Machine
@@ -79,8 +82,11 @@ def arch_snapshot(machine: Machine) -> Dict:
 # ---------------------------------------------------------------------------
 # Exact-state recovery consistency
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("workload_name", ["apache", "oltp", "random"])
-def test_recovery_restores_exact_checkpoint_state(workload_name):
+def recover_to_pinned_checkpoint(workload_name: str):
+    """Run, quiesce and pin a checkpoint, run on, then force a recovery.
+
+    Returns the machine, the architected snapshot at the pinned
+    checkpoint, and the snapshot after the recovery."""
     if workload_name == "random":
         wl = RandomTester(num_cpus=4, seed=5, blocks=24)
     elif workload_name == "oltp":
@@ -115,16 +121,44 @@ def test_recovery_restores_exact_checkpoint_state(workload_name):
     machine.sim.run(limit=machine.sim.now + 100_000)
     assert machine.recovery.stats.recoveries == 1
     assert machine.controllers.rpcn == pinned_rpcn
+    return machine, reference, arch_snapshot(machine)
 
-    recovered = arch_snapshot(machine)
-    assert recovered["cores"] == reference["cores"]
-    assert recovered["owned"] == reference["owned"]
-    assert recovered["owners"] == reference["owners"]
-    for addr in set(reference["memory"]) | set(recovered["memory"]):
-        assert recovered["memory"].get(addr, 0) == reference["memory"].get(addr, 0), hex(addr)
+
+def mismatched_parts(reference: Dict, recovered: Dict) -> Set[str]:
+    """The parts of the architected state that differ between two
+    snapshots (a block absent from memory reads as 0)."""
+    parts = {part for part in ("cores", "owned", "owners")
+             if recovered[part] != reference[part]}
+    ref, rec = reference["memory"], recovered["memory"]
+    if any(ref.get(addr, 0) != rec.get(addr, 0) for addr in set(ref) | set(rec)):
+        parts.add("memory")
+    return parts
+
+
+@pytest.mark.parametrize("workload_name", ["apache", "oltp", "random"])
+def test_recovery_restores_exact_checkpoint_state(workload_name):
+    machine, reference, recovered = recover_to_pinned_checkpoint(workload_name)
+    assert mismatched_parts(reference, recovered) == set()
     machine.check_coherence_invariants()
     # Invariant 6: restored blocks always fit their sets.
     assert machine.stats.sum_counters(".recovery_set_overflow") == 0
+
+
+@pytest.mark.parametrize("controller, undone", [
+    (CacheController, "owned"),     # cache blocks keep post-checkpoint data
+    (MemoryController, "owners"),   # the directory keeps post-checkpoint owners
+])
+def test_exact_state_check_catches_skipped_log(monkeypatch, controller, undone):
+    """The exact-state check can fail: a controller whose once-per-interval
+    decision always answers "already logged" leaves state the rollback
+    cannot undo.  Like every mutation, the patch is on the class before
+    the machine is built: each node binds its handlers into its routing
+    table when it is built."""
+    monkeypatch.setattr(controller, "_needs_log", lambda self, *args: False)
+    machine, reference, recovered = recover_to_pinned_checkpoint("apache")
+    assert mismatched_parts(reference, recovered) == {undone}
+    with pytest.raises(AssertionError, match="dir says"):
+        machine.check_coherence_invariants()
 
 
 def test_recovery_discards_unvalidated_cache_blocks():
