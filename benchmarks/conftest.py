@@ -1,9 +1,10 @@
 """Shared benchmark-harness configuration.
 
 Every file in benchmarks/ regenerates one of the paper's tables or
-figures (see DESIGN.md's experiment index and EXPERIMENTS.md for the
-measured-vs-paper comparison).  They run the real simulator, print the
-table/series the paper reports, and assert the result *shape*.
+figures, named in its module docstring (README "Reproducing the paper's
+figures" lists them).  They run the real simulator, print the
+table/series the paper reports, and assert the result *shape*: each
+file's asserts state the paper's qualitative claim it checks.
 
 Scale is controlled by the REPRO_BENCH_PROFILE environment variable:
 

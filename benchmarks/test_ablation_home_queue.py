@@ -1,4 +1,4 @@
-"""Ablation — home-directory queue depth (DESIGN.md design decision).
+"""Ablation — home-directory queue depth (a design decision of this model).
 
 Our home is blocking-per-block with a bounded queue and NACK overflow (the
 Origin-style simplification).  This ablation sweeps the queue depth to

@@ -23,7 +23,7 @@ from benchmarks.conftest import run_once
 # goes deeper than the paper's 1/2 and 1/4 points because the synthetic
 # workloads have thinner logging-rate tails than full commercial runs —
 # the knee sits at a smaller fraction of the design size, but it is the
-# same knee (see EXPERIMENTS.md).
+# same knee: the deeper points degrade through the same CLB backpressure.
 SIZES = {
     "2x design": 2 * (512 * 1024 // 16),
     "design (512kB-eq)": 512 * 1024 // 16,

@@ -1,7 +1,8 @@
 """Table 3 — workloads.
 
 The paper describes its five workloads qualitatively; our substitutes are
-parameterised generators (see DESIGN.md's substitution table).  This bench
+parameterised generators (the module docstring of
+``repro.workloads.presets`` maps each preset to its workload).  This bench
 prints each workload's memory-reference character — the properties
 SafetyNet's results actually depend on — and asserts the qualitative
 ordering the presets are designed around.

@@ -695,6 +695,11 @@ def cmd_profile(args, out) -> int:
               f"({coh['silent_upgrade_fraction']:.1%} of store upgrades), "
               f"{coh['writebacks_avoided']:,} writebacks avoided, "
               f"{coh['downgrades']:,} owner downgrades", file=out)
+    collector = report.gc
+    print(f"collector: {sum(collector['collections']):,} collections "
+          f"(by generation {'/'.join(map(str, collector['collections']))}),"
+          f" {collector['seconds']:.3f}s, "
+          f"{collector['reclaimed']:,} objects reclaimed", file=out)
     summary = (f"cycles={report.cycles:,} committed="
                f"{report.committed_instructions:,} "
                f"recoveries={report.recoveries} completed={report.completed} "

@@ -1,7 +1,8 @@
 """Cache controller with SafetyNet support.
 
 Models one node's coherent cache hierarchy (the paper's L1+L2, merged into
-one coherent level — see DESIGN.md) plus the SafetyNet hooks:
+one coherent level with the L2's size and associativity; the L1 parameters
+appear only in the Table 2 listing) plus the SafetyNet hooks:
 
 * per-block checkpoint numbers (CN) and the once-per-interval logging rule
   (:func:`repro.core.clb.needs_log`) for store overwrites and ownership
@@ -740,8 +741,10 @@ class CacheController:
             block = CacheBlock(addr, state, data, cn)
             bucket[addr] = block
             if len(bucket) > self._assoc:
-                # Should be impossible: everything restored was resident at
-                # the recovery point (see DESIGN.md invariant 6).
+                # Should be impossible: every restored block was resident
+                # at the recovery point, when its set held at most
+                # ``assoc`` blocks.  The counter records a run in which
+                # that invariant failed.
                 self.c_recovery_overflow.add()
         else:
             block.state = state

@@ -130,7 +130,8 @@ class MemoryController:
         return (self.config.safetynet_enabled
                 and needs_log(self.block_cn.get(addr), tag))
 
-    def _log_home(self, addr: int, tag: int, force: bool = False) -> Optional[LogEntry]:
+    def _log_home(self, addr: int, tag: int, force: bool = False,
+                  refusable: bool = True) -> Optional[LogEntry]:
         """Log the pre-action (value, owner, sharers, cn) under the
         once-per-interval rule.  Returns the entry if one was created.
 
@@ -139,6 +140,11 @@ class MemoryController:
         later transfer in the same home interval cannot rely on the earlier
         entry to cover its pre-state (the earlier entry may land in a later
         segment than the interval the filter reasoned about).
+
+        A refusable action has already been NACKed if the CLB was full,
+        so its append always finds room.  ``refusable=False`` is for the
+        COPYBACK alone, which logs past capacity
+        (:meth:`~repro.core.clb.CheckpointLogBuffer.append_past_capacity`).
         """
         if not self.config.safetynet_enabled:
             return None
@@ -151,7 +157,10 @@ class MemoryController:
             frozenset(entry_state.sharers),
             self.block_cn.get(addr),
         )
-        entry = self.clb.append(tag, addr, payload)
+        if refusable:
+            entry = self.clb.append(tag, addr, payload)
+        else:
+            entry = self.clb.append_past_capacity(tag, addr, payload)
         self.c_transfers_logged.add()
         self.block_cn[addr] = tag + 1
         return entry
@@ -448,9 +457,11 @@ class MemoryController:
         # The transfer's point of atomicity is owner-side (cn - 1), like
         # a PUTM.  A copyback cannot be NACKed — the ex-owner already
         # downgraded — so the log is taken even if the CLB is full (CLBs
-        # are sized for performance, not correctness).
+        # are sized for performance, not correctness).  Checking room when
+        # the GETS is forwarded would not do: other logs can fill the CLB
+        # before the copyback arrives.
         tag = (msg.cn - 1) if msg.cn is not None else self.ccn
-        self._log_home(addr, tag)
+        self._log_home(addr, tag, refusable=False)
         self.c_writebacks.add()
         self.values[addr] = msg.data
         if msg.cn is not None:

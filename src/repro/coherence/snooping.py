@@ -9,10 +9,10 @@ interval — no checkpoint clock, no skew condition, no FINAL_ACK/retag
 machinery.  A transaction's point of atomicity is its request's position
 in bus order.
 
-This variant is prototype-fidelity (see DESIGN.md): it shares the CLB and
-the logging rules with the main implementation and demonstrates exact
-recovery, but drives memory traffic directly rather than through the full
-processor/workload stack.
+This variant is prototype-fidelity: it shares the CLB and the logging
+rules with the main implementation and demonstrates exact recovery, but
+drives memory traffic directly rather than through the full
+processor/workload stack (README "Coherence protocols & arbitration").
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Two presets are provided:
 * :meth:`SystemConfig.sim_scaled` — every size scaled down by a constant
   factor (cache, footprint, interval, CLB) so that miss rates, logging
   rates per 1000 instructions, and CLB pressure match the paper's regime
-  while a run completes in seconds.  EXPERIMENTS.md records the mapping.
+  while a run completes in seconds.  Its docstring names the ratios the
+  scaling keeps fixed.
 """
 
 from __future__ import annotations

@@ -85,9 +85,21 @@ class CheckpointLogBuffer:
         return self._count >= self.capacity
 
     def append(self, tag: int, addr: int, payload: Any) -> LogEntry:
-        """Log the pre-action state of ``addr`` for interval ``tag``."""
+        """Log the pre-action state of ``addr`` for interval ``tag``.
+        Raises :class:`ClbFullError` on a full buffer: a controller that
+        can refuse the action checks :meth:`is_full` first."""
         if self._count >= self.capacity:
             raise ClbFullError(f"{self.name} full at {self.capacity} entries")
+        return self.append_past_capacity(tag, addr, payload)
+
+    def append_past_capacity(self, tag: int, addr: int,
+                             payload: Any) -> LogEntry:
+        """:meth:`append` for an action that cannot be refused, so the
+        entry is taken even into a full buffer.  The one such action is a
+        MESI COPYBACK at the home: the ex-owner has already downgraded,
+        so there is nobody left to NACK.  The entry counts toward
+        :attr:`occupancy`, so every refusable action keeps being refused
+        until validation frees room."""
         entry = LogEntry(addr, payload, tag)
         self._segments.setdefault(tag, []).append(entry)
         self._count += 1

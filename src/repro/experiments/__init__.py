@@ -48,25 +48,21 @@ Or from the command line::
 
     python -m repro sweep --grid workload=apache,jbb --grid clb_kb=128,256,512 \\
         --seeds 3 --jobs 4 --out results.jsonl
+
+The names from :mod:`~repro.experiments.backends` and
+:mod:`~repro.experiments.journal` resolve on first use (a module
+``__getattr__``), so ``from repro.experiments import RunSpec,
+build_machine`` loads no multi-process fabric: no ``multiprocessing``,
+``concurrent.futures`` or ``socket``.  Every other name is imported
+eagerly.  ``aggregate`` must be: the function shares its name with the
+:mod:`~repro.experiments.aggregate` submodule, and importing that
+submodule on a lazy lookup would rebind the package attribute
+``aggregate`` to the module.
 """
 
-from repro.experiments.backends import (
-    BACKEND_NAMES,
-    BACKENDS,
-    CellCrashed,
-    CellError,
-    CellFailure,
-    CellTimeout,
-    resolve_backend,
-    run_cell_guarded,
-    run_worker,
-)
+import importlib
+
 from repro.experiments.chaos import CHAOS_ENV, ChaosConfig
-from repro.experiments.journal import (
-    AttemptJournal,
-    default_worker_id,
-    journal_path,
-)
 from repro.experiments.aggregate import (
     CellSummary,
     MetricSummary,
@@ -90,6 +86,33 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import RunSpec, Sweep
 from repro.experiments.store import ResultStore, list_shards, shard_path
+
+#: The names that resolve on first use (see above), each mapped to the
+#: submodule that defines it.
+_LAZY = {
+    "BACKEND_NAMES": "backends",
+    "BACKENDS": "backends",
+    "CellCrashed": "backends",
+    "CellError": "backends",
+    "CellFailure": "backends",
+    "CellTimeout": "backends",
+    "resolve_backend": "backends",
+    "run_cell_guarded": "backends",
+    "run_worker": "backends",
+    "AttemptJournal": "journal",
+    "default_worker_id": "journal",
+    "journal_path": "journal",
+}
+
+
+def __getattr__(name):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AttemptJournal",

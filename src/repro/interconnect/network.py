@@ -98,6 +98,22 @@ class _Flight:
     switch, where the one ``net.express`` event fires), ``exp_saved`` the
     pre-claim link-horizon values needed to unwind on materialisation.
     ``no_express`` pins a materialised flight to hop-by-hop for good.
+
+    Handle lifetime: ``claim_event`` and ``exp_event`` hold the kernel
+    entry that calls back into this flight, which is a reference cycle
+    while it is set.  Each callback (:meth:`__call__`,
+    :meth:`Network._express_complete`) clears its own handle as its
+    first statement, so a flight holds a handle only while that entry
+    is queued, and a delivered, lost or stale (drained) flight is freed
+    by reference counting when its last entry fires instead of waiting
+    for the cycle collector.  :meth:`Network._lose` leaves the handle
+    alone: a deferred-verdict drop can hit a flight that claimed a link
+    this cycle, and a later claim in the same cycle may still re-resolve
+    that claim chain and cancel the flight's hop; the hop that does fire
+    clears the handle.  :meth:`Network._claim_chain` and
+    :meth:`Network._materialize` thus only ever cancel live handles: a
+    claim made this cycle, whose hop fires in a later one, or an express
+    segment still in the air.
     """
 
     __slots__ = ("msg", "mid", "path", "links", "index", "dropped", "epoch",
@@ -146,6 +162,7 @@ class _Flight:
         when the link already has a claim this cycle.  Express is
         attempted exactly where :meth:`Network._depart` attempts it.
         """
+        self.claim_event = None
         net = self.net
         if self.dropped or self.epoch != net._epoch:
             return
@@ -665,6 +682,7 @@ class Network:
     def _express_complete(self, flight: _Flight) -> None:
         """The one express dispatch: the flight has reached the last
         switch; release the claims and run the ordinary arrival there."""
+        flight.exp_event = None
         if flight.dropped or flight.epoch != self._epoch:
             return
         last_sw = flight.exp_base + len(flight.exp_times)

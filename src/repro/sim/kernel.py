@@ -92,7 +92,14 @@ class Simulator:
     def schedule(self, when: int, callback: Callable[[], None],
                  label: str = "") -> _Entry:
         """Schedule ``callback`` at absolute cycle ``when`` (an ``int``,
-        not before now).  Returns a handle for :meth:`cancel`."""
+        not before now).  Returns a handle for :meth:`cancel`.
+
+        The handle is the queued entry, so it references ``callback``:
+        a handle kept on the object its entry calls back into is a
+        reference cycle until it is dropped.  Such a callback should drop
+        the handle when it fires; otherwise every spent entry, the object
+        and whatever it holds wait for Python's cycle collector instead
+        of being freed at once."""
         if when < self.now or type(when) is not int:
             if when < self.now:
                 raise SimulationError(

@@ -13,6 +13,12 @@ Two complementary views of one run:
 * **cProfile** — function-level hot spots, for the costs the event view
   cannot see (the burst loop's inline work, the workload hash).
 
+Both charge a pause of Python's cycle collector to whichever callback
+happened to allocate when it ran, so the report also counts the
+collector itself (:class:`CollectorProfile`): collections per
+generation, seconds, and objects reclaimed.  A run that reclaims
+anything is leaving reference cycles behind.
+
 ``repro profile`` (the CLI entry; see :func:`repro.cli.cmd_profile`) runs
 one :class:`~repro.experiments.spec.RunSpec` under both and emits a table
 and/or JSON.  Future PRs should start here when hunting the next hot
@@ -23,6 +29,7 @@ previous ones went.
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -93,6 +100,36 @@ class DispatchProfile:
         }
 
 
+class CollectorProfile:
+    """Cycle-collector activity while it is one of ``gc.callbacks``.
+
+    ``collections[g]`` counts the collections of generation ``g``,
+    ``seconds`` is their summed wall-clock and ``reclaimed`` the
+    unreachable objects they found (cyclic garbage; what reference
+    counting frees never reaches the collector).
+    """
+
+    __slots__ = ("collections", "seconds", "reclaimed", "_started")
+
+    def __init__(self) -> None:
+        self.collections: List[int] = [0] * len(gc.get_count())
+        self.seconds = 0.0
+        self.reclaimed = 0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = perf_counter()
+            return
+        self.seconds += perf_counter() - self._started
+        self.collections[info["generation"]] += 1
+        self.reclaimed += info["collected"]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"collections": list(self.collections),
+                "seconds": self.seconds, "reclaimed": self.reclaimed}
+
+
 def _function_name(code) -> str:
     """A compact ``file:line(func)`` name for a cProfile entry."""
     if isinstance(code, str):
@@ -138,6 +175,8 @@ class ProfileReport:
     #: silent-upgrade fraction, writebacks avoided vs mosi.  Empty for
     #: protocols without an E state.
     coherence: Dict[str, Any] = field(default_factory=dict)
+    #: The cycle collector during the run (:meth:`CollectorProfile.to_dict`).
+    gc: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -156,6 +195,7 @@ class ProfileReport:
             "hot_functions": self.functions,
             "network": self.network,
             "coherence": self.coherence,
+            "gc": self.gc,
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -170,6 +210,10 @@ def profile_spec(spec, *, use_cprofile: bool = True,
     (it costs roughly 2x wall-clock).  Warmup, faults, shapes, and config
     overrides all come from the spec, exactly as ``repro run`` / the
     campaign engine would execute it.
+
+    The collector is counted around ``machine.run`` only, after a
+    ``gc.collect()`` so that garbage left by earlier work (the build
+    included) is not charged to the run.
     """
     # Imported lazily: the sim layer must not depend on the experiment
     # layer at import time (profile is the one place the two meet).
@@ -179,13 +223,19 @@ def profile_spec(spec, *, use_cprofile: bool = True,
     dispatch = DispatchProfile()
     machine.sim.tracer = dispatch
     prof = cProfile.Profile() if use_cprofile else None
+    collector = CollectorProfile()
+    gc.collect()
+    gc.callbacks.append(collector)
     started = perf_counter()
     if prof is not None:
         prof.enable()
-    result = machine.run(spec.instructions, max_cycles=spec.max_cycles,
-                         warmup=spec.warmup)
-    if prof is not None:
-        prof.disable()
+    try:
+        result = machine.run(spec.instructions, max_cycles=spec.max_cycles,
+                             warmup=spec.warmup)
+    finally:
+        if prof is not None:
+            prof.disable()
+        gc.callbacks.remove(collector)
     wall = perf_counter() - started
     network = network_efficiency(machine, dispatch)
     coherence = coherence_efficiency(machine)
@@ -203,6 +253,7 @@ def profile_spec(spec, *, use_cprofile: bool = True,
         functions=hot_functions(prof, top_functions) if prof is not None else [],
         network=network,
         coherence=coherence,
+        gc=collector.to_dict(),
     )
 
 

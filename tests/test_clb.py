@@ -26,6 +26,21 @@ def test_full_clb_raises():
         clb.append(1, 0x80, None)
 
 
+def test_append_past_capacity_logs_into_a_full_clb():
+    """The unrefusable path takes the entry anyway and counts it, so a
+    refusable append keeps failing until validation frees room."""
+    clb = CheckpointLogBuffer(1)
+    clb.append(1, 0x40, None)
+    entry = clb.append_past_capacity(1, 0x80, None)
+    assert entry.addr == 0x80 and len(clb) == 2 and clb.peak_occupancy == 2
+    assert [e.addr for e in clb.unroll_from(1)] == [0x80, 0x40]
+    with pytest.raises(ClbFullError):
+        clb.append(2, 0xC0, None)
+    clb.free_below(2)
+    assert not clb.is_full()
+    clb.append(2, 0xC0, None)
+
+
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         CheckpointLogBuffer(0)

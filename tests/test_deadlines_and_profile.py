@@ -7,6 +7,7 @@
 * the optional home-side and snooping request timeouts.
 """
 
+import gc
 import json
 
 import pytest
@@ -17,7 +18,12 @@ from repro.config import SystemConfig
 from repro.interconnect.messages import Message, MessageKind
 from repro.sim.deadlines import DeadlineTable
 from repro.sim.kernel import Simulator
-from repro.sim.profile import DispatchProfile, network_efficiency, profile_spec
+from repro.sim.profile import (
+    CollectorProfile,
+    DispatchProfile,
+    network_efficiency,
+    profile_spec,
+)
 from repro.sim.stats import Histogram, StatsRegistry
 from repro.workloads import WORKLOAD_NAMES, RandomTester, by_name
 from repro.workloads.base import OP_GAP_SHIFT, OP_STORE_BIT, OP_WINDOW
@@ -202,6 +208,27 @@ def test_profile_reports_express_hop_efficiency():
     assert off["express_flights"] == 0
     assert off["express_hops"] == 0
     assert off["hops_per_dispatch"] in (0.0, 1.0)
+
+
+def test_profile_reports_the_cycle_collector():
+    """The collector block: collections per generation, seconds and
+    objects reclaimed during the run.  A run frees what it allocates by
+    reference counting, so the collector finds nothing to reclaim (it
+    reclaimed over a thousand objects here while each flight kept its
+    spent hop entry)."""
+    from repro.experiments import RunSpec
+
+    spec = RunSpec(workload="apache", torus_width=2, torus_height=2,
+                   scale=64, instructions=2_000)
+    report = profile_spec(spec, use_cprofile=False)
+    collector = report.gc
+    assert set(collector) == {"collections", "seconds", "reclaimed"}
+    assert len(collector["collections"]) == len(gc.get_count())
+    assert collector["seconds"] >= 0.0
+    assert collector["reclaimed"] == 0
+    assert json.loads(report.to_json())["gc"] == collector
+    # The hook is removed when the run ends.
+    assert not any(isinstance(cb, CollectorProfile) for cb in gc.callbacks)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@
 the test tools, so importing anything else would work on a developer's
 machine and break a clean install.  The first check runs a tiny machine
 in a fresh interpreter and checks every top-level module the run loaded.
+The same run must not load the campaign fabric either: one machine needs
+no process pool, no ``multiprocessing`` and no ``socket``.
 
 The second holds the package to "every mechanism has a caller": each
 function and class defined under ``src/`` must be named somewhere
@@ -24,9 +26,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 # Modules loaded before repro (site hooks of the host's Python) are not
-# the simulator's doing, so only the difference is reported.
+# the simulator's doing, so only the difference is reported.  After the
+# run, the probe resolves every public name of ``repro.experiments`` and
+# reports each one that differs from what its submodule holds under that
+# name.
 PROBE = """
-import json, sys
+import importlib, json, pkgutil, sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 import repro
@@ -34,24 +39,56 @@ from repro.experiments import RunSpec, build_machine
 spec = RunSpec(workload="apache", instructions=300, warmup=0, scale=64,
                torus_width=2, torus_height=2)
 result = build_machine(spec).run(spec.instructions, max_cycles=spec.max_cycles)
-loaded = {name.split(".")[0] for name in set(sys.modules) - before}
-print(json.dumps({"completed": result.completed, "loaded": sorted(loaded)}))
+modules = sorted(set(sys.modules) - before)
+loaded = {name.split(".")[0] for name in modules}
+package = sys.modules["repro.experiments"]
+submodules = [importlib.import_module(f"repro.experiments.{info.name}")
+              for info in pkgutil.iter_modules(package.__path__)]
+mismatched = sorted(
+    name for name in package.__all__
+    if not any(name in vars(m) for m in submodules)
+    or any(vars(m)[name] is not getattr(package, name)
+           for m in submodules if name in vars(m)))
+print(json.dumps({"completed": result.completed, "loaded": sorted(loaded),
+                  "modules": modules, "mismatched": mismatched}))
 """
+
+
+@pytest.fixture(scope="module")
+def report():
+    proc = subprocess.run([sys.executable, "-c", PROBE, SRC],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.skipif(sys.version_info < (3, 10),
                     reason="sys.stdlib_module_names needs Python 3.10")
-def test_simulator_imports_only_the_standard_library():
-    proc = subprocess.run([sys.executable, "-c", PROBE, SRC],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+def test_simulator_imports_only_the_standard_library(report):
     assert report["completed"]
     # Dunder names are aliases the interpreter registers (``__mp_main__``).
     foreign = [name for name in report["loaded"]
                if name != "repro" and not name.startswith("__")
                and name not in sys.stdlib_module_names]
     assert not foreign, f"undeclared dependencies imported: {foreign}"
+
+
+CAMPAIGN_FABRIC = ("multiprocessing", "concurrent", "socket",
+                   "repro.experiments.backends", "repro.experiments.journal")
+
+
+def test_single_run_loads_no_campaign_fabric(report):
+    """``repro.experiments`` resolves its backends and journal names on
+    first use, so building and running one machine loads none of the
+    fabric; and every public name, lazy or eager, is the object its
+    submodule defines (``aggregate`` is the function, not the
+    submodule of that name)."""
+    assert report["completed"]
+    fabric = [name for name in report["modules"]
+              if name.split(".")[0] in CAMPAIGN_FABRIC
+              or name in CAMPAIGN_FABRIC]
+    assert not fabric, f"one run loaded the campaign fabric: {fabric}"
+    assert not report["mismatched"], report["mismatched"]
 
 
 # Where a definition may be used.  Package ``__init__.py`` files only

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.coherence.state import CacheState, MEMORY_OWNER
+from repro.experiments import RunSpec, build_machine
 from repro.interconnect.messages import Message, MessageKind
 from tests.conftest import Driver, tiny_machine
 
@@ -103,6 +104,20 @@ def test_home_nacks_2hop_getm_when_its_clb_is_full():
     d.settle(30_000)
     assert done
     d.machine.check_coherence_invariants()
+
+
+def test_mesi_copyback_into_a_full_home_clb_completes():
+    """A COPYBACK cannot be NACKed (the ex-owner already downgraded), so
+    the home logs it past a full CLB instead of raising ClbFullError out
+    of Node.deliver, which killed this run at cycle 504,183."""
+    spec = RunSpec(workload="apache", protocol="mesi", torus_width=2,
+                   torus_height=2, scale=64, instructions=1_500,
+                   clb_bytes=432, seed=1)
+    machine = build_machine(spec)
+    result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
+    assert result.completed and not result.crashed
+    assert any(n.home_clb.peak_occupancy > n.home_clb.capacity
+               for n in machine.nodes)
 
 
 def test_directory_latency_applies_to_forwards():

@@ -1,7 +1,10 @@
 """Tests for the torus topology, routing, and network model."""
 
+import gc
+
 import pytest
 
+from repro.experiments import RunSpec, build_machine
 from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingError, RoutingTable
@@ -269,3 +272,49 @@ def test_partition_detected_when_both_halves_die():
     assert not topo.is_connected()
     with pytest.raises(RoutingError):
         routing.recompute()
+
+
+# ---------------------------------------------------------------------------
+# Memory: a run leaves nothing for the cycle collector
+# ---------------------------------------------------------------------------
+GARBAGE_SCENARIOS = {
+    "apache-clean": RunSpec(
+        workload="apache", torus_width=4, torus_height=4, scale=64,
+        instructions=1_000),
+    # 27 recoveries: drain() bumps the epoch under flights that are in
+    # express or hold a queued hop, the case that clearing the handle
+    # only at delivery missed.
+    "jbb-transient": RunSpec(
+        workload="jbb", torus_width=4, torus_height=4, scale=64,
+        instructions=2_000, fault="transient", fault_period=6_000,
+        fault_at=3_000, config_overrides=(("home_request_timeout", 3_000),)),
+    "apache-switch-kill": RunSpec(
+        workload="apache", torus_width=4, torus_height=4, scale=64,
+        instructions=1_500, fault="switch", fault_at=4_000),
+    "oltp-mesi": RunSpec(
+        workload="oltp", torus_width=2, torus_height=2, scale=64,
+        instructions=2_000, protocol="mesi"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GARBAGE_SCENARIOS))
+def test_run_leaves_no_cyclic_garbage(name):
+    """Every flight, kernel entry and message a run creates is freed by
+    reference counting: with the collector off during the run, a full
+    collection afterwards finds nothing, although the machine is still
+    alive.  A flight that kept its spent hop entry was a reference cycle
+    (7,377 objects on the clean run, 82,874 on the transient one)."""
+    spec = GARBAGE_SCENARIOS[name]
+    machine = build_machine(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert result.completed
+    assert garbage == 0
+    if name == "jbb-transient":
+        assert result.recoveries > 0
+        assert machine.network.c_express_flights.value > 0

@@ -1,8 +1,12 @@
 """Property-based system tests (hypothesis).
 
 These randomise workload character, fault timing, and configuration knobs,
-then assert the invariants from DESIGN.md: coherence safety, recovery
-consistency, liveness, and bounded structures.
+then assert the system invariants: coherence safety (on the quiesced
+machine), recovery consistency (a recovered machine is coherent and
+still completes its work, and no restored cache set overflows),
+liveness (runs complete, or keep committing at extreme fault rates),
+and bounded unvalidated state (CCN - RPCN stays within the
+outstanding-checkpoint window).
 """
 
 import pytest
