@@ -41,8 +41,6 @@ from repro.coherence.protocol import PROTOCOL_NAMES
 from repro.config import SystemConfig, parse_shape
 from repro.interconnect.arbiter import ARBITER_NAMES
 from repro.experiments import (
-    BACKEND_NAMES,
-    AttemptJournal,
     CampaignManifest,
     ResultStore,
     Runner,
@@ -52,7 +50,6 @@ from repro.experiments import (
     aggregate_telemetry,
     build_machine,
     list_shards,
-    run_worker,
     summary_rows,
     varied_keys,
 )
@@ -127,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = in-process serial)")
     sweep.add_argument("--out", default=None,
-                       help="JSONL result store; enables resume")
+                       help="JSONL result store; enables resume (default: "
+                            "a private temporary store)")
     sweep.add_argument("--status", action="store_true",
                        help="inspect the --out store (completed/pending "
                             "counts, sweep axes, manifest coverage incl. "
@@ -142,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compact the --out store: drop records no "
                             "manifest campaign accounts for (reports what "
                             "was dropped; runs nothing)")
-    sweep.add_argument("--backend", default="auto", choices=BACKEND_NAMES,
+    sweep.add_argument("--backend", default="auto",
                        help="executor backend: auto (pool if --jobs > 1), "
                             "serial, pool, or filequeue (lease-file "
                             "coordination; supports external 'repro "
@@ -168,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Claim and execute cells from an existing campaign's "
                     "attempt journal (created by 'repro sweep --backend "
                     "filequeue --out STORE').  Results land in a private "
-                    "shard next to the store; the coordinating sweep (or "
-                    "the next one) merges shards in.  Start and stop any "
-                    "number of workers at any time — abandoned leases "
-                    "expire and are re-claimed.")
+                    "shard next to the store; the coordinating sweep, or "
+                    "the next sweep on any backend, merges shards in.  "
+                    "Start and stop any number of workers at any time — "
+                    "abandoned leases expire and are re-claimed.")
     worker.add_argument("--store", required=True,
                         help="the campaign's JSONL store (its .journal "
                              "directory must exist)")
@@ -349,13 +347,16 @@ def cmd_sweep_status(args, out) -> int:
         print("sweep --status needs --out (the campaign's JSONL store)",
               file=out)
         return 1
+    from repro.experiments.journal import AttemptJournal
+
     store = ResultStore(args.out)
-    records = store.records()
+    recorded = store.with_shards()
+    records = list(recorded.values())
     cells = aggregate(records)
     axes = varied_keys(cells)
     rows = [
         ("store", args.out),
-        ("completed runs", len(store)),
+        ("completed runs", len(records)),
         ("completed cells", len(cells)),
         ("malformed lines", store.malformed_lines),
         ("sweep axes", ", ".join(axes) if axes else "-"),
@@ -379,11 +380,11 @@ def cmd_sweep_status(args, out) -> int:
     if manifest is None:
         rows.append(("manifest", "absent (written by the next sweep run)"))
     else:
-        orphans = manifest.orphan_records(store.records())
+        orphans = manifest.orphan_records(records)
         orphan_cells = {
             r.spec.cell_hash for r in orphans
         } - manifest.cell_hashes()
-        pending = manifest.missing_hashes(store)
+        pending = manifest.missing_hashes(recorded)
         protocols = sorted({p for c in manifest.campaigns
                             for p in c.protocols})
         arbiters = sorted({a for c in manifest.campaigns
@@ -405,13 +406,12 @@ def cmd_sweep_status(args, out) -> int:
             ("unmanifested cells", len(orphan_cells)),
         ]
     journal = AttemptJournal.for_store(args.out)
-    quarantined_rows = []
     lease_rows = []
     if journal.exists():
         counts = journal.counts()
         rows.append(("journal",
                      f"{counts['pending']} pending, {counts['leased']} "
-                     f"leased, {counts['quarantined']} quarantined"))
+                     "leased"))
         summary = fabric_summary(load_fabric_events(args.out))
         if summary["events"]:
             rows.append(
@@ -439,15 +439,10 @@ def cmd_sweep_status(args, out) -> int:
                 f"{entry.get('worker', '?')}: attempt "
                 f"{entry.get('attempts', '?')}, heartbeat "
                 f"{entry.get('heartbeat_age_s', 0.0):.1f}s ago")
-        for entry in journal.entries("quarantined"):
-            quarantined_rows.append(
-                f"  quarantined {entry.get('spec_hash', '?')}: "
-                f"{entry.get('error', '?')} after "
-                f"{entry.get('attempts', '?')} attempt(s)")
-    failed_in_store = sum(1 for r in records if r.failed)
-    if failed_in_store:
+    quarantined = [r for r in records if r.failed]
+    if quarantined:
         rows.append(("quarantined records",
-                     f"{failed_in_store} (re-attempt with --retry-failed)"))
+                     f"{len(quarantined)} (re-attempt with --retry-failed)"))
     shards = list_shards(args.out)
     if shards:
         rows.append(("unmerged shards",
@@ -475,8 +470,8 @@ def cmd_sweep_status(args, out) -> int:
             by_cell.setdefault(spec.cell_hash, []).append(spec)
         done_cells = sum(
             1 for specs_in_cell in by_cell.values()
-            if all(s.spec_hash in store for s in specs_in_cell))
-        done_runs = sum(1 for s in specs if s.spec_hash in store)
+            if all(s.spec_hash in recorded for s in specs_in_cell))
+        done_runs = sum(1 for s in specs if s.spec_hash in recorded)
         rows += [
             ("campaign axes", ", ".join(grid)),
             ("campaign runs", f"{done_runs}/{len(specs)} complete, "
@@ -486,8 +481,13 @@ def cmd_sweep_status(args, out) -> int:
         ]
     print(format_table(["field", "value"], rows,
                        title="campaign status"), file=out)
-    for line in lease_rows + quarantined_rows:
+    for line in lease_rows:
         print(line, file=out)
+    for record in quarantined:
+        failure = record.failure or {}
+        print(f"  quarantined {record.spec_hash}: "
+              f"{failure.get('error', '?')} after "
+              f"{failure.get('attempts', '?')} attempt(s)", file=out)
     return 0
 
 
@@ -539,9 +539,6 @@ def cmd_sweep(args, out) -> int:
         return cmd_sweep_status(args, out)
     grid = _parse_grid(args.grid)
     try:
-        if args.backend == "filequeue" and not args.out:
-            raise ValueError("--backend filequeue needs --out (leases and "
-                             "shards live next to the store)")
         sweep = Sweep(base=_spec_from_args(args), grid=grid, seeds=args.seeds)
         specs = sweep.expand()
         store = ResultStore(args.out) if args.out else None
@@ -605,6 +602,9 @@ def cmd_sweep(args, out) -> int:
 
 def cmd_worker(args, out) -> int:
     """Elastic worker: drain a filequeue campaign's attempt journal."""
+    from repro.experiments.backends import run_worker
+    from repro.experiments.journal import AttemptJournal
+
     journal = AttemptJournal.for_store(args.store)
     if not journal.exists():
         print(f"no attempt journal at {journal.root}; start the campaign "
@@ -860,7 +860,12 @@ def cmd_character(args, out) -> int:
 
 
 def cmd_config(args, out) -> int:
-    cfg = SystemConfig.paper() if args.paper else SystemConfig.sim_scaled(args.scale)
+    try:
+        cfg = SystemConfig.paper() if args.paper else \
+            SystemConfig.sim_scaled(args.scale)
+    except ValueError as exc:
+        print(f"bad config: {exc}", file=out)
+        return 1
     title = "Table 2 (paper scale)" if args.paper else \
         f"Table 2 (scaled 1/{args.scale})"
     print(format_table(["parameter", "value"], list(cfg.table2().items()),

@@ -214,7 +214,10 @@ class SystemConfig:
         the ratios that drive the paper's results fixed — (footprint :
         cache size), (checkpoint interval : instructions per interval),
         (CLB capacity : logging rate x interval x outstanding checkpoints).
+        Raises ``ValueError`` for ``scale < 1``.
         """
+        if scale < 1:
+            raise ValueError(f"scale must be >= 1, got {scale}")
         base = cls(
             l1_size=(128 * 1024) // scale,
             l2_size=(4 * 1024 * 1024) // scale,

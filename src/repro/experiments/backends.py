@@ -5,8 +5,12 @@ The :class:`~repro.experiments.runner.Runner` owns campaign *policy*
 backend settles a failed attempt through one recovery rule,
 :func:`_settle_failure`: the cell goes back to the queue after its
 backoff until the attempt budget is spent, then it is quarantined as a
-structured failed record.  There are three backends, named in
-:data:`BACKENDS`:
+structured failed record.  Every backend settles a cell, healthy or
+quarantined, in one order: its record is committed first (to the store
+through ``Runner._finish``, or to the worker's shard), and its lease is
+retired second (``AttemptJournal.complete``), so a session that dies in
+between leaves a lease the next one retires.  There are three backends,
+named in :data:`BACKENDS`:
 
 ``serial``
     In-process, one cell at a time.  The debugging backend, and the last
@@ -222,32 +226,26 @@ def backoff_delay(backoff_s: float, attempt: int) -> float:
 # ----------------------------------------------------------------------
 # The recovery rule every backend shares
 # ----------------------------------------------------------------------
-def _next_attempt(journal: Optional[AttemptJournal], spec: RunSpec,
-                  worker_id: str, fallback: int) -> int:
-    """Claim the cell's lease (if journalled) and return its attempt #."""
-    if journal is None:
-        return fallback
+def _next_attempt(journal: AttemptJournal, spec: RunSpec, worker_id: str,
+                  fallback: int) -> int:
+    """Claim the cell's lease and return its attempt number; ``fallback``
+    when the claim loses (an external worker holds the lease)."""
     claimed = journal.claim_hash(spec.spec_hash, worker_id)
     return claimed[1] if claimed is not None else fallback
 
 
-def _quarantine(journal: Optional[AttemptJournal], spec: RunSpec,
-                exc: CellFailure, attempt: int,
+def _quarantine(spec: RunSpec, exc: CellFailure, attempt: int,
                 say: Callable[[str], None]) -> RunRecord:
-    """Park a cell with its post-mortem: a failed record, a journal entry
-    and one line through ``say``."""
-    record = RunRecord.quarantined(spec, exc.summary(),
-                                   traceback_text=exc.traceback_text,
-                                   attempts=attempt)
-    if journal is not None:
-        journal.quarantine(spec.spec_hash, exc.summary(),
-                           exc.traceback_text, attempts=attempt)
+    """A cell's post-mortem as a failed record, announced through
+    ``say``; the caller settles it like any other record."""
     say(f"QUARANTINE {spec.label()} after {attempt} attempt(s): "
         f"{exc.summary()}")
-    return record
+    return RunRecord.quarantined(spec, exc.summary(),
+                                 traceback_text=exc.traceback_text,
+                                 attempts=attempt)
 
 
-def _settle_failure(journal: Optional[AttemptJournal], spec: RunSpec,
+def _settle_failure(journal: AttemptJournal, spec: RunSpec,
                     exc: CellFailure, attempt: int, max_attempts: int,
                     backoff_s: float, say: Callable[[str], None]
                     ) -> Tuple[Optional[RunRecord], float]:
@@ -259,9 +257,8 @@ def _settle_failure(journal: Optional[AttemptJournal], spec: RunSpec,
     backoff: ``(None, delay)``.
     """
     if attempt >= max_attempts:
-        return _quarantine(journal, spec, exc, attempt, say), 0.0
-    if journal is not None:
-        journal.fail(spec.spec_hash, exc.summary())
+        return _quarantine(spec, exc, attempt, say), 0.0
+    journal.fail(spec.spec_hash, exc.summary())
     delay = backoff_delay(backoff_s, attempt)
     say(f"retry {spec.label()} attempt {attempt}/{max_attempts} failed "
         f"({exc.summary()}); backing off {delay:.1f}s")
@@ -284,17 +281,15 @@ def _run_serial(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
         while record is None:
             attempt = _next_attempt(journal, spec, worker_id, attempt + 1)
             if attempt > runner.max_attempts:
-                record = _quarantine(journal, spec, OVER_BUDGET, attempt,
+                record = _quarantine(spec, OVER_BUDGET, attempt,
                                      runner.progress)
                 continue
             try:
                 record = attempt_cell(
                     spec, attempt, runner.cell_timeout, runner.chaos,
-                    heartbeat=(lambda: journal.heartbeat(h))
-                    if journal is not None else None)
+                    heartbeat=lambda: journal.heartbeat(h))
             except KeyboardInterrupt:
-                if journal is not None:
-                    journal.release(h)
+                journal.release(h)
                 raise
             except CellFailure as exc:
                 record, delay = _settle_failure(
@@ -302,9 +297,6 @@ def _run_serial(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
                     runner.backoff_s, runner.progress)
                 if record is None:
                     time.sleep(delay)
-                continue
-            if journal is not None:
-                journal.complete(h)
         out[h] = record
         runner._finish(record, len(out), total)
     return out
@@ -339,8 +331,7 @@ def _run_pool(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
     def submit(spec: RunSpec, attempt_floor: int) -> None:
         attempt = _next_attempt(journal, spec, worker_id, attempt_floor)
         if attempt > runner.max_attempts:
-            finish(_quarantine(journal, spec, OVER_BUDGET, attempt,
-                               runner.progress))
+            finish(_quarantine(spec, OVER_BUDGET, attempt, runner.progress))
             return
         future = pool.submit(attempt_cell, spec, attempt,
                              runner.cell_timeout, runner.chaos)
@@ -377,9 +368,8 @@ def _run_pool(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
                         + [max(0.05, r[0] - now) for r in retries])
                     finished, _ = wait(pending, timeout=timeout,
                                        return_when=FIRST_COMPLETED)
-                    if journal is not None:
-                        for spec, _attempt in pending.values():
-                            journal.heartbeat(spec.spec_hash)
+                    for spec, _attempt in pending.values():
+                        journal.heartbeat(spec.spec_hash)
                     if not finished:
                         if not retries:
                             runner._heartbeat(pending, done=len(out),
@@ -401,8 +391,6 @@ def _run_pool(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
                                        CellError(repr(exc),
                                                  traceback.format_exc()))
                             continue
-                        if journal is not None:
-                            journal.complete(spec.spec_hash)
                         finish(record)
             except KeyboardInterrupt:
                 # Graceful SIGINT: cancel the queue here, before the
@@ -418,10 +406,8 @@ def _run_pool(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
                 for future, (spec, _attempt) in pending.items():
                     if (future.done() and not future.cancelled()
                             and future.exception() is None):
-                        if journal is not None:
-                            journal.complete(spec.spec_hash)
                         finish(future.result())
-                    elif journal is not None:
+                    else:
                         journal.release(spec.spec_hash)
                 raise
     except BrokenProcessPool as exc:
@@ -457,10 +443,11 @@ def run_worker(
     while peers hold the only leases it polls every :data:`IDLE_POLL_S`.
     Each cell runs through :func:`run_cell_guarded`, and a failed attempt
     is settled by the same retry/quarantine rule as every backend.
-    Results land in a per-worker sharded store
-    (``<store>.shard.<worker>.jsonl``); the coordinator (or ``repro
-    sweep`` on resume) merges shards into the main store.  Raises
-    ``ValueError`` on bad settings before touching the journal.
+    Records land in a per-worker sharded store
+    (``<store>.shard.<worker>.jsonl``) before their leases are retired;
+    the coordinator, or the next session on any backend, merges shards
+    into the main store.  Raises ``ValueError`` on bad settings before
+    touching the journal.
     """
     check_fabric_settings(retries=retries, cell_timeout=cell_timeout,
                           lease_ttl=lease_ttl, backoff_s=backoff_s)
@@ -494,46 +481,44 @@ def run_worker(
             spec, attempt = claimed
             current = h = spec.spec_hash
             if attempt > max_attempts:
-                shard.append(_quarantine(journal, spec, OVER_BUDGET, attempt,
-                                         say))
-                executed += 1
-                continue
-            stalled = chaos is not None and chaos.should_stall(h, attempt)
-            if stalled:
-                journal.log_event("chaos_stall", h, worker=wid,
-                                  attempt=attempt)
-            heartbeat = (lambda: None) if stalled else \
-                (lambda: journal.heartbeat(h))
-            try:
-                record = run_cell_guarded(
-                    spec, timeout=cell_timeout, attempt=attempt,
-                    chaos=chaos, heartbeat=heartbeat)
-            except CellFailure as exc:
-                quarantined, delay = _settle_failure(
-                    journal, spec, exc, attempt, max_attempts, backoff_s,
-                    say)
-                if quarantined is None:
-                    time.sleep(delay)
+                record = _quarantine(spec, OVER_BUDGET, attempt, say)
+            else:
+                stalled = chaos is not None and chaos.should_stall(h, attempt)
+                if stalled:
+                    journal.log_event("chaos_stall", h, worker=wid,
+                                      attempt=attempt)
+                heartbeat = (lambda: None) if stalled else \
+                    (lambda: journal.heartbeat(h))
+                try:
+                    record = run_cell_guarded(
+                        spec, timeout=cell_timeout, attempt=attempt,
+                        chaos=chaos, heartbeat=heartbeat)
+                except CellFailure as exc:
+                    record, delay = _settle_failure(
+                        journal, spec, exc, attempt, max_attempts, backoff_s,
+                        say)
+                    if record is None:
+                        time.sleep(delay)
+                        continue
                 else:
-                    shard.append(quarantined)
-                    executed += 1
-                continue
-            if chaos is not None and chaos.should_tear(h, attempt):
-                # Torn-write chaos: die "mid-append", leaving a truncated
-                # trailing line in the shard; the attempt failed, the
-                # loader seals the tear on the next append.
-                shard.append_torn(record)
-                journal.log_event("chaos_torn", h, worker=wid,
-                                  attempt=attempt)
-                journal.fail(h, "torn store append (chaos)")
-                say(f"{spec.label()} attempt {attempt} torn mid-append "
-                    "(chaos); requeued")
-                continue
+                    if chaos is not None and chaos.should_tear(h, attempt):
+                        # Torn-write chaos: die "mid-append", leaving a
+                        # truncated trailing line in the shard; the attempt
+                        # failed, the loader seals the tear on the next
+                        # append.
+                        shard.append_torn(record)
+                        journal.log_event("chaos_torn", h, worker=wid,
+                                          attempt=attempt)
+                        journal.fail(h, "torn store append (chaos)")
+                        say(f"{spec.label()} attempt {attempt} torn "
+                            "mid-append (chaos); requeued")
+                        continue
             shard.append(record)
-            journal.complete(h)
+            journal.complete(h, record.failure)
             executed += 1
-            say(f"{spec.label()} ok ({record.cycles:,} cycles, "
-                f"{record.elapsed_s:.1f}s, attempt {attempt})")
+            if not record.failed:
+                say(f"{spec.label()} ok ({record.cycles:,} cycles, "
+                    f"{record.elapsed_s:.1f}s, attempt {attempt})")
     except (KeyboardInterrupt, SystemExit):
         if current is not None:
             journal.release(current)
@@ -560,9 +545,6 @@ def _run_filequeue(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
     """
     import multiprocessing
 
-    if runner.store is None:
-        raise ValueError("the filequeue backend needs a result store "
-                         "(pass store=/--out)")
     journal = runner.journal
     store = runner.store
     ctx = multiprocessing.get_context("fork")
@@ -590,7 +572,6 @@ def _run_filequeue(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
                 runner.progress(
                     f"heartbeat: {counts['pending']} pending, "
                     f"{counts['leased']} leased, "
-                    f"{counts['quarantined']} quarantined, "
                     f"{sum(p.is_alive() for p in workers)} local "
                     "workers alive")
                 proc.join(runner.heartbeat_s)
@@ -608,33 +589,29 @@ def _run_filequeue(specs: List[RunSpec], runner) -> Dict[str, RunRecord]:
         # resume needn't wait out the TTL; live remote workers just
         # re-claim — duplicate execution dedupes at the store.
         journal.requeue_expired(0.0)
-        store.merge_shards()
+        runner._fold_shards()
         raise
-    merged = store.merge_shards()
-    if merged["merged"] or merged["shards"]:
-        runner.progress(
-            f"merged {merged['merged']} records from "
-            f"{merged['shards']} worker shard(s)"
-            + (f", {merged['torn_lines']} torn line(s) sealed"
-               if merged["torn_lines"] else ""))
+    runner._fold_shards()
     out: Dict[str, RunRecord] = {}
     total = len(specs)
     for spec in specs:
         record = store.get(spec.spec_hash)
-        if record is None:
+        persist = record is None
+        if persist:
             # Should be unreachable once the queue drained; quarantine
             # rather than crash the campaign over bookkeeping.
-            exc = CellCrashed("cell vanished from queue and store")
-            record = _quarantine(journal, spec, exc, 0, runner.progress)
-            store.append(record)
+            record = _quarantine(
+                spec, CellCrashed("cell vanished from queue and store"), 0,
+                runner.progress)
         out[spec.spec_hash] = record
-        runner._finish(record, len(out), total, persist=False)
+        runner._finish(record, len(out), total, persist=persist)
     return out
 
 
-#: Every backend, ``backend(specs, runner)``, returns ``{spec_hash:
-#: RunRecord}`` covering *every* input spec — quarantined cells included
-#: as structured failed records — and calls ``runner._finish`` per record,
-#: so store persistence and progress lines happen as each cell lands.
+#: Every backend, ``backend(specs, runner)``, runs on the runner's store
+#: and journal, returns ``{spec_hash: RunRecord}`` covering *every* input
+#: spec — quarantined cells included as structured failed records — and
+#: calls ``runner._finish`` per record as each cell lands, which commits
+#: it and retires its lease (filequeue workers do both in their shards).
 BACKENDS = {"serial": _run_serial, "pool": _run_pool,
             "filequeue": _run_filequeue}

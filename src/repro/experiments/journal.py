@@ -1,18 +1,23 @@
-"""Durable per-cell attempt journal — leases, heartbeats, quarantine.
+"""Durable per-cell attempt journal — leases, heartbeats, attempt counts.
 
 The checkpoint/recovery idea applied to the campaign engine itself: the
-:class:`~repro.experiments.store.ResultStore` is the *commit point* (a
-cell is done exactly when its record is in the store), and this journal
-is the recovery log that says what is in flight, by whom, and how many
-times it has been tried.  It lives next to the store and manifest as a
-directory of tiny per-cell JSON files::
+:class:`~repro.experiments.store.ResultStore`, with any worker shards
+not yet merged into it, is the *commit point* (a cell is settled,
+healthy or quarantined, exactly when its record is there), and this
+journal is the recovery log of the work still in flight: what is queued,
+who holds it, and how many times it has been tried.  It lives next to
+the store and manifest as a directory of tiny per-cell JSON files::
 
     <store>.journal/
         pending/<spec_hash>.json      queued work (spec + attempt count)
         leased/<spec_hash>.json       claimed work (worker, lease stamp;
                                       the file's mtime is the heartbeat)
-        quarantined/<spec_hash>.json  gave up (error, traceback, attempts)
         events.jsonl                  append-only fabric event log
+
+A settled cell's record is committed before
+:meth:`AttemptJournal.complete` retires its entry.  A ``quarantined/``
+directory left by an older journal is ignored: its cells' failed
+records are in the store.
 
 A cell is *claimed* by atomically renaming its file from ``pending/`` to
 ``leased/`` — POSIX rename guarantees exactly one winner, which is what
@@ -42,7 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.spec import RunSpec
 
-STATES = ("pending", "leased", "quarantined")
+STATES = ("pending", "leased")
 
 
 def default_worker_id() -> str:
@@ -103,7 +108,8 @@ class AttemptJournal:
         except (OSError, ValueError):
             return None
 
-    def _hashes(self, state: str) -> List[str]:
+    def hashes(self, state: str) -> List[str]:
+        """The spec hashes of one state's entries, sorted."""
         try:
             names = os.listdir(self._dir(state))
         except OSError:
@@ -150,7 +156,7 @@ class AttemptJournal:
 
     def claim(self, worker_id: str) -> Optional[Tuple[RunSpec, int]]:
         """Claim any pending cell (None when the queue is momentarily dry)."""
-        for h in self._hashes("pending"):
+        for h in self.hashes("pending"):
             claimed = self.claim_hash(h, worker_id)
             if claimed is not None:
                 return claimed
@@ -191,14 +197,24 @@ class AttemptJournal:
         except OSError:
             pass
 
-    def complete(self, spec_hash: str) -> None:
-        """The cell's record is committed: retire every journal copy."""
+    def complete(self, spec_hash: str,
+                 failure: Optional[Dict[str, Any]] = None) -> None:
+        """The cell's record is committed: retire every journal copy.
+
+        ``failure`` is a quarantined record's post-mortem; the event is
+        then ``quarantine``, with its error and attempt count.
+        """
         for state in ("leased", "pending"):
             try:
                 os.unlink(self._file(state, spec_hash))
             except OSError:
                 pass
-        self.log_event("complete", spec_hash)
+        if failure is None:
+            self.log_event("complete", spec_hash)
+        else:
+            self.log_event("quarantine", spec_hash,
+                           error=failure.get("error", ""),
+                           attempts=failure.get("attempts", 0))
 
     def fail(self, spec_hash: str, error: str) -> None:
         """Attempt failed: move lease back to pending, keeping the count."""
@@ -209,38 +225,6 @@ class AttemptJournal:
         """Voluntary release (SIGINT): re-queue without burning an attempt."""
         self._requeue(spec_hash, last_error=None, event="release",
                       attempt_delta=-1)
-
-    def quarantine(self, spec_hash: str, error: str,
-                   traceback_text: str = "", attempts: int = 0) -> None:
-        """Retries exhausted: park the cell with its post-mortem."""
-        src = self._file("leased", spec_hash)
-        entry = self._read(src) or {"spec": None}
-        entry.update(error=error, traceback=traceback_text,
-                     quarantined_at=time.time())
-        if attempts:
-            # The caller's count is authoritative (a crash-loop guard may
-            # quarantine at a higher attempt than the lease recorded).
-            entry["attempts"] = attempts
-        self._write(self._file("quarantined", spec_hash), entry)
-        try:
-            os.unlink(src)
-        except OSError:
-            pass
-        self.log_event("quarantine", spec_hash, error=error,
-                       attempts=entry.get("attempts", attempts))
-
-    def clear_quarantined(self) -> List[str]:
-        """Drop quarantine entries (``--retry-failed``): they re-seed."""
-        dropped = []
-        for h in self._hashes("quarantined"):
-            try:
-                os.unlink(self._file("quarantined", h))
-                dropped.append(h)
-            except OSError:
-                pass
-        if dropped:
-            self.log_event("retry_failed", count=len(dropped))
-        return dropped
 
     def _requeue(self, spec_hash: str, *, last_error: Optional[str],
                  event: str, attempt_delta: int) -> None:
@@ -272,7 +256,7 @@ class AttemptJournal:
         """
         now = time.time() if now is None else now
         reaped = []
-        for h in self._hashes("leased"):
+        for h in self.hashes("leased"):
             path = self._file("leased", h)
             try:
                 age = now - os.stat(path).st_mtime
@@ -290,17 +274,17 @@ class AttemptJournal:
     # Inspection (``repro sweep --status``, coordinator drain checks)
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:
-        return {state: len(self._hashes(state)) for state in STATES}
+        return {state: len(self.hashes(state)) for state in STATES}
 
     def outstanding(self) -> int:
-        """Cells not yet committed or quarantined (pending + leased)."""
-        return len(self._hashes("pending")) + len(self._hashes("leased"))
+        """Cells not yet settled (pending + leased)."""
+        return sum(self.counts().values())
 
     def entries(self, state: str) -> List[Dict[str, Any]]:
         """Journal entries of one state, with heartbeat age for leases."""
         now = time.time()
         out = []
-        for h in self._hashes(state):
+        for h in self.hashes(state):
             path = self._file(state, h)
             entry = self._read(path)
             if entry is None:

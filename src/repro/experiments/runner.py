@@ -2,19 +2,20 @@
 
 :func:`execute_run` is the pure worker — ``RunSpec`` in,
 :class:`RunRecord` out — used identically by every executor backend.
-:class:`Runner` owns campaign *policy*: it consults the
-:class:`~repro.experiments.store.ResultStore` to skip already-completed
-runs (resume), journals in-flight cells in the
+:class:`Runner` owns campaign *policy*: it skips every run already
+recorded in the :class:`~repro.experiments.store.ResultStore` or its
+worker shards (resume), journals in-flight cells in the
 :class:`~repro.experiments.journal.AttemptJournal` (lease, heartbeat,
 attempt count — so a killed worker's cells are re-queued on resume),
 and hands the remainder to a backend from
 :mod:`repro.experiments.backends` (``serial`` / ``pool`` /
-``filequeue``), which owns placement.  Every backend settles a failed
-cell by one rule: retry with exponential backoff, then *quarantine* it
-as a structured failed record instead of aborting the sweep.  Results
-are recorded the moment each cell lands — an interrupted campaign loses
-at most the runs in flight, and Ctrl-C releases leases and keeps
-everything already persisted.
+``filequeue``), which owns placement.  Every campaign is journalled: a
+caller that passes no store gets a private temporary one.  Every backend
+settles a failed cell by one rule: retry with exponential backoff, then
+*quarantine* it as a structured failed record instead of aborting the
+sweep.  Results are recorded the moment each cell lands — an interrupted
+campaign loses at most the runs in flight, and Ctrl-C releases leases
+and keeps everything already persisted.
 
 The pre-fabric runner's behaviour is exactly ``backend="pool",
 retries=0`` — kept as the oracle for equivalence guards.
@@ -22,6 +23,8 @@ retries=0`` — kept as the oracle for equivalence guards.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -305,10 +308,12 @@ class Runner:
     Fabric policy, applied by every backend through one retry/quarantine
     decision:
 
-    * with a ``store``, completed runs are skipped on re-entry, fresh
-      results are persisted as soon as each run finishes, and in-flight
-      cells are journalled (lease + heartbeat + attempt count) next to
-      the manifest so a killed session's cells re-queue on resume;
+    * runs recorded in the ``store`` or its worker shards are skipped on
+      re-entry, fresh results are persisted as soon as each run
+      finishes, and in-flight cells are journalled (lease + heartbeat +
+      attempt count) next to the manifest so a killed session's cells
+      re-queue on resume; without a ``store`` the campaign runs on a
+      private temporary one, removed before :meth:`run` returns;
     * a failed attempt is retried up to ``retries`` times with
       exponential backoff (``backoff_s * 2**(attempt-1)``, capped at
       30 s: :func:`~repro.experiments.backends.backoff_delay`);
@@ -379,9 +384,20 @@ class Runner:
         """Run every spec, returning records in spec order.
 
         Duplicate specs (same hash) within the campaign execute once.
+        Leftover worker shards are folded into the store before return.
         """
+        if self.store is None:
+            from repro.experiments.store import ResultStore
+
+            with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
+                self.store = ResultStore(os.path.join(tmp, "store.jsonl"))
+                try:
+                    return self.run(specs)
+                finally:
+                    self.store = self.journal = None
         from repro.experiments.backends import BACKENDS
 
+        recorded = self.store.with_shards()
         done: Dict[str, RunRecord] = {}
         todo: List[RunSpec] = []
         seen = set()
@@ -390,7 +406,7 @@ class Runner:
             if h in seen:
                 continue
             seen.add(h)
-            cached = self.store.get(h) if self.store is not None else None
+            cached = recorded.get(h)
             if cached is not None and not (cached.failed and
                                            self.retry_failed):
                 cached.cached = True
@@ -404,30 +420,30 @@ class Runner:
             self.progress(f"resume: {len(done)} of {len(specs)} runs already "
                           f"complete{note}, skipping")
 
+        self._prepare_journal(todo, recorded)
         if todo:
-            todo = self._prepare_journal(todo, done)
-        if todo:
-            fresh = BACKENDS[self.backend](todo, self)
-            done.update(fresh)
+            done.update(BACKENDS[self.backend](todo, self))
+        self._fold_shards()
         return [done[spec.spec_hash] for spec in specs]
 
     # ------------------------------------------------------------------
     def _prepare_journal(self, todo: List[RunSpec],
-                         done: Dict[str, RunRecord]) -> List[RunSpec]:
+                         recorded: Dict[str, RunRecord]) -> None:
         """Recover journal state and queue this session's cells.
 
-        Stale leases (a killed coordinator or expired worker) flow back
-        to pending; half-committed quarantines (journalled but never
-        recorded) are adopted into the store as failed records; with
-        ``retry_failed`` the quarantine bay is cleared for another try.
-        Returns the cells that still need executing.
+        An entry whose cell already has a record is retired (its session
+        died between the commit and the retirement), stale leases (a
+        killed coordinator or expired worker) flow back to pending, and
+        the cells in ``todo`` are queued.
         """
-        from repro.experiments.journal import AttemptJournal
+        from repro.experiments.journal import STATES, AttemptJournal
 
-        if self.store is None:
-            return todo
         self.journal = journal = AttemptJournal.for_store(self.store.path)
         journal.ensure_dirs()
+        for state in STATES:
+            for h in journal.hashes(state):
+                if h in recorded:
+                    journal.complete(h, recorded[h].failure)
         # serial/pool coordinators own every lease in the journal; a
         # lease found on entry is from a dead session, whatever its age.
         # filequeue shares the journal with live peers, so only TTL-
@@ -437,40 +453,31 @@ class Runner:
         if reaped:
             self.progress(f"recovered {len(reaped)} in-flight cell(s) "
                           "from expired leases; re-queued")
-        if self.retry_failed:
-            cleared = journal.clear_quarantined()
-            if cleared:
-                self.progress(f"retry-failed: re-queued {len(cleared)} "
-                              "quarantined cell(s)")
-        else:
-            adopted = {e["spec_hash"]: e
-                       for e in journal.entries("quarantined")}
-            for spec in todo:
-                entry = adopted.get(spec.spec_hash)
-                if entry is None:
-                    continue
-                # Quarantined in the journal but never committed (the
-                # session died between the two): adopt the post-mortem
-                # into the store so the campaign converges.
-                record = RunRecord.quarantined(
-                    spec, str(entry.get("error", "quarantined")),
-                    traceback_text=str(entry.get("traceback", "")),
-                    attempts=int(entry.get("attempts", 0)))
-                done[spec.spec_hash] = record
-                self._finish(record, len(done), len(todo))
-            todo = [s for s in todo if s.spec_hash not in done]
         journal.seed(todo)
-        return todo
+
+    def _fold_shards(self) -> None:
+        """Merge every worker shard into the store, saying what came in."""
+        merged = self.store.merge_shards()
+        if merged["shards"]:
+            self.progress(
+                f"merged {merged['merged']} records from "
+                f"{merged['shards']} worker shard(s)"
+                + (f", {merged['torn_lines']} torn line(s) sealed"
+                   if merged["torn_lines"] else ""))
 
     # ------------------------------------------------------------------
     def _finish(self, record: RunRecord, index: int, total: int,
                 *, persist: bool = True) -> None:
+        """Count and report a settled cell; with ``persist``, commit its
+        record and then retire its lease, before the progress line (which
+        may raise KeyboardInterrupt)."""
         self.executed += 1
         if record.failed:
             self.quarantined += 1
         self._finished_records.append(record)
-        if persist and self.store is not None:
+        if persist:
             self.store.append(record)
+            self.journal.complete(record.spec_hash, record.failure)
         if record.failed:
             state = "QUARANTINED"
         elif record.crashed:

@@ -1,7 +1,7 @@
 """Resumable result persistence — append-only JSONL keyed by spec hash.
 
 Fittingly for a checkpoint/recovery paper, the campaign engine's own
-state survives interruption: every completed run is one self-describing
+state survives interruption: every settled run is one self-describing
 JSON line, appended and flushed as soon as it finishes.  Restarting a
 campaign against the same file skips every run whose spec hash is
 already present — the sweep's "recovery" re-executes only the lost work,
@@ -10,15 +10,15 @@ never the validated prefix.
 A torn final line (the process died mid-write) is tolerated and simply
 re-run; duplicate hashes keep the newest record.
 
-The store is also the campaign fabric's *commit point*: a cell is done
-exactly when its record is here.  Elastic ``filequeue`` workers never
-write the main store directly — each appends to its own **shard**
-(``<store>.shard.<worker>.jsonl``, same format, no write contention) and
-the coordinator folds shards in with :meth:`ResultStore.merge_shards`,
-deduplicating by spec hash (runs are deterministic, so a duplicate
-execution yields an identical record) and optionally dropping records no
-manifest campaign accounts for.  Real records displace quarantined
-placeholders during the merge; healthy records are never overwritten.
+The store is also the campaign fabric's *commit point*: a cell is
+settled exactly when its record is here or in a worker **shard**
+(``<store>.shard.<worker>.jsonl``, same format, one per elastic
+``filequeue`` worker, so no write contention).  A campaign's records are
+:meth:`ResultStore.with_shards`, and each session ends by folding shards
+in with :meth:`ResultStore.merge_shards`.  Both keep the first record
+for a spec hash (runs are deterministic, so a duplicate execution yields
+an identical record), except that a real record displaces a quarantined
+placeholder.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ def shard_path(store_path: str, worker_id: str) -> str:
 def list_shards(store_path: str) -> List[str]:
     """Every worker shard next to ``store_path``, in stable order."""
     return sorted(glob.glob(f"{glob.escape(store_path)}.shard.*.jsonl"))
+
+
+def _supersedes(record: RunRecord, existing: Optional[RunRecord]) -> bool:
+    """Whether a shard's ``record`` takes the place of ``existing``: the
+    first record for a hash wins, but a real one displaces a failed one."""
+    return existing is None or (existing.failed and not record.failed)
 
 
 class ResultStore:
@@ -99,6 +105,17 @@ class ResultStore:
 
     def records(self) -> List[RunRecord]:
         return list(self._records.values())
+
+    def with_shards(self) -> Dict[str, RunRecord]:
+        """Every record by spec hash: this store's, plus those in worker
+        shards not yet merged (by :meth:`merge_shards`' rule).  Read only:
+        a live elastic worker may still be appending to its shard."""
+        records = dict(self._records)
+        for path in list_shards(self.path):
+            for record in ResultStore(path):
+                if _supersedes(record, records.get(record.spec_hash)):
+                    records[record.spec_hash] = record
+        return records
 
     # ------------------------------------------------------------------
     def compact(self, keep_hashes: Iterable[str]) -> List[RunRecord]:
@@ -186,9 +203,8 @@ class ResultStore:
                 if keep is not None and record.spec_hash not in keep:
                     stats["dropped"] += 1
                     continue
-                existing = self._records.get(record.spec_hash)
-                if existing is not None and not (existing.failed
-                                                 and not record.failed):
+                if not _supersedes(record,
+                                   self._records.get(record.spec_hash)):
                     stats["duplicates"] += 1
                     continue
                 self.append(record)

@@ -25,8 +25,7 @@ from typing import Any, Dict, List, Optional
 #: and :func:`~repro.experiments.backends.run_worker`, in lifecycle order.
 FABRIC_EVENTS = (
     "seed", "claim", "complete", "fail", "requeue", "release",
-    "quarantine", "retry_failed", "worker_start", "worker_exit",
-    "chaos_stall", "chaos_torn",
+    "quarantine", "worker_start", "worker_exit", "chaos_stall", "chaos_torn",
 )
 
 

@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import AttemptJournal, RunSpec
+from repro.experiments import AttemptJournal, RunSpec, shard_path
 
 
 def run_cli(argv):
@@ -138,6 +139,22 @@ def test_sweep_status_reports_progress(tmp_path):
     assert "--out" in text
 
 
+def test_sweep_status_counts_records_in_worker_shards(tmp_path):
+    # A filequeue coordinator that died after its workers drained the
+    # campaign leaves every record in a shard, none in the store.
+    out_path = str(tmp_path / "shards.jsonl")
+    argv = ["--grid", "workload=apache", "--instructions", "300",
+            "--warmup", "0", "--scale", "64", "--torus", "2x2",
+            "--seeds", "3", "--out", out_path]
+    assert run_cli(["sweep"] + argv)[0] == 0
+    os.replace(out_path, shard_path(out_path, "w0"))
+    code, text = run_cli(["sweep", "--status"] + argv)
+    assert code == 0
+    assert "3/3 complete, 0 pending" in text
+    assert "3 (0 pending)" in text                # manifest runs
+    assert "unmerged shards" in text
+
+
 def test_sweep_rejects_bad_grid():
     code, text = run_cli(["sweep", "--grid", "no_such_field=1,2",
                           "--instructions", "100"])
@@ -171,6 +188,10 @@ def test_bad_scale_warmup_and_retries_are_input_errors():
                           "--retries", "-1"])
     assert code == 1
     assert "bad sweep" in text and "retries" in text
+    for value in ("0", "-4"):
+        code, text = run_cli(["config", "--scale", value])
+        assert code == 1
+        assert "bad config" in text and "scale" in text
 
 
 def test_negative_fault_cycle_is_a_bad_run():
@@ -202,7 +223,8 @@ def test_bad_sweep_settings_write_no_manifest(tmp_path):
     for flag, value, name in (("--cell-timeout", "0", "cell_timeout"),
                               ("--lease-ttl", "0", "lease_ttl"),
                               ("--lease-ttl", "-1", "lease_ttl"),
-                              ("--jobs", "0", "jobs")):
+                              ("--jobs", "0", "jobs"),
+                              ("--backend", "bogus", "unknown backend")):
         code, text = run_cli(argv + [flag, value])
         assert code == 1
         assert "bad sweep" in text and name in text

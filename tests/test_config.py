@@ -102,6 +102,14 @@ def test_tiny_preset_is_2x2():
     assert cfg.torus_width == 2 and cfg.torus_height == 2
 
 
+def test_scale_below_one_is_rejected():
+    for scale in (0, -4):
+        with pytest.raises(ValueError, match="scale"):
+            SystemConfig.sim_scaled(scale)
+        with pytest.raises(ValueError, match="scale"):
+            SystemConfig.from_shape(4, 4, scale=scale)
+
+
 def test_sim_scaled_keeps_16_nodes():
     cfg = SystemConfig.sim_scaled()
     assert cfg.num_processors == 16

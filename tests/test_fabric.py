@@ -11,6 +11,7 @@ sweeps converging bit-identically to a clean run) live in
 import json
 import multiprocessing
 import os
+import tempfile
 import time
 
 import pytest
@@ -120,7 +121,7 @@ def test_journal_seed_claim_complete_lifecycle(tmp_path):
     specs = _tiny_specs(3)
     assert journal.seed(specs) == 3
     assert journal.seed(specs) == 0          # idempotent
-    assert journal.counts() == {"pending": 3, "leased": 0, "quarantined": 0}
+    assert journal.counts() == {"pending": 3, "leased": 0}
 
     claimed = journal.claim("w1")
     assert claimed is not None
@@ -131,7 +132,7 @@ def test_journal_seed_claim_complete_lifecycle(tmp_path):
     assert journal.counts()["leased"] == 1
 
     journal.complete(spec.spec_hash)
-    assert journal.counts() == {"pending": 2, "leased": 0, "quarantined": 0}
+    assert journal.counts() == {"pending": 2, "leased": 0}
     assert journal.outstanding() == 2
 
 
@@ -165,28 +166,29 @@ def test_journal_lease_expiry_requeues(tmp_path):
     os.utime(journal._file("leased", a.spec_hash), (now - 120, now - 120))
     reaped = journal.requeue_expired(60.0)
     assert reaped == [a.spec_hash]
-    assert journal.counts() == {"pending": 1, "leased": 1, "quarantined": 0}
+    assert journal.counts() == {"pending": 1, "leased": 1}
     # Re-claiming the reaped cell costs no extra attempt (delta 0).
     _, attempt = journal.claim_hash(a.spec_hash, "w2")
     assert attempt == 2
 
 
-def test_journal_quarantine_and_clear(tmp_path):
+def test_journal_quarantine_retires_the_lease(tmp_path):
+    # A quarantine settles a cell like a completion: its failed record is
+    # in the store, so the journal only logs the post-mortem.
     journal = AttemptJournal.for_store(str(tmp_path / "r.jsonl"))
     journal.ensure_dirs()
     journal.seed([TINY])
     h = TINY.spec_hash
     journal.claim_hash(h, "w")
-    journal.quarantine(h, "CellTimeout: too slow", "tb...", attempts=3)
-    assert journal.counts() == {"pending": 0, "leased": 0, "quarantined": 1}
-    assert journal.outstanding() == 0
-    entry = journal.entries("quarantined")[0]
-    assert entry["error"] == "CellTimeout: too slow"
-    assert entry["attempts"] == 3
-    assert journal.clear_quarantined() == [h]
-    assert journal.counts() == {"pending": 0, "leased": 0, "quarantined": 0}
-    # The cleared cell re-seeds (Runner does this on --retry-failed) and
-    # starts a fresh attempt budget.
+    journal.complete(h, {"error": "CellTimeout: too slow",
+                         "traceback": "tb...", "attempts": 3})
+    assert journal.counts() == {"pending": 0, "leased": 0}
+    event = load_fabric_events(journal.root)[-1]
+    assert event["event"] == "quarantine" and event["hash"] == h
+    assert event["error"] == "CellTimeout: too slow"
+    assert event["attempts"] == 3
+    # A re-seeded cell (Runner does this on --retry-failed) starts a
+    # fresh attempt budget.
     assert journal.seed([TINY]) == 1
     _, attempt = journal.claim_hash(h, "w")
     assert attempt == 1
@@ -327,8 +329,7 @@ def test_serial_exhausted_retries_quarantine_not_abort(monkeypatch, tmp_path):
     assert records[2].failure["attempts"] == 2
     assert "poisoned cell" in records[2].failure["error"]
     assert runner.quarantined == 1
-    assert runner.journal.counts() == {"pending": 0, "leased": 0,
-                                       "quarantined": 1}
+    assert runner.journal.counts() == {"pending": 0, "leased": 0}
     # The quarantined record persisted: the campaign is partial, not lost.
     assert ResultStore(store.path).get(records[2].spec_hash).failed
 
@@ -346,6 +347,34 @@ def test_pool_one_poisoned_cell_does_not_abort_in_flight(monkeypatch,
     assert [by_seed[s].failed for s in (1, 2, 3, 4)] == [
         False, False, True, False]
     assert runner.quarantined == 1
+    assert runner.journal.outstanding() == 0
+
+
+def test_pool_falls_back_to_serial_when_the_pool_breaks(monkeypatch,
+                                                        tmp_path):
+    """A pool worker that dies outright breaks the pool; the coordinator
+    finishes the campaign serially and settles every cell."""
+    coordinator = os.getpid()
+
+    def dies_in_a_pool_worker(spec):
+        if spec.seed == 2 and os.getpid() != coordinator:
+            os._exit(1)
+        return _real_execute_run(spec)
+
+    monkeypatch.setattr("repro.experiments.backends.execute_run",
+                        dies_in_a_pool_worker)
+    lines = []
+    specs = _tiny_specs(4)
+    store = ResultStore(str(tmp_path / "r.jsonl"))
+    runner = Runner(jobs=2, backend="pool", store=store, retries=0,
+                    progress=lines.append)
+    records = runner.run(specs)
+    assert any(line.startswith("process pool broke") and
+               "falling back to serial execution" in line for line in lines)
+    assert [r.result_key() for r in records] == \
+        [_real_execute_run(s).result_key() for s in specs]
+    assert {r.spec_hash for r in ResultStore(store.path)} == \
+        {s.spec_hash for s in specs}
     assert runner.journal.outstanding() == 0
 
 
@@ -433,22 +462,72 @@ def test_journal_recovery_requeues_stale_leases(tmp_path):
     assert runner.journal.outstanding() == 0
 
 
-def test_adopts_uncommitted_quarantine_from_dead_session(tmp_path):
-    # Session died between journal.quarantine() and the store append: the
-    # post-mortem exists only in the journal.  Resume adopts it into the
-    # store instead of re-running a cell known to be poisoned.
+@pytest.mark.parametrize("outcome", ["healthy", "quarantined"])
+def test_resume_retires_the_lease_of_a_committed_cell(outcome, tmp_path):
+    # The session committed the cell's record, then died before it
+    # retired the lease.  The resume runs nothing and retires the lease.
     store = ResultStore(str(tmp_path / "r.jsonl"))
     journal = AttemptJournal.for_store(store.path)
     journal.ensure_dirs()
     journal.seed([TINY])
     journal.claim_hash(TINY.spec_hash, "dead")
-    journal.quarantine(TINY.spec_hash, "CellCrashed: oom", "tb", attempts=3)
-    runner = Runner(jobs=1, backend="serial", store=store)
+    committed = execute_run(TINY) if outcome == "healthy" else \
+        RunRecord.quarantined(TINY, "CellCrashed: oom", attempts=3)
+    store.append(committed)
+    runner = Runner(jobs=1, backend="serial", store=ResultStore(store.path))
     records = runner.run([TINY])
-    assert records[0].failed
-    assert records[0].failure["error"] == "CellCrashed: oom"
-    assert records[0].failure["attempts"] == 3
-    assert runner.executed == 1         # adopted, not re-run
+    assert runner.executed == 0
+    assert records[0].failed == committed.failed
+    assert records[0].result_key() == committed.result_key()
+    assert journal.counts() == {"pending": 0, "leased": 0}
+    assert load_fabric_events(store.path)[-1]["event"] == (
+        "complete" if outcome == "healthy" else "quarantine")
+
+
+def test_with_shards_reads_what_merge_shards_writes(tmp_path):
+    """One rule for both: the first record for a hash wins, except that a
+    real record displaces a quarantined placeholder."""
+    path = str(tmp_path / "r.jsonl")
+    a, b = TINY.with_(seed=1), TINY.with_(seed=2)
+    store = ResultStore(path)
+    store.append(RunRecord.quarantined(a, "boom"))
+    ResultStore(shard_path(path, "w0")).append(execute_run(a))
+    ResultStore(shard_path(path, "w0")).append(
+        RunRecord.quarantined(b, "first"))
+    ResultStore(shard_path(path, "w1")).append(
+        RunRecord.quarantined(b, "second"))
+    seen = store.with_shards()
+    assert not seen[a.spec_hash].failed
+    assert seen[b.spec_hash].failure["error"] == "first"
+    assert len(list_shards(path)) == 2 and len(ResultStore(path)) == 1
+    store.merge_shards()
+    assert {h: r.to_dict() for h, r in seen.items()} == \
+        {r.spec_hash: r.to_dict() for r in ResultStore(path)}
+
+
+def _drain_into_a_shard(store_path, specs):
+    """A filequeue campaign whose coordinator died after its worker
+    drained every cell: the records are in a shard, never merged."""
+    journal = AttemptJournal.for_store(store_path)
+    journal.ensure_dirs()
+    journal.seed(specs)
+    assert run_worker(store_path, worker_id="w0", retries=0) == len(specs)
+    assert len(ResultStore(store_path)) == 0
+    return ResultStore(shard_path(store_path, "w0")).records()
+
+
+@pytest.mark.parametrize("backend", ["serial", "pool", "filequeue"])
+def test_resume_reuses_records_left_in_worker_shards(backend, tmp_path):
+    store_path = str(tmp_path / "r.jsonl")
+    specs = _tiny_specs(3)
+    drained = _drain_into_a_shard(store_path, specs)
+    runner = Runner(jobs=2, backend=backend, store=ResultStore(store_path))
+    records = runner.run(specs)
+    assert runner.executed == 0 and runner.skipped == 3
+    assert sorted(r.spec_hash for r in drained) == \
+        sorted(r.spec_hash for r in records)
+    assert list_shards(store_path) == []
+    assert len(ResultStore(store_path)) == 3    # folded into the store
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +574,9 @@ def test_run_worker_backs_off_on_the_runner_schedule(monkeypatch, tmp_path):
     assert run_worker(store_path, worker_id="w0", retries=5,
                       backoff_s=4) == 1
     assert slept == [4, 8, 16, 30, 30]
-    assert journal.counts()["quarantined"] == 1
+    (failed,) = ResultStore(shard_path(store_path, "w0")).records()
+    assert failed.failed and failed.failure["attempts"] == 6
+    assert journal.counts() == {"pending": 0, "leased": 0}
 
 
 def test_filequeue_backend_matches_serial(tmp_path):
@@ -515,9 +596,17 @@ def test_filequeue_backend_matches_serial(tmp_path):
         sorted(s.spec_hash for s in specs)
 
 
-def test_filequeue_requires_store():
-    with pytest.raises(ValueError):
-        Runner(jobs=1, backend="filequeue").run([TINY])
+def test_filequeue_runs_without_a_store(monkeypatch, tmp_path):
+    # Without a store the campaign runs on a private temporary one, which
+    # is gone when run() returns.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    specs = _tiny_specs(3)
+    runner = Runner(jobs=2, backend="filequeue")
+    records = runner.run(specs)
+    assert [r.result_key() for r in records] == \
+        [execute_run(s).result_key() for s in specs]
+    assert runner.store is None and runner.journal is None
+    assert list(tmp_path.glob("repro-campaign-*")) == []
 
 
 def test_external_worker_joins_filequeue_campaign(tmp_path):
@@ -578,8 +667,7 @@ def test_filequeue_coordinator_drains_when_every_worker_dies(monkeypatch,
     assert any("draining in-process" in line for line in lines)
     assert [r.result_key() for r in records] == \
         [execute_run(s).result_key() for s in specs]
-    assert runner.journal.counts() == {"pending": 0, "leased": 0,
-                                       "quarantined": 0}
+    assert runner.journal.counts() == {"pending": 0, "leased": 0}
     assert list_shards(store.path) == []
 
 

@@ -58,8 +58,7 @@ def _assert_converged(runner, store, baseline, specs):
             "lost_instructions": record.lost_instructions,
         }
     assert runner.quarantined == 0
-    assert runner.journal.counts() == {"pending": 0, "leased": 0,
-                                       "quarantined": 0}
+    assert runner.journal.counts() == {"pending": 0, "leased": 0}
     assert list_shards(store.path) == []
 
 
