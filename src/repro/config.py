@@ -123,6 +123,24 @@ class SystemConfig:
             raise ValueError(
                 f"CLB of {self.clb_size_bytes} bytes holds no "
                 f"{self.clb_entry_bytes}-byte entry")
+        # The network would otherwise fail mid-run (a zero bandwidth
+        # divides by zero at the first send, a fractional latency
+        # schedules a non-integer cycle, a negative one a past cycle) or
+        # finish wrongly (a negative bandwidth serialises every message
+        # in one cycle, an empty buffer stalls every switch entry).
+        if not self.link_bandwidth_bytes_per_cycle > 0:
+            raise ValueError(
+                "link_bandwidth_bytes_per_cycle must be > 0, got "
+                f"{self.link_bandwidth_bytes_per_cycle!r}")
+        if self.switch_buffer_messages < 1:
+            raise ValueError(
+                "switch_buffer_messages must be >= 1, got "
+                f"{self.switch_buffer_messages!r}")
+        for name in ("switch_latency", "link_latency"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"{name} must be an int >= 0 (cycles), got {value!r}")
         # Lazy imports: repro.coherence.cache / repro.interconnect.network
         # import this module, so validating eagerly at module scope would
         # be circular.

@@ -6,13 +6,21 @@ of atomicity), NACKs exist so CLB-full components can refuse work, and
 three-hop transactions end with a FINAL_ACK from requestor to home.
 Validation-coordination messages (VALIDATE_READY / RPCN broadcast) also ride
 the interconnect; the paper explicitly models their contention.
+
+Every coherence transaction is several messages, so both types are on
+the per-message path.  :class:`Message` is a plain ``__slots__`` class
+with an explicit ``__init__`` and no instance ``__dict__``.
+:class:`MessageKind` hashes by identity, because ``Enum.__hash__`` hashes
+the member's name in Python on every kind-keyed lookup (node routing
+tables, ``DATA_KINDS``).  Neither hash is stable across processes (the
+name hash is randomised), so no result may depend on the iteration order
+of a set of kinds.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 
@@ -40,6 +48,11 @@ class MessageKind(enum.Enum):
     # SafetyNet validation coordination (over the interconnect)
     VALIDATE_READY = enum.auto()    # component -> service controller
     RPCN_BROADCAST = enum.auto()    # service controller -> component
+
+    # C-level, where Enum's hashes the name in Python (see the module
+    # docstring).  Members are singletons and Enum defines no __eq__, so
+    # equality is identity and agrees with this hash.
+    __hash__ = object.__hash__
 
 
 # Message kinds that carry a 64-byte data block (everything else is control).
@@ -71,34 +84,43 @@ def reset_msg_ids() -> None:
     _msg_ids = itertools.count()
 
 
-@dataclass
 class Message:
     """One interconnect message.
 
     ``src``/``dst`` are node ids.  ``txn_id`` ties every message of a
     coherence transaction together.  ``cn`` is the SafetyNet checkpoint
     number riding on data responses (``None`` = belongs to the recovery
-    point and all later checkpoints).
+    point and all later checkpoints).  ``data`` is the block contents
+    (modelled as an int version) and ``grant`` ``"S"`` or ``"M"`` on data
+    responses.  ``payload`` is a fresh dict per message unless one is
+    given (faults mark the message there), and ``msg_id`` is drawn from
+    the process-global stream when the message is built.
     """
 
-    kind: MessageKind
-    src: int
-    dst: int
-    addr: Optional[int] = None
-    txn_id: Optional[int] = None
-    cn: Optional[int] = None
-    ack_count: int = 0
-    data: Optional[int] = None          # block contents (modelled as an int version)
-    grant: Optional[str] = None         # "S" or "M" on data responses
-    payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    # Computed once at construction: the network reads it on every hop
-    # (serialisation latency, bandwidth meters), so a property would pay
-    # the descriptor + set-membership cost per hop instead of per message.
-    size_bytes: int = field(init=False)
+    __slots__ = ("kind", "src", "dst", "addr", "txn_id", "cn", "ack_count",
+                 "data", "grant", "payload", "msg_id", "size_bytes")
 
-    def __post_init__(self) -> None:
-        self.size_bytes = (DATA_MESSAGE_BYTES if self.kind in DATA_KINDS
+    def __init__(self, kind: MessageKind, src: int, dst: int,
+                 addr: Optional[int] = None, txn_id: Optional[int] = None,
+                 cn: Optional[int] = None, ack_count: int = 0,
+                 data: Optional[int] = None, grant: Optional[str] = None,
+                 payload: Optional[Dict[str, Any]] = None,
+                 msg_id: Optional[int] = None) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.addr = addr
+        self.txn_id = txn_id
+        self.cn = cn
+        self.ack_count = ack_count
+        self.data = data
+        self.grant = grant
+        self.payload = {} if payload is None else payload
+        self.msg_id = next(_msg_ids) if msg_id is None else msg_id
+        # Computed once at construction: the network reads it on every hop
+        # (serialisation latency, bandwidth meters), so a property would pay
+        # the descriptor + set-membership cost per hop instead of per message.
+        self.size_bytes = (DATA_MESSAGE_BYTES if kind in DATA_KINDS
                            else CONTROL_MESSAGE_BYTES)
 
     def is_data(self) -> bool:

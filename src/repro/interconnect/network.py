@@ -17,9 +17,14 @@ and arbiters.
 Hop scheduling is *slotted*: each hop is one kernel dispatch that performs
 leave + arrive + depart together, and in the common case one Python frame
 (:meth:`_Flight.__call__`): the flight leaves its switch, enters the next,
-claims the outgoing link and schedules its next hop itself, handing off
-to the general arrive/depart methods only for express flights, armed
-drop hooks, dead or full switches and same-cycle claim chains.
+claims the outgoing link and schedules its next hop itself.  It hands off
+to the general arrive/depart methods only where they would do more than
+that frame: an express hold (armed drop hooks), a dead or full switch,
+an express flight's claim on the switch it enters or the link it leaves
+by, and a same-cycle claim chain.  An express flight elsewhere in the
+machine does not move a hop off its one frame: with no claimant to
+materialise, the general path would run the same express test, claim
+and schedule.
 
 Hops deliberately do NOT share heap entries: batching same-cycle hop
 completions into one dispatch would run a later-scheduled hop at the
@@ -156,10 +161,13 @@ class _Flight:
         claim, for a flight that just arrived).
 
         Anything unusual takes the general path before this frame has
-        changed any state: :meth:`Network._arrive` when an express
-        flight is in the air, a drop hook is armed (any express hold),
-        or the switch is dead or at capacity; :meth:`Network._claim_chain`
-        when the link already has a claim this cycle.  Express is
+        changed any state: :meth:`Network._arrive` when a drop hook is
+        armed (any express hold), the switch is dead or at capacity, or
+        an express flight has claimed this switch or the outgoing link
+        (it must materialise first); :meth:`Network._claim_chain` when
+        the link already has a claim this cycle.  Managed drop hooks are
+        inert while no hold is in place, so without a claimant the
+        general path would do exactly what this frame does.  Express is
         attempted exactly where :meth:`Network._depart` attempts it.
         """
         self.claim_event = None
@@ -173,9 +181,12 @@ class _Flight:
         resident = net._resident_until
         if here >= n_nodes:
             table = resident[here]
-            if (net._express_flights or net._express_holds
-                    or net._dead[here]
-                    or len(table) >= net.buffer_capacity):
+            if (net._express_holds or net._dead[here]
+                    or len(table) >= net.buffer_capacity
+                    or (net._express_flights
+                        and (net._express_switches[here] is not None
+                             or net._express_links[self.links[index]]
+                             is not None))):
                 net._arrive(self)
                 return
         self.index = index
@@ -291,6 +302,9 @@ class Network:
         self._in_flight: Dict[int, _Flight] = {}
         self._drop_hooks: List[DropHook] = []
         self._epoch = 0
+        # Link serialisation cycles by message size (two sizes exist),
+        # filled from _serialization on first use.
+        self._ser_cycles: Dict[int, int] = {}
 
         # Pre-bound counters: send/deliver/lose run once per message (and
         # contention accounting once per hop), so looking each name up in
@@ -399,8 +413,10 @@ class Network:
             )
             return
         path, links = self.routing.route(msg.src, msg.dst)
-        flight = _Flight(msg, path, links, self._epoch, self,
-                         self._serialization(msg))
+        ser = self._ser_cycles.get(msg.size_bytes)
+        if ser is None:
+            ser = self._ser_cycles[msg.size_bytes] = self._serialization(msg)
+        flight = _Flight(msg, path, links, self._epoch, self, ser)
         self._in_flight[msg.msg_id] = flight
         credit = self._express_credit
         if credit <= 0:

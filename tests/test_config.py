@@ -1,10 +1,12 @@
 """Tests for SystemConfig (the paper's Table 2)."""
 
 import dataclasses
+import re
 
 import pytest
 
 from repro.config import SystemConfig
+from repro.experiments import RunSpec, build_machine
 
 
 def test_paper_preset_matches_table2():
@@ -69,6 +71,50 @@ def test_clb_must_hold_one_entry():
         with pytest.raises(ValueError, match="CLB"):
             SystemConfig(clb_size_bytes=size)
     assert SystemConfig(clb_size_bytes=72).clb_entries == 1
+
+
+# Each was accepted before: on apache 2x2 (scale 64, 300 instructions,
+# seed 1) a zero bandwidth died with ZeroDivisionError at the first send,
+# -6.4 completed with every message serialised in 1 cycle, an empty
+# buffer committed nothing in 200,000 cycles, a 4.5-cycle switch latency
+# died scheduling cycle 16.5, and (SafetyNet off) a -4 link latency died
+# scheduling a hop in the past.
+BAD_NETWORK_PARAMETERS = [
+    ("link_bandwidth_bytes_per_cycle", 0),
+    ("link_bandwidth_bytes_per_cycle", -6.4),
+    ("switch_buffer_messages", 0),
+    ("switch_latency", 4.5),
+    ("switch_latency", -1),
+    ("link_latency", -4),
+    ("link_latency", 4.0),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_NETWORK_PARAMETERS)
+def test_bad_network_parameter_fails_when_config_is_built(name, value):
+    """The error names the field and the value, with SafetyNet on or off
+    (off, nothing else catches a negative latency), and a spec carrying
+    the value as an override fails in build_machine, before any machine
+    or event exists."""
+    message = rf"{name}.*{re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=message):
+        SystemConfig(**{name: value})
+    with pytest.raises(ValueError, match=message):
+        SystemConfig(safetynet_enabled=False, **{name: value})
+    spec = RunSpec(workload="apache", torus_width=2, torus_height=2,
+                   scale=64, instructions=300, seed=1,
+                   config_overrides=((name, value),))
+    with pytest.raises(ValueError, match=message):
+        build_machine(spec)
+
+
+def test_network_parameter_bounds_are_inclusive():
+    assert SystemConfig(switch_buffer_messages=1).switch_buffer_messages == 1
+    slow = SystemConfig(link_bandwidth_bytes_per_cycle=0.5)
+    assert slow.data_serialization_cycles == 144
+    cfg = SystemConfig(safetynet_enabled=False, switch_latency=0,
+                       link_latency=0)
+    assert cfg.min_network_latency == 0
 
 
 def test_with_overrides_returns_modified_copy():

@@ -138,7 +138,14 @@ def test_transient_mid_segment_drop_machine_equivalent():
     """Machine-level: a drop fault whose armed windows open while express
     segments are live must replay the hop-by-hop record.  The
     hold/release protocol brackets each armed window, so each drop lands
-    inside the switch hop-by-hop scheduling puts its victim in."""
+    inside the switch hop-by-hop scheduling puts its victim in.
+
+    The run does not complete, by design: a drop every 1,500 cycles
+    outpaces recovery, so the recovery livelock guard crashes the run
+    after ``max_recoveries`` (64) recoveries, in both scheduling modes.
+    That guard trip is the expected outcome the record pins."""
     record, machine, result = _replay(*MID_SEGMENT, hold=False)
     assert machine.sim.events_dispatched == record["express_events"]
-    assert result.recoveries > 0, "scenario fired no recovery"
+    assert result.recoveries == machine.config.max_recoveries
+    assert result.crashed and not result.completed
+    assert "recovery livelock guard" in result.crash_reason

@@ -264,6 +264,79 @@ def test_drain_discards_in_flight(express):
     assert len(delivered) == 1
 
 
+@pytest.fixture
+def arrivals(monkeypatch):
+    """Messages whose flight enters the general ``Network._arrive`` (a
+    handed-off hop, or an express flight reaching its last switch),
+    counted on the class before any network is built."""
+    entered = []
+    general = Network._arrive
+
+    def counting(net, flight):
+        entered.append(flight.msg)
+        general(net, flight)
+
+    monkeypatch.setattr(Network, "_arrive", counting)
+    return entered
+
+
+def _hop_beside_express(src, dst, *, hold):
+    """A 4x4 network carrying ``src -> dst``, sent under a hold of its
+    own so that it hops switch by switch, and then the long-haul
+    ``0 -> 10`` (ew(0,0) .. ns(2,2)), which goes express unless the whole
+    network is held.  Returns the simulator, network, the hopping message
+    and the (cycle, src, dst) deliveries."""
+    sim, topo, routing, net = make_net(hold=hold)
+    delivered = []
+    for nid in range(16):
+        net.attach(nid, lambda m: delivered.append((sim.now, m.src, m.dst)))
+    hopper = Message(MessageKind.GETS, src=src, dst=dst)
+    net.express_hold()
+    net.send(hopper)
+    net.express_release()
+    net.send(Message(MessageKind.GETS, src=0, dst=10))
+    return sim, net, hopper, delivered
+
+
+def _held_deliveries(src, dst):
+    sim, net, hopper, delivered = _hop_beside_express(src, dst, hold=True)
+    sim.run()
+    assert net.c_express_flights.value == 0
+    return delivered
+
+
+def test_hop_beside_express_flight_stays_in_one_frame(arrivals):
+    """An express flight elsewhere in the machine does not move a hop off
+    its one frame: 13 -> 14 shares no switch or link with the express
+    segment and never enters Network._arrive, yet delivers when the
+    held (hop-by-hop) network delivers it."""
+    sim, net, hopper, delivered = _hop_beside_express(13, 14, hold=False)
+    assert not set(net.routing.route(13, 14)[0]) & set(
+        net.routing.route(0, 10)[0])
+    sim.run(limit=40)
+    assert [(cycle, src) for cycle, src, _ in delivered] == [(32, 13)]
+    assert net._express_flights, "the long-haul flight left express early"
+    sim.run()
+    assert hopper not in arrivals
+    assert net.c_express_flights.value == 1
+    assert net.c_express_interrupts.value == 0
+    assert delivered == _held_deliveries(13, 14)
+
+
+def test_hop_into_claimed_switch_takes_general_path(arrivals):
+    """1 -> 2 enters ew(1,0) at cycle 6, while the express flight 0 -> 10
+    has claimed it: the hop goes through Network._arrive, which
+    materialises the express flight first, and both deliver when the
+    held network delivers them."""
+    sim, net, hopper, delivered = _hop_beside_express(1, 2, hold=False)
+    assert net._express_flights
+    sim.run()
+    assert arrivals.count(hopper) == 1
+    assert net.c_express_flights.value == 1
+    assert net.c_express_interrupts.value == 1
+    assert delivered == _held_deliveries(1, 2)
+
+
 def test_partition_detected_when_both_halves_die():
     topo = TorusTopology(2, 2)
     routing = RoutingTable(topo)

@@ -21,17 +21,43 @@ def test_data_messages_are_72_bytes_control_8():
     assert data.size_bytes == 72   # 8-byte header + 64-byte block (Table 2)
     assert ctrl.size_bytes == 8
     assert data.is_data() and not ctrl.is_data()
+    # A slots class: no per-message __dict__, and no attribute outside
+    # the declared fields.
+    assert not hasattr(data, "__dict__")
+    with pytest.raises(AttributeError):
+        data.misrouted_to = 3
+    # Positional construction keeps the field order.
+    msg = Message(MessageKind.DATA_OWNER, 2, 7, 0x80, 11, 4, 3, 9, "M",
+                  {"requestor": 5}, 1234)
+    assert (msg.kind, msg.src, msg.dst, msg.addr, msg.txn_id, msg.cn,
+            msg.ack_count, msg.data, msg.grant, msg.payload, msg.msg_id,
+            msg.size_bytes) == (MessageKind.DATA_OWNER, 2, 7, 0x80, 11, 4, 3,
+                                9, "M", {"requestor": 5}, 1234, 72)
+    assert (ctrl.addr, ctrl.txn_id, ctrl.cn, ctrl.ack_count, ctrl.data,
+            ctrl.grant, ctrl.payload) == (None, None, None, 0, None, None, {})
 
 
 def test_data_kinds_cover_every_block_carrier():
     assert MessageKind.PUTM in DATA_KINDS
     assert MessageKind.DATA_OWNER in DATA_KINDS
     assert MessageKind.FINAL_ACK not in DATA_KINDS
+    # Kinds hash by identity, and kind-keyed lookups still find them.
+    by_kind = {kind: kind.name for kind in MessageKind}
+    for kind in MessageKind:
+        assert hash(kind) == object.__hash__(kind)
+        assert by_kind[kind] == kind.name
+        assert (kind in DATA_KINDS) == (kind.name in {
+            "DATA", "DATA_OWNER", "PUTM", "COPYBACK"})
 
 
 def test_message_ids_are_unique():
-    ids = {Message(MessageKind.INV, src=0, dst=1).msg_id for _ in range(100)}
-    assert len(ids) == 100
+    msgs = [Message(MessageKind.INV, src=0, dst=1) for _ in range(100)]
+    assert len({msg.msg_id for msg in msgs}) == 100
+    # Each message gets its own payload dict: a fault that marks one
+    # message must not mark another.
+    assert len({id(msg.payload) for msg in msgs}) == 100
+    msgs[0].payload["corrupted"] = True
+    assert msgs[1].payload == {}
 
 
 def test_repr_is_compact_and_informative():
