@@ -20,6 +20,8 @@ same four-phase lifecycle (paper §2, §3):
    has no periodic events).  Components fire it conservatively (any
    completion of a transaction that began before the current interval);
    the agent's recompute is cheap and idempotent.
+   :func:`transaction_closed` states that trigger once for every
+   participant that holds transactions open.
 
 Historically these hooks were duck-typed across four modules; the
 protocol below makes the contract explicit and is what
@@ -66,6 +68,17 @@ class CheckpointParticipant(Protocol):
     def on_rpcn(self, rpcn: int) -> None:
         """Recovery-point advance: deallocate validated checkpoints."""
         ...
+
+
+def transaction_closed(participant: CheckpointParticipant,
+                       start_interval: int) -> None:
+    """Phase 4's trigger (paper §3.5): a transaction ``participant``
+    opened in interval ``start_interval`` has closed.  If it began before
+    the current interval it may have been the last thing blocking
+    sign-off of an earlier checkpoint, so tell the validation agent."""
+    if (start_interval < participant.ccn
+            and participant.on_readiness_changed is not None):
+        participant.on_readiness_changed()
 
 
 def missing_members(obj: object) -> List[str]:

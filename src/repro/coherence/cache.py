@@ -15,10 +15,12 @@ appear only in the Table 2 listing) plus the SafetyNet hooks:
 
 The CPU side has two entries: hits resolve synchronously (the common
 case the paper stresses has zero added latency) and :meth:`start_miss`
-runs the message protocol.  The core's burst loop inlines the hit path
-(``processor/core.py``), calling :meth:`_store_hit_logged` for a store
-hit that must log; :meth:`fast_access` is the same hit path as one call,
-the single-access entry the directed protocol tests drive.
+runs the message protocol.  Every store that logs or upgrades E→M
+silently goes through :meth:`_apply_store`, which logs the pre-store
+state; the core's burst loop (``processor/core.py``) inlines only the
+no-log store hit on an M block.  :meth:`fast_access` is the hit path as
+one call, the single-access entry the directed protocol tests drive.
+A forwarded request gets its one DATA_OWNER reply from :meth:`_on_fwd`.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.checkpoint.participant import transaction_closed
 from repro.config import SystemConfig
-from repro.coherence.protocol import (CoherenceProtocol, NULL_COUNTER,
-                                      resolve_protocol)
+from repro.coherence.protocol import CoherenceProtocol, resolve_protocol
 from repro.coherence.state import (CacheBlock, CacheState, ProtocolError,
                                    schedule_in_epoch)
 from repro.core.clb import CheckpointLogBuffer, needs_log
@@ -173,19 +175,12 @@ class CacheController:
         self.c_timeouts = stats.counter(f"{ns}.timeouts")
         self.c_recovery_overflow = stats.counter(f"{ns}.recovery_set_overflow")
         self.bw = stats.meter(f"{ns}.bw")
-        # E-state transition counters: registered only for protocols that
-        # have an E state, because the stats snapshot reports every
-        # registered counter — unconditional registration would change the
-        # default (mosi) run's counter set and break seed bit-identity.
-        if self.protocol.has_exclusive:
-            cns = f"node{node_id}.coh"
-            self.c_fill_e = stats.counter(f"{cns}.fill_e")
-            self.c_silent_upgrade = stats.counter(f"{cns}.silent_upgrade")
-            self.c_clean_evict = stats.counter(f"{cns}.clean_evict")
-            self.c_downgrade = stats.counter(f"{cns}.downgrade")
-        else:
-            self.c_fill_e = self.c_silent_upgrade = NULL_COUNTER
-            self.c_clean_evict = self.c_downgrade = NULL_COUNTER
+        coh = f"node{node_id}.coh"
+        self.c_fill_e = self.protocol.counter(stats, f"{coh}.fill_e")
+        self.c_silent_upgrade = self.protocol.counter(
+            stats, f"{coh}.silent_upgrade")
+        self.c_clean_evict = self.protocol.counter(stats, f"{coh}.clean_evict")
+        self.c_downgrade = self.protocol.counter(stats, f"{coh}.downgrade")
 
     # ------------------------------------------------------------------
     # Cache array helpers
@@ -225,21 +220,27 @@ class CacheController:
         block.cn = self.ccn + 1
         self.bw.add("logging", self.config.block_size)
 
-    def _apply_store(self, block: CacheBlock, value: int) -> Tuple[str, int]:
-        """Perform a store on an owned block; returns ("ok", extra_cycles)
-        or ("clb_full", 0) when logging is required but there is no space."""
+    def _apply_store(self, block: CacheBlock, value: int) -> Optional[int]:
+        """The one store: write ``value`` into an M block, or an E block
+        upgrading to M silently.  Returns the extra cycles (the log
+        penalty, or 0), or None when the store must log and the CLB is
+        full; then nothing changes and the caller throttles (paper §3.3).
+        The log records the pre-store state, E included."""
         extra = 0
         if self._needs_log(block):
             if self.clb.is_full():
-                return ("clb_full", 0)
+                self.c_store_throttles.add()
+                return None
             self._log_block(block)
             self.c_stores_logged.add()
             extra = self.config.store_log_penalty
+        if block.state == CacheState.EXCLUSIVE:
+            self.c_silent_upgrade.add()
         self.c_stores.add()
         self.bw.add("hits", self.config.block_size)
         block.data = value
         block.state = CacheState.MODIFIED
-        return ("ok", extra)
+        return extra
 
     def _transfer_out(self, block: CacheBlock) -> Tuple[bool, Optional[int]]:
         """Run the ownership-transfer logging rule (Wu et al. insight: a
@@ -274,26 +275,11 @@ class CacheController:
             self.c_loads.add()
             self.bw.add("hits", self.config.block_size)
             return ("hit", 0)
-        if block.state == CacheState.MODIFIED:
-            return self._store_hit_logged(block, value)
-        if block.state in self._silent_upgrade:
-            result = self._store_hit_logged(block, value)
-            if result[0] == "hit":
-                self.c_silent_upgrade.add()
-            return result
-        return ("miss", 0)
-
-    def _store_hit_logged(self, block: CacheBlock, value: int) -> Tuple[str, int]:
-        """A store hit on an M block, or an E block upgrading silently.
-
-        Delegates to :meth:`_apply_store` (one copy of the logging rule)
-        and maps its result to ``fast_access``'s return shape.  The burst
-        loop calls it for a store hit that must log; its common no-log
-        store hit is inlined in ``Core._burst`` instead.
-        """
-        status, extra = self._apply_store(block, value)
-        if status == "clb_full":
-            self.c_store_throttles.add()
+        if (block.state != CacheState.MODIFIED
+                and block.state not in self._silent_upgrade):
+            return ("miss", 0)
+        extra = self._apply_store(block, value)
+        if extra is None:
             return ("throttle", self.config.store_throttle_delay)
         return ("hit", extra)
 
@@ -338,10 +324,6 @@ class CacheController:
             issue + self.config.request_timeout,
             lambda: self._check_timeout(mshr, issue, epoch),
         )
-
-    def _disarm_timeout(self, mshr: Mshr) -> None:
-        """Completion: drop the deadline."""
-        self._timeout_table.cancel(mshr.txn_id)
 
     def _check_timeout(self, mshr: Mshr, issue_cycle: int, epoch: int) -> None:
         if epoch != self.epoch:
@@ -406,17 +388,13 @@ class CacheController:
         mshr = Mshr(victim.addr, "PUTE" if clean else "PUTM", False, None,
                     txn_id, self.ccn, self.sim.now, None)
         self.wb_txns[victim.addr] = mshr
-        if clean:
-            self.c_clean_evict.add()
-            msg = Message(MessageKind.PUTE, src=self.node_id,
-                          dst=self.home_of(victim.addr), addr=victim.addr,
-                          txn_id=txn_id, cn=out_cn)
-        else:
-            self.c_writebacks.add()
-            msg = Message(MessageKind.PUTM, src=self.node_id,
-                          dst=self.home_of(victim.addr), addr=victim.addr,
-                          txn_id=txn_id, cn=out_cn, data=victim.data)
-        self.network.send(msg)
+        (self.c_clean_evict if clean else self.c_writebacks).add()
+        self.network.send(
+            Message(MessageKind.PUTE if clean else MessageKind.PUTM,
+                    src=self.node_id, dst=self.home_of(victim.addr),
+                    addr=victim.addr, txn_id=txn_id, cn=out_cn,
+                    data=None if clean else victim.data)
+        )
         self._arm_timeout(mshr)
         return True
 
@@ -496,16 +474,9 @@ class CacheController:
         if not mshr.satisfied():
             return
         if mshr.data_received:
-            grant = mshr.grant
-            if grant == "M":
-                state = CacheState.MODIFIED
-            elif grant == "E":
-                state = CacheState.EXCLUSIVE
-            else:
-                state = CacheState.SHARED
-            block = self._install(mshr.addr, state, mshr.data, mshr.data_cn)
-            if block is not None and grant == "E":
-                self.c_fill_e.add()
+            block = self._install(mshr.addr,
+                                  self.protocol.fill_state(mshr.grant),
+                                  mshr.data, mshr.data_cn)
             if block is None:
                 # No way free (eviction blocked on CLB space); retry soon.
                 schedule_in_epoch(
@@ -513,6 +484,8 @@ class CacheController:
                     lambda: self._maybe_complete(mshr), "cache.fill_retry",
                 )
                 return
+            if mshr.grant == "E":
+                self.c_fill_e.add()
         else:
             # Pure upgrade: we already own the block in O.
             block = self.lookup(mshr.addr)
@@ -523,9 +496,7 @@ class CacheController:
                 )
             block.state = CacheState.MODIFIED
         if mshr.is_store:
-            status = self._apply_store(block, mshr.value)
-            if status[0] == "clb_full":
-                self.c_store_throttles.add()
+            if self._apply_store(block, mshr.value) is None:
                 schedule_in_epoch(
                     self, self.config.store_throttle_delay,
                     lambda: self._maybe_complete(mshr), "cache.store_retry",
@@ -537,7 +508,7 @@ class CacheController:
         self._finish_txn(mshr)
 
     def _finish_txn(self, mshr: Mshr) -> None:
-        self._disarm_timeout(mshr)
+        self._timeout_table.cancel(mshr.txn_id)
         final_cn = mshr.data_cn if mshr.grant == "M" else None
         self.network.send(
             Message(MessageKind.FINAL_ACK, src=self.node_id,
@@ -547,7 +518,7 @@ class CacheController:
         del self.mshrs[mshr.addr]
         if mshr.done is not None:
             mshr.done()
-        self._transaction_closed(mshr.start_interval)
+        transaction_closed(self, mshr.start_interval)
 
     def _on_nack(self, msg: Message) -> None:
         mshr = self.mshrs.get(msg.addr)
@@ -591,8 +562,15 @@ class CacheController:
             raise ProtocolError(
                 f"node{self.node_id}: forwarded {msg} but not owner ({block})"
             )
-        if msg.kind == MessageKind.FWD_GETM:
-            ok, out_cn = self._transfer_out(block)
+        getm = msg.kind is MessageKind.FWD_GETM
+        # Ownership leaves on a read-exclusive, and on a read under mesi:
+        # with no O state the owner cannot keep serving the block, so it
+        # keeps a shared copy and returns data + CN home (COPYBACK; the
+        # home holds the transaction open until both this and the
+        # requestor's FINAL_ACK arrive).  Leaving is a transfer, logged.
+        leaves = getm or self.protocol.copyback_on_read
+        if leaves:
+            ok, cn = self._transfer_out(block)
             if not ok:
                 # CLB full: stall the forward until validation frees space
                 # (deadlock-free: earlier checkpoints can still validate,
@@ -600,60 +578,36 @@ class CacheController:
                 self.c_fwd_stalls.add()
                 self._stalled_fwds.append(msg)
                 return
-            requestor = msg.payload["requestor"]
-            self.network.send(
-                Message(MessageKind.DATA_OWNER, src=self.node_id, dst=requestor,
-                        addr=msg.addr, txn_id=msg.txn_id, data=block.data,
-                        cn=out_cn, grant="M", ack_count=msg.ack_count)
-            )
+        else:
+            # Read: the owner keeps ownership (M/E -> O), no log.
+            self.c_transfers_served.add()
+            self.bw.add("coherence", self.config.block_size)
+            cn = block.cn
+        self.network.send(
+            Message(MessageKind.DATA_OWNER, src=self.node_id,
+                    dst=msg.payload["requestor"], addr=msg.addr,
+                    txn_id=msg.txn_id, data=block.data, cn=cn,
+                    grant="M" if getm else "S", ack_count=msg.ack_count)
+        )
+        if getm:
             # We cease to be owner.  If the block was in the cache proper,
             # invalidate it; if it was awaiting writeback, mark it served
             # (the home will answer our PUTM with WB_STALE).
             bucket = self._set_of(msg.addr)
             if msg.addr in bucket:
                 del bucket[msg.addr]
-        elif self.protocol.copyback_on_read:
-            # MESI read-forward: no O state exists, so the owner cannot
-            # keep serving the block — it logs the ownership transfer,
-            # returns data + CN to the home (COPYBACK; the home holds the
-            # transaction open until both this and the requestor's
-            # FINAL_ACK arrive), keeps a shared copy, and the home becomes
-            # owner again.
-            ok, out_cn = self._transfer_out(block)
-            if not ok:
-                self.c_fwd_stalls.add()
-                self._stalled_fwds.append(msg)
-                return
+            return
+        if leaves or block.state == CacheState.EXCLUSIVE:
             self.c_downgrade.add()
+        if leaves:
             block.state = CacheState.SHARED
-            requestor = msg.payload["requestor"]
-            self.network.send(
-                Message(MessageKind.DATA_OWNER, src=self.node_id, dst=requestor,
-                        addr=msg.addr, txn_id=msg.txn_id, data=block.data,
-                        cn=out_cn, grant="S")
-            )
             self.network.send(
                 Message(MessageKind.COPYBACK, src=self.node_id,
                         dst=self.home_of(msg.addr), addr=msg.addr,
-                        txn_id=msg.txn_id, data=block.data, cn=out_cn)
+                        txn_id=msg.txn_id, data=block.data, cn=cn)
             )
         else:
-            # Read: owner keeps ownership (M -> O), no log (no transfer).
-            # Under moesi an exclusive-clean owner downgrades E -> O the
-            # same way.
-            self.c_transfers_served.add()
-            self.bw.add("coherence", self.config.block_size)
-            if block.state == CacheState.MODIFIED:
-                block.state = CacheState.OWNED
-            elif block.state == CacheState.EXCLUSIVE:
-                self.c_downgrade.add()
-                block.state = CacheState.OWNED
-            requestor = msg.payload["requestor"]
-            self.network.send(
-                Message(MessageKind.DATA_OWNER, src=self.node_id, dst=requestor,
-                        addr=msg.addr, txn_id=msg.txn_id, data=block.data,
-                        cn=block.cn, grant="S")
-            )
+            block.state = CacheState.OWNED
 
     def _on_wb_ack(self, msg: Message) -> None:
         """WB_ACK or WB_STALE: either way the writeback is over."""
@@ -662,9 +616,9 @@ class CacheController:
             if mshr is not None:
                 self.wb_txns[msg.addr] = mshr
             return
-        self._disarm_timeout(mshr)
+        self._timeout_table.cancel(mshr.txn_id)
         self.wb_buffer.pop(msg.addr, None)
-        self._transaction_closed(mshr.start_interval)
+        transaction_closed(self, mshr.start_interval)
 
     def _retry_stalled_fwds(self) -> None:
         if not self._stalled_fwds:
@@ -676,13 +630,6 @@ class CacheController:
     # ------------------------------------------------------------------
     # SafetyNet checkpoint lifecycle (CheckpointParticipant)
     # ------------------------------------------------------------------
-    def _transaction_closed(self, start_interval: int) -> None:
-        """A transaction we initiated completed.  If it began before the
-        current interval it may have been the last thing blocking sign-off
-        of an earlier checkpoint — tell the validation agent."""
-        if start_interval < self.ccn and self.on_readiness_changed is not None:
-            self.on_readiness_changed()
-
     def on_edge(self, new_ccn: int) -> None:
         self.ccn = new_ccn
 

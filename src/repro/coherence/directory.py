@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
+from repro.checkpoint.participant import transaction_closed
 from repro.config import SystemConfig
 from repro.coherence.protocol import CoherenceProtocol, resolve_protocol
 from repro.coherence.state import DirEntry, MEMORY_OWNER, schedule_in_epoch
@@ -492,15 +493,11 @@ class MemoryController:
     def _maybe_close_txn(self, addr: int, txn: _BusyTxn) -> None:
         if not txn.final_acked or txn.needs_copyback:
             return
-        start_interval = txn.start_interval
         del self.busy[addr]
         if self._timeout_table is not None:
             self._timeout_table.cancel(addr)
         self._pop_queue(addr)
-        # A transaction serialised in an earlier interval closed; it may
-        # have been the last thing blocking sign-off of that checkpoint.
-        if start_interval < self.ccn and self.on_readiness_changed is not None:
-            self.on_readiness_changed()
+        transaction_closed(self, txn.start_interval)
 
     # ------------------------------------------------------------------
     # SafetyNet checkpoint lifecycle (CheckpointParticipant)

@@ -22,23 +22,31 @@ Checkpoint participants (per-block CN tagging, CLB logging on stores
 and ownership transfers, validation readiness) are protocol-agnostic:
 every protocol runs the same once-per-interval logging rule, so
 recovery works identically under all three.
+
+The two rules both caches (directory and snooping) read from the
+protocol are stated here once: :meth:`CoherenceProtocol.fill_state`
+maps a data grant to the state it installs, and
+:meth:`CoherenceProtocol.counter` registers an E-state transition
+counter only where the protocol has an E state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, Union
 
 from repro.coherence.state import CacheState
+from repro.sim.stats import Counter, StatsRegistry
 
 
 class _NullCounter:
-    """Stand-in for the ``coh.*`` transition counters under ``mosi``.
+    """Stand-in for the E-state transition counters under ``mosi``.
 
     The stats snapshot includes every *registered* counter, zero or not,
     so registering the E-state counters unconditionally would change the
     default run's counter set and break bit-identity with the seed.
-    Protocols without an E state get this no-op instead.
+    Protocols without an E state get this no-op instead (see
+    :meth:`CoherenceProtocol.counter`).
     """
 
     __slots__ = ()
@@ -61,7 +69,7 @@ class CoherenceProtocol:
 
     name: str
     #: Whether the E (exclusive-clean) state exists at all.  Gates the
-    #: directory's exclusive-clean fill and the ``coh.*`` counters.
+    #: E-state transition counters (:meth:`counter`).
     has_exclusive: bool
     #: Cache states a store may upgrade to M silently (no network
     #: transaction).  ``frozenset({"E"})`` for mesi/moesi, empty for mosi.
@@ -81,6 +89,12 @@ class CoherenceProtocol:
         if grant == "E":
             return CacheState.EXCLUSIVE
         return CacheState.SHARED
+
+    def counter(self, stats: StatsRegistry,
+                name: str) -> Union[Counter, _NullCounter]:
+        """An E-state transition counter: registered in ``stats`` under a
+        protocol with an E state, :data:`NULL_COUNTER` otherwise."""
+        return stats.counter(name) if self.has_exclusive else NULL_COUNTER
 
 
 MOSI = CoherenceProtocol(

@@ -13,6 +13,12 @@ This variant is prototype-fidelity: it shares the CLB and the logging
 rules with the main implementation and demonstrates exact recovery, but
 drives memory traffic directly rather than through the full
 processor/workload stack (README "Coherence protocols & arbitration").
+Each step the cache shares with the directory cache is stated once.  A
+store hit and a GETM fill go through one ``_apply_store``, which logs
+the pre-store state, so a silently upgraded block recovers as E.  Fills,
+E-state counters and readiness use ``CoherenceProtocol.fill_state``,
+``CoherenceProtocol.counter`` and
+:func:`~repro.checkpoint.participant.transaction_closed`.
 """
 
 from __future__ import annotations
@@ -20,11 +26,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.coherence.protocol import (
-    CoherenceProtocol,
-    NULL_COUNTER,
-    resolve_protocol,
-)
+from repro.checkpoint.participant import transaction_closed
+from repro.coherence.protocol import CoherenceProtocol, resolve_protocol
 from repro.coherence.state import CacheBlock, CacheState, ProtocolError
 from repro.core.clb import CheckpointLogBuffer, needs_log
 from repro.interconnect.messages import Message, MessageKind, reset_msg_ids
@@ -97,16 +100,10 @@ class SnoopingCache:
         self.c_transfers_logged = stats.counter(f"{ns}.transfers_logged")
         self.c_stores_logged = stats.counter(f"{ns}.stores_logged")
         self.c_timeouts = stats.counter(f"{ns}.timeouts")
-        if self.protocol.has_exclusive:
-            self.c_fill_e = stats.counter(f"{ns}.fill_e")
-            self.c_silent_upgrade = stats.counter(f"{ns}.silent_upgrade")
-            self.c_downgrade = stats.counter(f"{ns}.downgrade")
-        else:
-            # Registering them under mosi would widen the stats snapshot
-            # and break bit-identity with the seed (see protocol module).
-            self.c_fill_e = NULL_COUNTER
-            self.c_silent_upgrade = NULL_COUNTER
-            self.c_downgrade = NULL_COUNTER
+        self.c_fill_e = self.protocol.counter(stats, f"{ns}.fill_e")
+        self.c_silent_upgrade = self.protocol.counter(
+            stats, f"{ns}.silent_upgrade")
+        self.c_downgrade = self.protocol.counter(stats, f"{ns}.downgrade")
 
     # ------------------------------------------------------------------
     # SafetyNet primitives (same rules as the directory variant)
@@ -117,6 +114,18 @@ class SnoopingCache:
     def _log_block(self, block: CacheBlock) -> None:
         self.clb.append(self.ccn, block.addr, (block.state, block.data, block.cn))
         block.cn = self.ccn + 1
+
+    def _apply_store(self, block: CacheBlock, value: int) -> None:
+        """The one store: write ``value`` into an M block, or an E block
+        upgrading to M silently, logging the pre-store state first."""
+        if self._needs_log(block):
+            self._log_block(block)
+            self.c_stores_logged.add()
+        if block.state == CacheState.EXCLUSIVE:
+            # Silent E->M upgrade: no bus transaction (mesi/moesi).
+            self.c_silent_upgrade.add()
+        block.state = CacheState.MODIFIED
+        block.data = value
 
     # ------------------------------------------------------------------
     # CPU side
@@ -132,14 +141,7 @@ class SnoopingCache:
         block = self.blocks.get(addr)
         if block is not None and (block.state == CacheState.MODIFIED
                                   or block.state in self._silent):
-            if block.state in self._silent:
-                # Silent E->M upgrade: no bus transaction (mesi/moesi).
-                self.c_silent_upgrade.add()
-                block.state = CacheState.MODIFIED
-            if self._needs_log(block):
-                self._log_block(block)
-                self.c_stores_logged.add()
-            block.data = value
+            self._apply_store(block, value)
             self.sim.schedule_after(1, lambda: done(), "snoop.hit")
             return
         self._request(MessageKind.GETM, addr, value, lambda _=None: done())
@@ -231,7 +233,7 @@ class SnoopingCache:
             return
         if self._timeout_table is not None:
             self._timeout_table.cancel(msg.addr)
-        request, value, done, _issue_interval = entry
+        request, value, done, issue_interval = entry
         state = self.protocol.fill_state(msg.grant)
         if state == CacheState.EXCLUSIVE:
             self.c_fill_e.add()
@@ -239,13 +241,9 @@ class SnoopingCache:
         block = CacheBlock(msg.addr, state, msg.data, cn)
         self.blocks[msg.addr] = block
         if request.kind == MessageKind.GETM:
-            if self._needs_log(block):
-                self._log_block(block)
-                self.c_stores_logged.add()
-            block.data = value
+            self._apply_store(block, value)
         done(msg.data)
-        if _issue_interval < self.ccn and self.on_readiness_changed is not None:
-            self.on_readiness_changed()
+        transaction_closed(self, issue_interval)
 
     # ------------------------------------------------------------------
     # Validation + recovery (CheckpointParticipant)

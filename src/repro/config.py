@@ -30,6 +30,29 @@ def parse_shape(text: str) -> Tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
+#: Every integer field that counts cycles or things, as (least legal
+#: value, unit, fields).  A delay may be 0 cycles.  A period or timeout
+#: is at least one cycle: a zero resync interval re-arms at the cycle it
+#: fires, so time stops, and a zero timeout fires before any reply can
+#: arrive.  Anything else would fail mid-run (a fractional delay
+#: schedules a non-integer cycle, a negative one a past cycle, a zero
+#: associativity divides by zero) or finish wrongly (an empty switch
+#: buffer stalls every switch entry).  ``home_request_timeout`` is
+#: checked only when set.
+_INT_FIELDS = (
+    (0, " (cycles)", ("memory_latency", "directory_latency", "switch_latency",
+                      "link_latency", "store_log_penalty",
+                      "register_checkpoint_cycles", "service_broadcast_latency",
+                      "recovery_fixed_latency", "nack_retry_delay",
+                      "store_throttle_delay", "max_clock_skew")),
+    (1, " (cycles)", ("checkpoint_interval", "validation_resync_interval",
+                      "request_timeout", "watchdog_timeout",
+                      "home_request_timeout")),
+    (0, "", ("home_queue_depth", "max_recoveries")),
+    (1, "", ("switch_buffer_messages", "l1_assoc", "l2_assoc")),
+)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All architectural parameters for one simulated machine."""
@@ -123,24 +146,20 @@ class SystemConfig:
             raise ValueError(
                 f"CLB of {self.clb_size_bytes} bytes holds no "
                 f"{self.clb_entry_bytes}-byte entry")
-        # The network would otherwise fail mid-run (a zero bandwidth
-        # divides by zero at the first send, a fractional latency
-        # schedules a non-integer cycle, a negative one a past cycle) or
-        # finish wrongly (a negative bandwidth serialises every message
-        # in one cycle, an empty buffer stalls every switch entry).
+        # A zero bandwidth would divide by zero at the first send, a
+        # negative one serialise every message in one cycle.
         if not self.link_bandwidth_bytes_per_cycle > 0:
             raise ValueError(
                 "link_bandwidth_bytes_per_cycle must be > 0, got "
                 f"{self.link_bandwidth_bytes_per_cycle!r}")
-        if self.switch_buffer_messages < 1:
-            raise ValueError(
-                "switch_buffer_messages must be >= 1, got "
-                f"{self.switch_buffer_messages!r}")
-        for name in ("switch_latency", "link_latency"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"{name} must be an int >= 0 (cycles), got {value!r}")
+        for least, unit, names in _INT_FIELDS:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name == "home_request_timeout":
+                    continue
+                if not isinstance(value, int) or value < least:
+                    raise ValueError(f"{name} must be an int >= {least}"
+                                     f"{unit}, got {value!r}")
         # Lazy imports: repro.coherence.cache / repro.interconnect.network
         # import this module, so validating eagerly at module scope would
         # be circular.

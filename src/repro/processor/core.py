@@ -10,10 +10,13 @@ instructions, and the op stream is a pure function of position, so
 SafetyNet recovery is just "restore the register checkpoint (which
 includes position) and re-execute".
 
-Ops run in one burst loop (:meth:`Core._burst`) with the cache hit path
-inlined; a miss leaves the loop and blocks the core until the cache's
-transaction completes, and I/O commit hooks see each retirement that
-crosses an output or input period boundary.  The loop reads packed ops
+Ops run in one burst loop (:meth:`Core._burst`) with the hit path
+inlined for a load and for a store on an M block that needs no log;
+every other store hit calls the cache's one store,
+:meth:`~repro.coherence.cache.CacheController._apply_store`.  A miss
+leaves the loop and blocks the core until the cache's transaction
+completes, and I/O commit hooks see each retirement that crosses an
+output or input period boundary.  The loop reads packed ops
 from a one-window buffer that the workload's ``ops_from`` fills along the
 chain of positions the core retires through; since the stream is pure,
 a buffer whose head is not the core's position (first start, recovery)
@@ -228,51 +231,37 @@ class Core:
                     executed += gap + 1
                     t = t_issue
                     continue
-                if block.state == modified:
+                # repro.core.clb.needs_log, inlined: this test runs on
+                # every store hit.
+                if block.state == modified and not (
+                        logging_on and (block.cn is None or ccn >= block.cn)):
+                    # Store hit, already logged this interval.
                     value = store_tag ^ position
-                    # repro.core.clb.needs_log, inlined: this test runs
-                    # on every store hit.
-                    if not (logging_on
-                            and (block.cn is None or ccn >= block.cn)):
-                        # Store hit, already logged this interval.
-                        block.data = value
-                        stores += 1
-                        registers[position & 7] ^= value
-                        position += gap + 1
-                        executed += gap + 1
-                        t = t_issue
-                        continue
-                    status, extra = cache._store_hit_logged(block, value)
-                    if status == "hit":
-                        registers[position & 7] ^= value
-                        position += gap + 1
-                        executed += gap + 1
-                        t = t_issue + extra
-                        continue
-                    # CLB full: the paper's CPU-throttling backpressure.
-                    k -= 1
-                    flush()
-                    self.c_store_stall_cycles.add(extra)
-                    self._schedule_burst((t_issue - sim.now) + extra)
-                    return
-                if block.state in silent:
-                    # Silent E→M upgrade: a store hit with no network
-                    # transaction (the same _store_hit_logged call, and
-                    # counter, as fast_access's E branch).
+                    block.data = value
+                    stores += 1
+                    registers[position & 7] ^= value
+                    position += gap + 1
+                    executed += gap + 1
+                    t = t_issue
+                    continue
+                if block.state == modified or block.state in silent:
+                    # Every other store hit (one that logs, or a silent
+                    # E→M upgrade) is the cache's one store.
                     value = store_tag ^ position
-                    status, extra = cache._store_hit_logged(block, value)
-                    if status == "hit":
-                        cache.c_silent_upgrade.add()
-                        registers[position & 7] ^= value
-                        position += gap + 1
-                        executed += gap + 1
-                        t = t_issue + extra
-                        continue
-                    k -= 1
-                    flush()
-                    self.c_store_stall_cycles.add(extra)
-                    self._schedule_burst((t_issue - sim.now) + extra)
-                    return
+                    extra = cache._apply_store(block, value)
+                    if extra is None:
+                        # CLB full: the paper's CPU-throttling backpressure.
+                        k -= 1
+                        flush()
+                        delay = self.config.store_throttle_delay
+                        self.c_store_stall_cycles.add(delay)
+                        self._schedule_burst((t_issue - sim.now) + delay)
+                        return
+                    registers[position & 7] ^= value
+                    position += gap + 1
+                    executed += gap + 1
+                    t = t_issue + extra
+                    continue
             # Miss (including stores to O/S blocks, which need upgrades).
             # It consumes its op: once the miss retires it, the core's
             # position is the buffer's head again.

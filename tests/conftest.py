@@ -1,5 +1,5 @@
 """Shared test helpers: small machines, a direct-drive harness, and a
-kernel fixture covering both dispatch loops."""
+kernel fixture that runs each test with and without a tracer."""
 
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ def _traced_simulator() -> Simulator:
 
 @pytest.fixture(params=[Simulator, _traced_simulator], ids=["heap", "traced"])
 def sim(request) -> Simulator:
-    """A fresh kernel, plain and with a DispatchProfile attached: the
-    tracer switches :meth:`Simulator.run` to its separate traced loop,
-    which must keep every semantic of the plain one."""
+    """A fresh kernel, plain and with a DispatchProfile attached.
+    :meth:`Simulator.run` is the one dispatch loop either way; the tracer
+    only times each callback, and must change no semantic of the run."""
     return request.param()

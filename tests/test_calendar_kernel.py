@@ -5,8 +5,8 @@ The event calendar is the kernel's set of pending events (the heap in
 schedules exactly what the machine asks for:
 
 * a unit battery through every public semantic (dispatch order, limits,
-  fast-forward, stop, max_events, step, cancellation), run on the plain
-  dispatch loop and on the separate traced loop (a
+  fast-forward, stop, max_events, step, cancellation), run on the one
+  dispatch loop without and with a tracer (a
   :class:`~repro.sim.profile.DispatchProfile` attached);
 * a randomised differential fuzz: the kernel and a naive list-scanning
   reference model replay identical schedule/cancel/run/step scripts and

@@ -35,6 +35,37 @@ def test_store_to_full_clb_throttles_cpu():
     assert block.data == 2
 
 
+def test_silent_upgrade_to_full_clb_throttles_cpu():
+    """Under mesi a store hit on an E block upgrades to M silently, and
+    it is a store like any other: into a full CLB it throttles and leaves
+    the block E, uncounted; once validation frees space it logs the block
+    as E, pays the log penalty and goes to M."""
+    d = Driver(tiny_machine(protocol="mesi"))
+    cache = d.machine.nodes[1].cache
+    d.access(1, 0x40, is_store=False)
+    block = cache.lookup(0x40)
+    assert block.state == CacheState.EXCLUSIVE
+    before = (block.data, block.cn)
+    # Cross an edge so the next store must log, then fill the CLB.
+    cache.on_edge(cache.ccn + 1)
+    while not cache.clb.is_full():
+        cache.clb.append(1, 0xBEEF00, ("M", 0, None))
+    status, delay = cache.fast_access(0x40, True, 2)
+    assert (status, delay) == ("throttle",
+                               d.machine.config.store_throttle_delay)
+    assert block.state == CacheState.EXCLUSIVE
+    assert (block.data, block.cn) == before
+    assert cache.c_silent_upgrade.value == 0
+    assert cache.c_store_throttles.value == 1
+    cache.clb.free_below(10**9)
+    status, extra = cache.fast_access(0x40, True, 2)
+    assert (status, extra) == ("hit", d.machine.config.store_log_penalty)
+    assert (block.state, block.data) == (CacheState.MODIFIED, 2)
+    assert cache.c_silent_upgrade.value == 1
+    assert [e.payload for e in cache.clb.unroll_from(cache.ccn)] == [
+        (CacheState.EXCLUSIVE,) + before]
+
+
 def test_small_clb_nacks_but_completes_correctly():
     machine = tiny_machine(
         workload=jbb(num_cpus=4, scale=32, seed=3),

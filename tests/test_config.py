@@ -78,7 +78,13 @@ def test_clb_must_hold_one_entry():
 # -6.4 completed with every message serialised in 1 cycle, an empty
 # buffer committed nothing in 200,000 cycles, a 4.5-cycle switch latency
 # died scheduling cycle 16.5, and (SafetyNet off) a -4 link latency died
-# scheduling a hop in the past.
+# scheduling a hop in the past.  The same run with a -100 memory latency,
+# or a 2.5-cycle directory latency or register checkpoint, died mid-run
+# in the kernel; a zero resync interval never finished (each resync
+# re-armed at the cycle it fired, so time stood still); a zero request or
+# watchdog timeout ended in the livelock guard; and a zero L2
+# associativity raised ZeroDivisionError while the machine was built.
+# The rest are the same rule on the other delays, periods and counts.
 BAD_NETWORK_PARAMETERS = [
     ("link_bandwidth_bytes_per_cycle", 0),
     ("link_bandwidth_bytes_per_cycle", -6.4),
@@ -87,6 +93,24 @@ BAD_NETWORK_PARAMETERS = [
     ("switch_latency", -1),
     ("link_latency", -4),
     ("link_latency", 4.0),
+    ("memory_latency", -100),
+    ("directory_latency", 2.5),
+    ("register_checkpoint_cycles", 2.5),
+    ("validation_resync_interval", 0),
+    ("request_timeout", 0),
+    ("watchdog_timeout", 0),
+    ("l2_assoc", 0),
+    ("store_log_penalty", -8),
+    ("service_broadcast_latency", 0.5),
+    ("recovery_fixed_latency", -1),
+    ("nack_retry_delay", -400),
+    ("store_throttle_delay", 100.0),
+    ("max_clock_skew", -1),
+    ("checkpoint_interval", 0),
+    ("home_request_timeout", 0),
+    ("home_queue_depth", -1),
+    ("max_recoveries", -1),
+    ("l1_assoc", 0),
 ]
 
 
@@ -115,6 +139,20 @@ def test_network_parameter_bounds_are_inclusive():
     cfg = SystemConfig(safetynet_enabled=False, switch_latency=0,
                        link_latency=0)
     assert cfg.min_network_latency == 0
+    # Every delay may be 0 cycles, every period 1, the home queue and
+    # the recovery budget 0, an associativity 1; the home timeout may
+    # be off.
+    edge = dict(memory_latency=0, directory_latency=0, store_log_penalty=0,
+                register_checkpoint_cycles=0, service_broadcast_latency=0,
+                recovery_fixed_latency=0, nack_retry_delay=0,
+                store_throttle_delay=0, max_clock_skew=0,
+                checkpoint_interval=1, validation_resync_interval=1,
+                request_timeout=1, watchdog_timeout=1,
+                home_request_timeout=1, home_queue_depth=0, max_recoveries=0,
+                l1_assoc=1, l2_assoc=1)
+    cfg = SystemConfig(**edge)
+    assert {name: getattr(cfg, name) for name in edge} == edge
+    assert SystemConfig(home_request_timeout=None).home_request_timeout is None
 
 
 def test_with_overrides_returns_modified_copy():

@@ -146,6 +146,31 @@ def test_throttle_retries_same_op():
     assert small_state == big_state
 
 
+def test_mesi_throttle_retries_same_op():
+    """The same under mesi, where a store hit on an E block upgrades to M
+    silently: silent upgrades and throttled stores both run through the
+    cache's one store, and the throttled run retires exactly what the
+    large-CLB run retires."""
+    runs = {}
+    for clb_bytes in (2 * 72, 32 * 1024):
+        wl = RandomTester(num_cpus=4, seed=2, blocks=4)
+        machine, core, _ = make_core(wl, clb_size_bytes=clb_bytes,
+                                     protocol="mesi")
+        Driver(machine).start_safetynet()
+        core.start(3_000)
+        while not core.done and machine.sim.pending():
+            machine.sim.step()
+        cache = core.cache
+        runs[clb_bytes] = (core.architected_state(),
+                           cache.c_silent_upgrade.value,
+                           cache.c_store_throttles.value)
+    small_state, small_silent, small_throttles = runs[2 * 72]
+    big_state, big_silent, big_throttles = runs[32 * 1024]
+    assert small_silent > 0 and small_throttles > 0
+    assert big_silent == small_silent and big_throttles == 0
+    assert small_state == big_state
+
+
 def test_edge_snapshots_and_checkpoint_stall():
     machine, core, stats = make_core()
     sim = machine.sim

@@ -165,3 +165,30 @@ def test_bus_drain_discards_in_flight_data():
     system.bus.drain()
     system.sim.run(limit=system.sim.now + 50_000)
     assert not got  # the response died with the drain (recovery discards it)
+
+
+@pytest.mark.parametrize("protocol", ["mesi", "moesi"])
+def test_recovery_restores_silently_upgraded_block_as_exclusive(protocol):
+    """A silent E->M upgrade is a store like any other: the CLB records
+    the block as it was before the store, E, so recovering to the
+    checkpoint before the upgrade gives back the E block, not M."""
+    system = SnoopingSystem(num_caches=2, requests_per_checkpoint=2,
+                            protocol=protocol)
+    cache = system.caches[0]
+    drive(system, lambda done: cache.load(BLOCK, done))
+    # Two more requests open interval 2; validate up to it.
+    for i in (1, 2):
+        drive(system, lambda done, a=BLOCK + (i << 12):
+              system.caches[1].load(a, done))
+    rpcn = cache.ccn
+    system.validate_to(rpcn)
+    snapshot = cache.owned_state()
+    assert snapshot == {BLOCK: (CacheState.EXCLUSIVE, 0)}
+    drive(system, lambda done: cache.store(BLOCK, 99, done))
+    assert cache.owned_state() == {BLOCK: (CacheState.MODIFIED, 99)}
+    assert cache.c_silent_upgrade.value == 1
+    assert [(e.addr, e.payload, e.tag) for e in cache.clb.unroll_from(rpcn)] \
+        == [(BLOCK, (CacheState.EXCLUSIVE, 0, None), rpcn)]
+    system.recover_to(rpcn)
+    assert cache.owned_state() == snapshot
+    system.check_invariants()
