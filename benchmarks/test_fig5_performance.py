@@ -83,7 +83,7 @@ def test_fig5_performance_evaluation(benchmark, profile):
         out = {}
         for name, bars in campaign.items():
             results = {
-                bar: [next(records).to_run_result() for _ in specs]
+                bar: [next(records) for _ in specs]
                 for bar, specs in bars.items()
             }
             out[name] = summarise_workload(name, results)

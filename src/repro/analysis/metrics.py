@@ -4,16 +4,17 @@ The paper (after Alameldeen et al. [2]) runs each design point several
 times with small pseudo-random perturbations (here: different seeds feed
 different clock skews and workload hash streams) and reports means with
 one-standard-deviation error bars.  Performance in Fig. 5/8 is normalised
-runtime for fixed work.
+runtime for fixed work.  A run is a ``RunRecord`` or a ``RunResult``,
+read as it is: anything with ``cycles``, ``completed``, ``crashed``,
+``recoveries`` and ``lost_instructions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.sim.stats import mean_and_stddev
-from repro.system.machine import RunResult
 
 #: The paper's transient-fault period: ten faults per second at 1 GHz.
 PAPER_FAULT_PERIOD = 100_000_000.0
@@ -39,8 +40,8 @@ class MeasuredBar:
 
 
 def normalized_performance(
-    results: Sequence[RunResult],
-    baseline_results: Sequence[RunResult],
+    results: Sequence[Any],
+    baseline_results: Sequence[Any],
     label: str,
 ) -> MeasuredBar:
     """Normalised performance = baseline runtime / measured runtime
@@ -57,7 +58,7 @@ def normalized_performance(
     return MeasuredBar(label, mean, std, samples=len(results))
 
 
-def extrapolate_transient_overhead(results: Sequence[RunResult]) -> float:
+def extrapolate_transient_overhead(results: Sequence[Any]) -> float:
     """Extrapolate measured per-recovery cost to the paper's fault rate.
 
     Scaled runs compress the fault period to see several recoveries in a

@@ -26,6 +26,9 @@ shapes, spec hashes) in ``<store>.manifest.json`` next to the store;
 ``--status`` audits the store against it (pending runs, unmanifested
 records).
 
+``run``, ``trace`` and ``profile`` print from the record that
+:func:`~repro.experiments.runner.record_run` makes, as for a campaign cell.
+
 Exit code 0 means the run completed (or, with --unprotected and a fault,
 crashed as expected); 1 flags an unexpected outcome.
 """
@@ -50,12 +53,12 @@ from repro.experiments import (
     aggregate_telemetry,
     build_machine,
     list_shards,
+    record_run,
     summary_rows,
     varied_keys,
 )
 from repro.experiments.spec import FAULT_KINDS
 from repro.obs import fabric_summary, load_fabric_events
-from repro.system.machine import Machine
 from repro.workloads import WORKLOAD_NAMES, by_name, workload_character
 
 
@@ -258,43 +261,40 @@ def _spec_from_args(args, *, seed: Optional[int] = None) -> RunSpec:
     )
 
 
-def _build_machine(args) -> Machine:
-    spec = _spec_from_args(args)
-    # `run` measures warmup separately (Machine.run's warmup=); the spec
-    # here only describes machine construction.
-    return build_machine(spec)
+def _spec_and_machine(args, out):
+    """The flags' spec and its machine, or None after ``bad run``."""
+    try:
+        spec = _spec_from_args(args)
+        return spec, build_machine(spec)
+    except ValueError as exc:
+        print(f"bad run: {exc}", file=out)
+        return None
 
 
 def cmd_run(args, out) -> int:
-    try:
-        machine = _build_machine(args)
-    except ValueError as exc:
-        print(f"bad run: {exc}", file=out)
+    built = _spec_and_machine(args, out)
+    if built is None:
         return 1
-    result = machine.run(args.instructions, max_cycles=args.max_cycles,
-                         warmup=args.warmup)
+    spec, machine = built
+    record = record_run(spec, machine)
 
-    if result.crashed:
-        print(f"CRASH: {result.crash_reason}", file=out)
+    if record.crashed:
+        print(f"CRASH: {record.crash_reason}", file=out)
         # An unprotected machine crashing under a fault is the expected
         # baseline outcome, not a tool failure.
         return 0 if (args.unprotected and args.fault != "none") else 1
 
     rows = [
         ("workload", args.workload),
-        ("completed", result.completed),
-        ("cycles", f"{result.cycles:,}"),
-        ("committed instructions", f"{result.committed_instructions:,}"),
-        ("system IPC",
-         f"{result.committed_instructions / result.cycles:.3f}"
-         if result.cycles else "-"),
-        ("recoveries", result.recoveries),
-        ("instructions re-executed", f"{result.lost_instructions:,}"),
+        ("completed", record.completed),
+        ("cycles", f"{record.cycles:,}"),
+        ("committed instructions", f"{record.committed_instructions:,}"),
+        ("system IPC", f"{record.work_rate:.3f}" if record.cycles else "-"),
+        ("recoveries", record.recoveries),
+        ("instructions re-executed", f"{record.lost_instructions:,}"),
         ("recovery point (RPCN)", machine.controllers.rpcn),
-        ("peak cache-CLB entries",
-         max(n.cache_clb.peak_occupancy for n in machine.nodes)),
-        ("peak home-CLB entries",
-         max(n.home_clb.peak_occupancy for n in machine.nodes)),
+        ("peak cache-CLB entries", record.metrics["peak_cache_clb_entries"]),
+        ("peak home-CLB entries", record.metrics["peak_home_clb_entries"]),
     ]
     if machine.recovery.stats.reconfigurations:
         rows.append(("rerouted around", str(machine.topology.dead_switches)))
@@ -302,7 +302,7 @@ def cmd_run(args, out) -> int:
                        title=f"SafetyNet run ({'unprotected' if args.unprotected else 'protected'}, "
                              f"fault={args.fault})"), file=out)
     machine.check_coherence_invariants()
-    return 0 if result.completed else 1
+    return 0 if record.completed else 1
 
 
 def _parse_grid_value(raw: str):
@@ -645,6 +645,8 @@ def cmd_profile(args, out) -> int:
     from repro.sim.profile import profile_spec
 
     try:
+        if args.top < 1:
+            raise ValueError(f"top must be >= 1, got {args.top}")
         spec = _spec_from_args(args)
         report = profile_spec(spec, use_cprofile=not args.no_cprofile,
                               top_functions=args.top)
@@ -653,12 +655,13 @@ def cmd_profile(args, out) -> int:
         # traceback (the spec is built *inside* the try on purpose).
         print(f"bad run: {exc}", file=out)
         return 1
+    record = report.record
 
     if args.json == "-":
         # Machine mode: the report is the whole stdout, so that
         # `repro profile --json - | python -m json.tool` can parse it.
         print(report.to_json(), file=out)
-        return 0 if not report.crashed else 1
+        return 0 if not record.crashed else 1
 
     label_rows = [
         (r["label"], f"{r['dispatches']:,}", f"{r['dispatch_frac']:6.1%}",
@@ -669,8 +672,8 @@ def cmd_profile(args, out) -> int:
         ["event label", "dispatches", "disp %", "excl s", "time %"],
         label_rows,
         title=f"kernel dispatch profile ("
-              f"{report.events_dispatched:,} events, "
-              f"{report.wall_seconds:.2f}s wall)"), file=out)
+              f"{record.telemetry['events_dispatched']:,} events, "
+              f"{record.elapsed_s:.2f}s wall)"), file=out)
     if report.functions:
         fn_rows = [
             (f["function"], f"{f['calls']:,}", f"{f['exclusive_s']:.3f}",
@@ -700,16 +703,16 @@ def cmd_profile(args, out) -> int:
           f"(by generation {'/'.join(map(str, collector['collections']))}),"
           f" {collector['seconds']:.3f}s, "
           f"{collector['reclaimed']:,} objects reclaimed", file=out)
-    summary = (f"cycles={report.cycles:,} committed="
-               f"{report.committed_instructions:,} "
-               f"recoveries={report.recoveries} completed={report.completed} "
-               f"peak_pending={report.peak_pending:,}")
+    summary = (f"cycles={record.cycles:,} committed="
+               f"{record.committed_instructions:,} "
+               f"recoveries={record.recoveries} completed={record.completed} "
+               f"peak_pending={record.telemetry['peak_pending_events']:,}")
     print(summary, file=out)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
         print(f"report written to {args.json}", file=out)
-    return 0 if not report.crashed else 1
+    return 0 if not record.crashed else 1
 
 
 def cmd_trace(args, out) -> int:
@@ -733,12 +736,10 @@ def cmd_trace(args, out) -> int:
         timeline_summary,
     )
 
-    try:
-        spec = _spec_from_args(args)
-        machine = build_machine(spec)
-    except ValueError as exc:
-        print(f"bad run: {exc}", file=out)
+    built = _spec_and_machine(args, out)
+    if built is None:
         return 1
+    spec, machine = built
     trace = TraceLog()
     machine.attach_tracer(trace)
     sampler = None
@@ -750,8 +751,7 @@ def cmd_trace(args, out) -> int:
             print(f"bad run: {exc}", file=out)
             return 1
         sampler.start()
-    result = machine.run(args.instructions, max_cycles=args.max_cycles,
-                         warmup=args.warmup)
+    record = record_run(spec, machine)
     if sampler is not None:
         sampler.stop()
 
@@ -783,7 +783,7 @@ def cmd_trace(args, out) -> int:
                   f"({len(sampler.rows_)} samples)", file=out)
     if raw_to_stdout:
         # Stdout is a machine-readable export; keep it parseable.
-        return 0 if not result.crashed else 1
+        return 0 if not record.crashed else 1
 
     if args.timeline:
         rows = [
@@ -825,18 +825,18 @@ def cmd_trace(args, out) -> int:
          f"{summary['mean_recovery_span']:,.0f} cycles"),
         ("mean detection window",
          f"{summary['mean_detection_window']:,.0f} cycles"),
-        ("cycles", f"{result.cycles:,}"),
-        ("completed", result.completed),
+        ("cycles", f"{record.cycles:,}"),
+        ("completed", record.completed),
     ]
-    if result.crashed:
-        rows.append(("CRASH", result.crash_reason))
+    if record.crashed:
+        rows.append(("CRASH", record.crash_reason))
     print(format_table(["metric", "value"], rows,
                        title=f"trace summary (fault={args.fault})"), file=out)
     count_rows = [(kind, f"{n:,}") for kind, n in counts_table(trace)]
     if count_rows:
         print(format_table(["record kind", "count"], count_rows,
                            title="trace record counts"), file=out)
-    return 0 if not result.crashed else 1
+    return 0 if not record.crashed else 1
 
 
 def cmd_character(args, out) -> int:
@@ -873,22 +873,16 @@ def cmd_config(args, out) -> int:
     return 0
 
 
+#: Each subcommand's handler, ``handler(args, out) -> exit code``.
+COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "worker": cmd_worker,
+            "profile": cmd_profile, "trace": cmd_trace,
+            "character": cmd_character, "config": cmd_config}
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args, out)
-    if args.command == "sweep":
-        return cmd_sweep(args, out)
-    if args.command == "worker":
-        return cmd_worker(args, out)
-    if args.command == "profile":
-        return cmd_profile(args, out)
-    if args.command == "trace":
-        return cmd_trace(args, out)
-    if args.command == "character":
-        return cmd_character(args, out)
-    return cmd_config(args, out)
+    return COMMANDS[args.command](args, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

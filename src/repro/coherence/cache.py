@@ -221,11 +221,12 @@ class CacheController:
         self.bw.add("logging", self.config.block_size)
 
     def _apply_store(self, block: CacheBlock, value: int) -> Optional[int]:
-        """The one store: write ``value`` into an M block, or an E block
-        upgrading to M silently.  Returns the extra cycles (the log
-        penalty, or 0), or None when the store must log and the CLB is
-        full; then nothing changes and the caller throttles (paper §3.3).
-        The log records the pre-store state, E included."""
+        """The one store: write ``value`` into an M block, an E block
+        upgrading to M silently, or an O block whose upgrade the home
+        granted.  Returns the extra cycles (the log penalty, or 0), or
+        None when the store must log and the CLB is full; then nothing
+        changes and the caller throttles (paper §3.3).  The log records
+        the pre-store state, E and O included."""
         extra = 0
         if self._needs_log(block):
             if self.clb.is_full():
@@ -487,14 +488,14 @@ class CacheController:
             if mshr.grant == "E":
                 self.c_fill_e.add()
         else:
-            # Pure upgrade: we already own the block in O.
+            # Pure upgrade: we already own the block in O (the store
+            # below logs it as O and makes it M).
             block = self.lookup(mshr.addr)
             if block is None:
                 raise ProtocolError(
                     f"node{self.node_id}: upgrade completed but block "
                     f"{mshr.addr:#x} vanished"
                 )
-            block.state = CacheState.MODIFIED
         if mshr.is_store:
             if self._apply_store(block, mshr.value) is None:
                 schedule_in_epoch(

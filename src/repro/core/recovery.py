@@ -15,7 +15,8 @@ number.  Recovery then proceeds in the paper's order:
    broadcast the restart message.
 
 Without SafetyNet, the same fault detection simply crashes the machine
-(the paper's "unprotected" baseline bars).
+(the paper's "unprotected" baseline bars).  The crash is recorded only
+in :attr:`RecoveryManager.stats`, where the machine reads it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class RecoveryManager:
         controllers,          # ServiceControllers
         stats: StatsRegistry,
         *,
-        on_crash: Optional[Callable[[str], None]] = None,
         on_recovery_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         self.sim = sim
@@ -80,7 +80,6 @@ class RecoveryManager:
         self.nodes = nodes
         self.controllers = controllers
         self.stats_registry = stats
-        self.on_crash = on_crash
         self.on_recovery_complete = on_recovery_complete
 
         self.stats = RecoveryStats()
@@ -125,8 +124,6 @@ class RecoveryManager:
             return
         self.stats.crashed = True
         self.stats.crash_reason = reason
-        if self.on_crash is not None:
-            self.on_crash(reason)
         self.sim.stop(f"crash: {reason}")
 
     # ------------------------------------------------------------------

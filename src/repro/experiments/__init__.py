@@ -7,8 +7,9 @@ instead of a hand-rolled loop:
 
 * :mod:`~repro.experiments.spec` — :class:`RunSpec` (one hashable run)
   and :class:`Sweep` (grid expansion);
-* :mod:`~repro.experiments.runner` — :func:`execute_run` (spec ->
-  :class:`RunRecord`) and :class:`Runner` (campaign orchestration:
+* :mod:`~repro.experiments.runner` — :func:`record_run` (a spec's built
+  machine -> :class:`RunRecord`, for every run), :func:`execute_run`
+  (spec -> record) and :class:`Runner` (campaign orchestration:
   resume, retries, quarantine);
 * :mod:`~repro.experiments.backends` — the executor backends
   (``serial`` / ``pool`` / ``filequeue``: placement only) and the one
@@ -49,18 +50,9 @@ Or from the command line::
     python -m repro sweep --grid workload=apache,jbb --grid clb_kb=128,256,512 \\
         --seeds 3 --jobs 4 --out results.jsonl
 
-The names from :mod:`~repro.experiments.backends` and
-:mod:`~repro.experiments.journal` resolve on first use (a module
-``__getattr__``), so ``from repro.experiments import RunSpec,
-build_machine`` loads no multi-process fabric: no ``multiprocessing``,
-``concurrent.futures`` or ``socket``.  Every other name is imported
-eagerly.  ``aggregate`` must be: the function shares its name with the
-:mod:`~repro.experiments.aggregate` submodule, and importing that
-submodule on a lazy lookup would rebind the package attribute
-``aggregate`` to the module.
+The package loads neither ``backends`` nor ``journal`` (import their
+names from them), so one machine built through it loads no fabric.
 """
-
-import importlib
 
 from repro.experiments.chaos import CHAOS_ENV, ChaosConfig
 from repro.experiments.aggregate import (
@@ -83,53 +75,15 @@ from repro.experiments.runner import (
     aggregate_telemetry,
     build_machine,
     execute_run,
+    record_run,
 )
 from repro.experiments.spec import RunSpec, Sweep
 from repro.experiments.store import ResultStore, list_shards, shard_path
 
-#: The names that resolve on first use (see above), each mapped to the
-#: submodule that defines it.
-_LAZY = {
-    "BACKEND_NAMES": "backends",
-    "BACKENDS": "backends",
-    "CellCrashed": "backends",
-    "CellError": "backends",
-    "CellFailure": "backends",
-    "CellTimeout": "backends",
-    "resolve_backend": "backends",
-    "run_cell_guarded": "backends",
-    "run_worker": "backends",
-    "AttemptJournal": "journal",
-    "default_worker_id": "journal",
-    "journal_path": "journal",
-}
-
-
-def __getattr__(name):
-    submodule = _LAZY.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value
-    return value
-
-
 __all__ = [
-    "AttemptJournal",
-    "BACKEND_NAMES",
-    "BACKENDS",
     "CHAOS_ENV",
-    "CellCrashed",
-    "CellError",
-    "CellFailure",
-    "CellTimeout",
     "ChaosConfig",
-    "default_worker_id",
-    "journal_path",
     "list_shards",
-    "resolve_backend",
-    "run_cell_guarded",
-    "run_worker",
     "shard_path",
     "CampaignEntry",
     "CampaignManifest",
@@ -141,6 +95,7 @@ __all__ = [
     "aggregate_telemetry",
     "build_machine",
     "execute_run",
+    "record_run",
     "ResultStore",
     "CellSummary",
     "MetricSummary",

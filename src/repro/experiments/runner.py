@@ -1,10 +1,14 @@
 """Campaign execution: build a machine from a spec, run it, fault-tolerantly.
 
-:func:`execute_run` is the pure worker — ``RunSpec`` in,
-:class:`RunRecord` out — used identically by every executor backend.
-:class:`Runner` owns campaign *policy*: it skips every run already
-recorded in the :class:`~repro.experiments.store.ResultStore` or its
-worker shards (resume), journals in-flight cells in the
+:func:`record_run` is the one place a spec's built machine is run and
+its :class:`RunRecord` made: campaign cells, ``repro run``, ``repro
+trace`` and ``repro profile`` all call it, each with its own observers
+attached to the machine first.  :func:`execute_run` is the pure worker
+— ``RunSpec`` in, :class:`RunRecord` out — used identically by every
+executor backend.  :class:`Runner` owns campaign *policy*: it skips
+every run already recorded in the
+:class:`~repro.experiments.store.ResultStore` or its worker shards
+(resume), journals in-flight cells in the
 :class:`~repro.experiments.journal.AttemptJournal` (lease, heartbeat,
 attempt count — so a killed worker's cells are re-queued on resume),
 and hands the remainder to a backend from
@@ -32,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.config import SystemConfig
 from repro.detection.codes import CRC16
 from repro.experiments.spec import RunSpec
-from repro.system.machine import Machine, RunResult
+from repro.system.machine import Machine
 from repro.workloads import by_name
 
 #: Stats harvested into every record (small, stable, JSON-safe).
@@ -69,16 +73,13 @@ def build_machine(spec: RunSpec) -> Machine:
         overrides["protocol"] = spec.protocol
     if spec.arbiter is not None:
         overrides["arbiter"] = spec.arbiter
+    # No shape is the preset's own shape, where from_shape derives nothing.
     if spec.torus_width is not None:
-        config = SystemConfig.from_shape(
-            spec.torus_width, spec.torus_height,
-            preset=spec.preset, scale=spec.scale, **overrides)
-    elif spec.preset == "paper":
-        config = SystemConfig.paper(**overrides)
-    elif spec.preset == "tiny":
-        config = SystemConfig.tiny(**overrides)
+        shape = (spec.torus_width, spec.torus_height)
     else:
-        config = SystemConfig.sim_scaled(spec.scale, **overrides)
+        shape = (2, 2) if spec.preset == "tiny" else (4, 4)
+    config = SystemConfig.from_shape(*shape, preset=spec.preset,
+                                     scale=spec.scale, **overrides)
     workload = by_name(spec.workload, num_cpus=config.num_processors,
                        scale=spec.scale, seed=spec.seed)
     needs_checker = spec.fault in ("corrupt", "misroute")
@@ -153,21 +154,6 @@ class RunRecord:
         """The deterministic payload (for equivalence comparisons)."""
         return {name: getattr(self, name) for name in self.RESULT_FIELDS}
 
-    def to_run_result(self) -> RunResult:
-        """Adapt to the :class:`RunResult` shape ``repro.analysis`` expects."""
-        return RunResult(
-            cycles=self.cycles,
-            committed_instructions=self.committed_instructions,
-            target_instructions=self.target_instructions,
-            completed=self.completed,
-            crashed=self.crashed,
-            crash_reason=self.crash_reason,
-            recoveries=self.recoveries,
-            lost_instructions=self.lost_instructions,
-            reexecuted_instructions=self.reexecuted_instructions,
-            stats=dict(self.metrics),
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         out = asdict(self)
         out["spec"] = self.spec.canonical()
@@ -203,12 +189,17 @@ class RunRecord:
         )
 
 
-def execute_run(spec: RunSpec) -> RunRecord:
-    """Build, run, and summarise one spec (the process-pool work unit)."""
+def record_run(spec: RunSpec, machine: Machine) -> RunRecord:
+    """Run ``machine``, built from ``spec``, and make the run's record.
+
+    Campaign cells and the ``run``, ``trace`` and ``profile`` commands
+    all come through here, each with its observers already attached.
+    ``elapsed_s`` and ``telemetry["wall_seconds"]`` time the run alone.
+    """
     started = time.perf_counter()
-    machine = build_machine(spec)
     result = machine.run(spec.instructions, max_cycles=spec.max_cycles,
                          warmup=spec.warmup)
+    elapsed = time.perf_counter() - started
     metrics: Dict[str, float] = {
         suffix: machine.stats.sum_counters("." + suffix)
         for suffix in _METRIC_SUFFIXES
@@ -217,7 +208,6 @@ def execute_run(spec: RunSpec) -> RunRecord:
         n.cache_clb.peak_occupancy for n in machine.nodes)
     metrics["peak_home_clb_entries"] = max(
         n.home_clb.peak_occupancy for n in machine.nodes)
-    elapsed = time.perf_counter() - started
     events = machine.sim.events_dispatched
     telemetry: Dict[str, float] = {
         "wall_seconds": elapsed,
@@ -228,22 +218,15 @@ def execute_run(spec: RunSpec) -> RunRecord:
                                 metrics["peak_home_clb_entries"]),
         "peak_pending_events": machine.sim.peak_pending,
     }
-    return RunRecord(
-        spec=spec,
-        spec_hash=spec.spec_hash,
-        cycles=result.cycles,
-        committed_instructions=result.committed_instructions,
-        target_instructions=result.target_instructions,
-        completed=result.completed,
-        crashed=result.crashed,
-        crash_reason=result.crash_reason,
-        recoveries=result.recoveries,
-        lost_instructions=result.lost_instructions,
-        reexecuted_instructions=result.reexecuted_instructions,
-        metrics=metrics,
-        elapsed_s=elapsed,
-        telemetry=telemetry,
-    )
+    outcome = {name: getattr(result, name)
+               for name in RunRecord.RESULT_FIELDS if name != "metrics"}
+    return RunRecord(spec=spec, spec_hash=spec.spec_hash, metrics=metrics,
+                     elapsed_s=elapsed, telemetry=telemetry, **outcome)
+
+
+def execute_run(spec: RunSpec) -> RunRecord:
+    """Build, run, and summarise one spec (the process-pool work unit)."""
+    return record_run(spec, build_machine(spec))
 
 
 def check_fabric_settings(*, retries: int, cell_timeout: Optional[float],

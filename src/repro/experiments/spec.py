@@ -111,6 +111,8 @@ class RunSpec:
             raise ValueError("instructions must be positive")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if self.max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
         if self.fault_period is not None and self.fault_period <= 0:

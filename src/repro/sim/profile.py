@@ -21,9 +21,11 @@ anything is leaving reference cycles behind.
 
 ``repro profile`` (the CLI entry; see :func:`repro.cli.cmd_profile`) runs
 one :class:`~repro.experiments.spec.RunSpec` under both and emits a table
-and/or JSON.  Future PRs should start here when hunting the next hot
-path; the guarded-benchmark inventory in the README records where the
-previous ones went.
+and/or JSON; the report holds the run's
+:class:`~repro.experiments.runner.RunRecord`, as a campaign cell stores
+it.  Future PRs should start here when hunting the next hot path; the
+guarded-benchmark inventory in the README records where the previous
+ones went.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ import gc
 import json
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:  # the sim layer loads no experiments code
+    from repro.experiments.runner import RunRecord
 
 #: Labels the kernel dispatches with no label string attached.
 UNLABELLED = "(unlabelled)"
@@ -154,17 +159,10 @@ def hot_functions(prof: cProfile.Profile, top: int = 15) -> List[Dict[str, Any]]
 
 @dataclass
 class ProfileReport:
-    """Everything one profiled run produced (JSON-safe via to_dict)."""
+    """Everything one profiled run produced (JSON-safe via to_dict):
+    the run's record, as a campaign cell stores it, and the profiles."""
 
-    spec: Dict[str, Any]              # RunSpec.canonical()
-    wall_seconds: float
-    cycles: int
-    committed_instructions: int
-    completed: bool
-    crashed: bool
-    recoveries: int
-    events_dispatched: int
-    peak_pending: int                 # deepest the kernel queue ever got
+    record: RunRecord
     dispatch: DispatchProfile
     functions: List[Dict[str, Any]] = field(default_factory=list)
     #: Express-hop efficiency (see Network): hop dispatches vs hops
@@ -179,18 +177,15 @@ class ProfileReport:
     gc: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
+        record = self.record
         return {
-            "spec": self.spec,
-            "wall_seconds": self.wall_seconds,
-            "result": {
-                "cycles": self.cycles,
-                "committed_instructions": self.committed_instructions,
-                "completed": self.completed,
-                "crashed": self.crashed,
-                "recoveries": self.recoveries,
-            },
-            "events_dispatched": self.events_dispatched,
-            "peak_pending": self.peak_pending,
+            "spec": record.spec.canonical(),
+            "wall_seconds": record.elapsed_s,
+            "result": {name: getattr(record, name) for name in (
+                "cycles", "committed_instructions", "completed", "crashed",
+                "recoveries")},
+            "events_dispatched": record.telemetry["events_dispatched"],
+            "peak_pending": record.telemetry["peak_pending_events"],
             "kernel_events": self.dispatch.to_dict(),
             "hot_functions": self.functions,
             "network": self.network,
@@ -207,17 +202,17 @@ def profile_spec(spec, *, use_cprofile: bool = True,
     """Build the machine ``spec`` describes and run it under the profilers.
 
     The event-label histogram is always collected; cProfile is optional
-    (it costs roughly 2x wall-clock).  Warmup, faults, shapes, and config
-    overrides all come from the spec, exactly as ``repro run`` / the
-    campaign engine would execute it.
+    (it costs roughly 2x wall-clock).  The run goes through
+    :func:`~repro.experiments.runner.record_run`, exactly as ``repro
+    run`` and the campaign engine run it.
 
-    The collector is counted around ``machine.run`` only, after a
+    The collector is counted around the run only, after a
     ``gc.collect()`` so that garbage left by earlier work (the build
     included) is not charged to the run.
     """
     # Imported lazily: the sim layer must not depend on the experiment
     # layer at import time (profile is the one place the two meet).
-    from repro.experiments.runner import build_machine
+    from repro.experiments.runner import build_machine, record_run
 
     machine = build_machine(spec)
     dispatch = DispatchProfile()
@@ -226,33 +221,20 @@ def profile_spec(spec, *, use_cprofile: bool = True,
     collector = CollectorProfile()
     gc.collect()
     gc.callbacks.append(collector)
-    started = perf_counter()
     if prof is not None:
         prof.enable()
     try:
-        result = machine.run(spec.instructions, max_cycles=spec.max_cycles,
-                             warmup=spec.warmup)
+        record = record_run(spec, machine)
     finally:
         if prof is not None:
             prof.disable()
         gc.callbacks.remove(collector)
-    wall = perf_counter() - started
-    network = network_efficiency(machine, dispatch)
-    coherence = coherence_efficiency(machine)
     return ProfileReport(
-        spec=spec.canonical(),
-        wall_seconds=wall,
-        cycles=result.cycles,
-        committed_instructions=result.committed_instructions,
-        completed=result.completed,
-        crashed=result.crashed,
-        recoveries=result.recoveries,
-        events_dispatched=machine.sim.events_dispatched,
-        peak_pending=machine.sim.peak_pending,
+        record=record,
         dispatch=dispatch,
         functions=hot_functions(prof, top_functions) if prof is not None else [],
-        network=network,
-        coherence=coherence,
+        network=network_efficiency(machine, dispatch),
+        coherence=coherence_efficiency(machine),
         gc=collector.to_dict(),
     )
 

@@ -13,6 +13,8 @@ substrate (network, coherence, processors, workload), wires in SafetyNet
                                             scale=16), seed=1)
     result = machine.run(instructions_per_cpu=20_000)
     print(result.cycles, result.crashed, machine.recovery.stats.recoveries)
+
+A crash is recorded once, in ``machine.recovery.stats``.
 """
 
 from __future__ import annotations
@@ -123,8 +125,6 @@ class Machine:
             self.sim, config, self.network, n, self.stats
         )
         self._done_count = 0
-        self.crashed = False
-        self.crash_reason: Optional[str] = None
         self.checkers: List[MessageChecker] = []
 
         def io_factory(node: Node) -> Optional[IoHooks]:
@@ -175,7 +175,7 @@ class Machine:
         # --- recovery ------------------------------------------------------
         self.recovery = RecoveryManager(
             self.sim, config, self.network, self.nodes, self.controllers,
-            self.stats, on_crash=self._on_crash,
+            self.stats,
             on_recovery_complete=lambda: self._on_core_done(-1),
         )
         self._faults: List = []
@@ -264,10 +264,6 @@ class Machine:
     def _on_fault(self, reason: str) -> None:
         self.recovery.report_fault(reason)
 
-    def _on_crash(self, reason: str) -> None:
-        self.crashed = True
-        self.crash_reason = reason
-
     def _on_core_done(self, node_id: int) -> None:
         # Recount from ground truth: recovery can roll a finished core back
         # below its target (it re-executes and finishes again later).
@@ -276,7 +272,8 @@ class Machine:
             self.sim.stop("workload complete")
 
     def is_active(self) -> bool:
-        return not self.crashed and self._done_count < len(self.nodes)
+        return (not self.recovery.stats.crashed
+                and self._done_count < len(self.nodes))
 
     def _watchdog_should_act(self) -> bool:
         """Whether a stalled recovery point warrants a recovery.
@@ -289,7 +286,7 @@ class Machine:
         """
         if self.is_active():
             return True
-        if self.crashed:
+        if self.recovery.stats.crashed:
             return False
         return any(
             node.cache.min_open_interval() is not None
@@ -340,12 +337,11 @@ class Machine:
         for node in self.nodes:
             node.core.start(target)
         limit = max_cycles if max_cycles is not None else (1 << 60)
-        while self.is_active() and self.sim.now < limit and self.sim.pending():
+        # One kernel run ends the run: at the limit, on an empty queue,
+        # or at either stop() (workload complete, crash).  An empty queue
+        # is not run: the kernel would fast-forward the clock.
+        if self.is_active() and self.sim.now < limit and self.sim.pending():
             self.sim.run(limit=limit)
-            if self.sim.stop_reason and self.sim.stop_reason.startswith("crash"):
-                break
-            if self.sim.stop_reason == "workload complete":
-                break
         committed = sum(node.core.position for node in self.nodes)
         reexec = sum(
             self.stats.counter(f"node{n}.core.instructions_reexecuted").value
@@ -356,8 +352,8 @@ class Machine:
             committed_instructions=committed,
             target_instructions=target * len(self.nodes),
             completed=self._done_count >= len(self.nodes),
-            crashed=self.crashed,
-            crash_reason=self.crash_reason,
+            crashed=self.recovery.stats.crashed,
+            crash_reason=self.recovery.stats.crash_reason,
             recoveries=self.recovery.stats.recoveries,
             lost_instructions=self.recovery.stats.total_lost_instructions,
             reexecuted_instructions=reexec,

@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import AttemptJournal, RunSpec, shard_path
+from repro.experiments import RunSpec, execute_run, shard_path
+from repro.experiments.journal import AttemptJournal
 
 
 def run_cli(argv):
@@ -60,6 +62,51 @@ def test_run_unprotected_with_fault_reports_expected_crash():
     ])
     assert code == 0  # crash is the expected baseline outcome
     assert "CRASH" in text
+
+
+#: A short transient-fault run with many recoveries (27 at seed 1).
+TRANSIENT_2X2 = ["--torus", "2x2", "--scale", "64", "--instructions", "2000",
+                 "--warmup", "0", "--fault", "transient", "--period", "2500",
+                 "--fault-at", "1200"]
+
+
+def table_value(text, metric):
+    """The value of a ``metric | value`` row in a printed table."""
+    for line in text.splitlines():
+        name, sep, value = line.partition("|")
+        if sep and name.strip() == metric:
+            return value.strip()
+    raise AssertionError(f"no {metric!r} row in:\n{text}")
+
+
+def test_run_trace_and_profile_report_the_campaign_record():
+    """`repro run`, `repro trace` and `repro profile` report the numbers
+    a campaign cell records for the same spec."""
+    spec = RunSpec(workload="apache", instructions=2_000, warmup=0,
+                   scale=64, torus_width=2, torus_height=2,
+                   fault="transient", fault_period=2_500, fault_at=1_200)
+    record = execute_run(spec)
+    assert record.completed and record.recoveries > 0
+    cycles, committed = f"{record.cycles:,}", \
+        f"{record.committed_instructions:,}"
+    code, text = run_cli(["run"] + TRANSIENT_2X2)
+    assert code == 0
+    assert table_value(text, "cycles") == cycles
+    assert table_value(text, "committed instructions") == committed
+    assert table_value(text, "recoveries") == str(record.recoveries)
+    code, text = run_cli(["trace"] + TRANSIENT_2X2)
+    assert code == 0
+    assert table_value(text, "cycles") == cycles
+    assert table_value(text, "recoveries") == str(record.recoveries)
+    code, text = run_cli(["profile", "--no-cprofile", "--json", "-"]
+                         + TRANSIENT_2X2)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["spec"] == spec.canonical()
+    assert payload["result"] == {
+        name: getattr(record, name) for name in (
+            "cycles", "committed_instructions", "completed", "crashed",
+            "recoveries")}
 
 
 def test_run_with_overrides():
@@ -174,20 +221,37 @@ def test_zero_fault_period_is_rejected_not_defaulted():
     assert "bad sweep" in text and "fault_period" in text
 
 
-def test_bad_scale_warmup_and_retries_are_input_errors():
+def test_bad_scale_warmup_and_retries_are_input_errors(tmp_path):
+    """A ``--max-cycles`` below 1 used to run nothing: ``run`` printed a
+    table of zeros and ``sweep`` committed 0-cycle "cut off" records,
+    and a ``profile --top`` below 1 dropped rows or printed empty
+    tables.  Each is an input error, and a bad sweep writes nothing
+    next to its store."""
+    out_path = str(tmp_path / "bad.jsonl")
     for flag, value in (("--scale", "0"), ("--scale", "-4"),
-                        ("--warmup", "-3")):
+                        ("--warmup", "-3"), ("--max-cycles", "0"),
+                        ("--max-cycles", "-5")):
+        name = flag.lstrip("-").replace("-", "_")
         argv = ["--instructions", "100", "--scale", "64", flag, value]
-        code, text = run_cli(["run"] + argv)
+        code, text = run_cli(["run", "--warmup", "0"] + argv)
         assert code == 1
-        assert "bad run" in text and flag.lstrip("-") in text
-        code, text = run_cli(["sweep"] + argv)
+        assert "bad run" in text and name in text
+        code, text = run_cli(["sweep", "--seeds", "2", "--out", out_path]
+                             + argv)
         assert code == 1
-        assert "bad sweep" in text and flag.lstrip("-") in text
+        assert "bad sweep" in text and name in text
+        assert list(tmp_path.iterdir()) == []
     code, text = run_cli(["sweep", "--instructions", "100", "--scale", "64",
-                          "--retries", "-1"])
+                          "--retries", "-1", "--out", out_path])
     assert code == 1
     assert "bad sweep" in text and "retries" in text
+    assert list(tmp_path.iterdir()) == []
+    for value in ("0", "-1"):
+        code, text = run_cli(["profile", "--instructions", "100", "--scale",
+                              "64", "--torus", "2x2", "--no-cprofile",
+                              "--top", value])
+        assert code == 1
+        assert "bad run" in text and "top" in text
     for value in ("0", "-4"):
         code, text = run_cli(["config", "--scale", value])
         assert code == 1

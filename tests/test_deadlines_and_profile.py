@@ -164,13 +164,16 @@ def test_profile_spec_reports_labels_and_json():
     spec = RunSpec(workload="apache", instructions=400, preset="tiny",
                    scale=64, max_cycles=2_000_000)
     report = profile_spec(spec, use_cprofile=True, top_functions=5)
-    assert report.completed and not report.crashed
-    assert report.dispatch.total_dispatches == report.events_dispatched > 0
+    record = report.record
+    assert record.spec == spec
+    assert record.completed and not record.crashed
+    events = record.telemetry["events_dispatched"]
+    assert report.dispatch.total_dispatches == events > 0
     assert "core.burst" in report.dispatch.counts
     assert report.functions and len(report.functions) <= 5
     payload = json.loads(report.to_json())
     assert payload["result"]["completed"] is True
-    assert payload["kernel_events"]["total_dispatches"] == report.events_dispatched
+    assert payload["kernel_events"]["total_dispatches"] == events
 
 
 def test_profile_reports_express_hop_efficiency():

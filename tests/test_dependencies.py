@@ -83,12 +83,12 @@ CAMPAIGN_FABRIC = ("multiprocessing", "concurrent", "socket",
 
 
 def test_single_run_loads_no_campaign_fabric(report):
-    """``repro.experiments`` resolves its backends and journal names on
-    first use and ``repro.cli`` imports them inside the commands that
+    """``repro.experiments`` does not import its backends and journal
+    submodules and ``repro.cli`` imports them inside the commands that
     need them, so building and running one machine, directly or with
-    ``repro run``, loads none of the fabric; and every public name, lazy
-    or eager, is the object its submodule defines (``aggregate`` is the
-    function, not the submodule of that name)."""
+    ``repro run``, loads none of the fabric; and every public name is
+    the object its submodule defines (``aggregate`` is the function, not
+    the submodule of that name)."""
     assert report["completed"] and report["cli_exit"] == 0
     fabric = [name for name in report["modules"]
               if name.split(".")[0] in CAMPAIGN_FABRIC

@@ -1,9 +1,12 @@
 """Tests for the `repro.experiments` campaign engine."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis import extrapolate_transient_overhead, normalized_performance
+from repro.config import SystemConfig
 from repro.experiments import (
     ResultStore,
     Runner,
@@ -145,13 +148,15 @@ def test_spec_rejects_bad_scale_and_warmup():
 
 @pytest.mark.parametrize("field, value", [
     ("fault_at", -5), ("interval", 0), ("clb_bytes", 0),
-    ("detection_latency", -100),
+    ("detection_latency", -100), ("max_cycles", 0), ("max_cycles", -5),
 ])
 def test_spec_rejects_out_of_range_run_inputs(field, value):
     """A negative ``fault_at`` used to raise inside the kernel when the
     fault was armed, a zero interval failed every attempt of its sweep
-    cell, a zero CLB was clamped to one entry and livelocked, and a
-    negative detection latency ran as zero under a different spec hash."""
+    cell, a zero CLB was clamped to one entry and livelocked, a negative
+    detection latency ran as zero under a different spec hash, and a
+    ``max_cycles`` below 1 ran nothing and was recorded as a cut-off run
+    of 0 cycles."""
     with pytest.raises(ValueError, match=field):
         RunSpec(**{field: value})
     with pytest.raises(ValueError, match=field):
@@ -320,12 +325,49 @@ def test_runner_deduplicates_repeated_specs():
     assert records[0] is records[1]
 
 
-def test_record_adapts_to_analysis_run_result():
+def test_analysis_reads_campaign_records():
+    """``repro.analysis`` reads a campaign's records as they are: the
+    Fig. 5 bench hands the Runner's records straight to it."""
     record = execute_run(TINY)
-    result = record.to_run_result()
-    assert result.cycles == record.cycles
-    assert result.completed and not result.crashed
-    assert result.stats["peak_cache_clb_entries"] >= 0
+    bar = normalized_performance([record], [record], "self")
+    assert (bar.mean, bar.stddev, bar.samples, bar.crashed) == (1.0, 0.0, 1, False)
+    slower = replace(record, cycles=record.cycles * 2)
+    assert normalized_performance([slower], [record], "x").mean == 0.5
+    crashed = replace(record, crashed=True, crash_reason="boom")
+    assert normalized_performance([crashed], [record], "x").crashed
+    assert extrapolate_transient_overhead([record]) == 0.0
+    faulted = replace(record, recoveries=2, lost_instructions=4_000)
+    assert extrapolate_transient_overhead([faulted]) == pytest.approx(2e-5)
+
+
+#: Spec fields an unshaped spec may set, each with the SystemConfig
+#: override it stands for.
+_SPEC_OVERRIDES = [
+    ({}, {}),
+    ({"interval": 5_000}, {"checkpoint_interval": 5_000}),
+    ({"clb_bytes": 8_192}, {"clb_size_bytes": 8_192}),
+    ({"protocol": "mesi"}, {"protocol": "mesi"}),
+    ({"config_overrides": (("memory_latency", 90),)}, {"memory_latency": 90}),
+]
+
+
+@pytest.mark.parametrize("preset, scale, expected", [
+    ("tiny", 64, lambda **kw: SystemConfig.tiny(**kw)),
+    ("paper", 16, lambda **kw: SystemConfig.paper(**kw)),
+    ("sim_scaled", 4, lambda **kw: SystemConfig.sim_scaled(4, **kw)),
+    ("sim_scaled", 64, lambda **kw: SystemConfig.sim_scaled(64, **kw)),
+], ids=["tiny", "paper", "sim_scaled-4", "sim_scaled-64"])
+@pytest.mark.parametrize("spec_fields, overrides", _SPEC_OVERRIDES,
+                         ids=["plain", "interval", "clb_bytes", "protocol",
+                              "config_override"])
+def test_unshaped_spec_builds_its_preset(preset, scale, expected,
+                                         spec_fields, overrides):
+    """A spec with no shape builds exactly its preset's config, with the
+    spec's overrides applied (the preset's own shape, at which
+    ``from_shape`` derives nothing)."""
+    spec = RunSpec(workload="apache", preset=preset, scale=scale,
+                   **spec_fields)
+    assert build_machine(spec).config == expected(**overrides)
 
 
 # ----------------------------------------------------------------------

@@ -17,25 +17,26 @@ import time
 import pytest
 
 from repro.experiments import (
-    AttemptJournal,
-    BACKENDS,
-    CellCrashed,
-    CellError,
-    CellFailure,
-    CellTimeout,
     ChaosConfig,
     ResultStore,
     Runner,
     RunRecord,
     RunSpec,
     execute_run,
-    journal_path,
     list_shards,
+    shard_path,
+)
+from repro.experiments.backends import (
+    BACKENDS,
+    CellCrashed,
+    CellError,
+    CellFailure,
+    CellTimeout,
     resolve_backend,
     run_cell_guarded,
     run_worker,
-    shard_path,
 )
+from repro.experiments.journal import AttemptJournal, journal_path
 from repro.obs import fabric_summary, load_fabric_events
 
 TINY = RunSpec(workload="apache", instructions=400, warmup=0, preset="tiny",

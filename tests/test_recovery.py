@@ -13,11 +13,12 @@ import pytest
 
 from repro.coherence.cache import CacheController
 from repro.coherence.directory import MemoryController
+from repro.coherence.state import CacheState
 from repro.config import SystemConfig
 from repro.interconnect.topology import HalfSwitchId
 from repro.system.machine import Machine
 from repro.workloads import RandomTester, apache, oltp
-from tests.conftest import tiny_machine
+from tests.conftest import Driver, tiny_machine
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,31 @@ def test_exact_state_check_catches_skipped_log(monkeypatch, controller, undone):
     assert mismatched_parts(reference, recovered) == {undone}
     with pytest.raises(AssertionError, match="dir says"):
         machine.check_coherence_invariants()
+
+
+def test_recovery_restores_upgraded_owned_block():
+    """A pure upgrade (a store to an O block: the home grants M without
+    data) is a store like any other: the CLB records the block as it was
+    before the store, O, so recovering to the checkpoint before the
+    upgrade gives back the O block, not M."""
+    d = Driver(tiny_machine())
+    d.access(0, 0x40, is_store=True, value=1)
+    d.access(1, 0x40, is_store=False)           # node 0 goes M -> O
+    d.settle()
+    cache = d.machine.nodes[0].cache
+    for node in d.machine.nodes:
+        node.cache.on_edge(2)
+        node.home.on_edge(2)
+    snapshot = cache.owned_state()
+    assert snapshot == {0x40: (CacheState.OWNED, 1)}
+    d.access(0, 0x40, is_store=True, value=2)   # an UPGRADE
+    d.settle()
+    assert cache.owned_state() == {0x40: (CacheState.MODIFIED, 2)}
+    assert cache.c_upgrades.value == 1
+    assert [(e.addr, e.payload, e.tag) for e in cache.clb.unroll_from(2)] \
+        == [(0x40, (CacheState.OWNED, 1, 2), 2)]
+    cache.recover_to(2)
+    assert cache.owned_state() == snapshot
 
 
 def test_recovery_discards_unvalidated_cache_blocks():
